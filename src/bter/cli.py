@@ -21,7 +21,8 @@ import numpy as np
 from . import __version__
 from .communities import (
     ConnectivityFormula,
-    preprocess,
+    # not called here; benchmark/tracing.py patches bter.cli.preprocess
+    preprocess,  # noqa: F401
     read_partition_csv,
     write_partition_csv,
 )
@@ -290,9 +291,8 @@ def cmd_generate(args, argv: list[str]) -> int:
             _write_rows(trace_path, "field,value", rows)
             outputs.append(trace_path)
 
-            part = preprocess(degrees, formula)
             part_path = out.with_name(out.name + ".partition.csv")
-            write_partition_csv(part, degrees, part_path)
+            write_partition_csv(trace.partition, degrees, part_path)
             outputs.append(part_path)
 
     manifest = _manifest("generate", argv, config_echo, inputs)

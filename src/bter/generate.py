@@ -71,7 +71,8 @@ class PhaseTrace:
     raw counts every sampled pair per phase; kept counts the pairs that
     survived into the final graph, crediting each surviving edge to the
     first phase that produced it. sum(raw) == stats.raw_edges and
-    sum(kept) == final edge count.
+    sum(kept) == final edge count. partition is the preprocessing result
+    the run sampled Phase 1 from; it is left out of equality and repr.
     """
 
     p: int
@@ -80,6 +81,7 @@ class PhaseTrace:
     raw: dict[str, int]
     kept: dict[str, int]
     stats: EdgeStreamStats
+    partition: CommunityPartition = field(compare=False, repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +361,9 @@ def generate_bter(
 
     raw = {name: int(len(pp)) for name, pp in phase_pairs.items()}
     kept = _first_occurrence_attribution(phase_pairs, n)
-    trace = PhaseTrace(p=p, q=q, eta_scale=eta_scale, raw=raw, kept=kept, stats=stats)
+    trace = PhaseTrace(
+        p=p, q=q, eta_scale=eta_scale, raw=raw, kept=kept, stats=stats, partition=part
+    )
     return graph, trace
 
 

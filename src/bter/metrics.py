@@ -2,19 +2,19 @@
 
 Triangle counts are exact, via an edge iterator that intersects sorted
 neighbor lists (each triangle found once, at its lexicographically first
-edge). The leading adjacency eigenvalues come from a Lanczos iteration with
-full reorthogonalization and explicit deflation, using only sparse
-matrix-vector products.
+edge). The leading adjacency eigenvalues come from ARPACK's implicitly
+restarted Lanczos (scipy.sparse.linalg.eigsh), using only sparse
+matrix-vector products, with every reported pair's residual checked
+explicitly.
 """
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .graph import Graph
 from .rng import substream
@@ -55,7 +55,8 @@ class SpectrumReport:
     """Leading adjacency eigenvalues, largest first, with residual norms.
 
     Every reported pair satisfies ||A v - lambda v|| <= tolerance for the
-    unit Ritz vector v.
+    unit Ritz vector v. iterations counts the sparse matvecs the solver
+    applied.
     """
 
     eigenvalues: np.ndarray
@@ -66,7 +67,10 @@ class SpectrumReport:
 
 
 class SpectrumConvergenceError(RuntimeError):
-    """Lanczos failed to reach the residual tolerance within its budget."""
+    """ARPACK ran out of restarts, or a returned pair missed the tolerance.
+
+    partial holds only the pairs whose residual met the tolerance.
+    """
 
     def __init__(self, message: str, partial: SpectrumReport):
         super().__init__(message)
@@ -230,85 +234,6 @@ def degree_histogram(g: Graph) -> dict[int, int]:
 DEFAULT_TOP_K = 25
 
 
-def _lanczos_extreme(
-    matvec,
-    n: int,
-    deflate: np.ndarray,
-    rng: np.random.Generator,
-    tol: float,
-    max_dim: int,
-):
-    """Largest Ritz pair of the operator restricted to span(deflate)^perp.
-
-    Full reorthogonalization against both the Krylov basis and the deflated
-    vectors keeps the basis numerically orthogonal; the run stops once the
-    explicit residual of the top Ritz pair is below tol, or fails after
-    max_dim steps.
-    """
-
-    def project_out(x):
-        if deflate.shape[1]:
-            x -= deflate @ (deflate.T @ x)
-        return x
-
-    best = (None, None, math.inf)  # (theta, y, residual)
-    for _attempt in range(3):
-        q = project_out(rng.standard_normal(n))
-        nq = np.linalg.norm(q)
-        if nq < 1e-12:
-            continue
-        q /= nq
-        Q = np.empty((n, max_dim))
-        Q[:, 0] = q
-        alphas: list[float] = []
-        betas: list[float] = []
-        check_at = 1e-1 * tol
-        breakdown = False
-        for j in range(max_dim):
-            w = matvec(Q[:, j])
-            if j > 0:
-                w -= betas[-1] * Q[:, j - 1]
-            a = float(Q[:, j] @ w)
-            alphas.append(a)
-            w -= a * Q[:, j]
-            for _ in range(2):
-                w = project_out(w)
-                w -= Q[:, : j + 1] @ (Q[:, : j + 1].T @ w)
-            b = float(np.linalg.norm(w))
-
-            if j == 0:
-                theta, u = alphas[0], np.ones(1)
-            else:
-                vals, vecs = eigh_tridiagonal(
-                    np.asarray(alphas), np.asarray(betas), select="i", select_range=(j, j)
-                )
-                theta, u = float(vals[0]), vecs[:, 0]
-            est = b * abs(u[-1])
-            breakdown = b < 1e-13
-            exhausted = breakdown or j + 1 == max_dim
-            if est <= check_at or exhausted:
-                y = Q[:, : j + 1] @ u
-                y = project_out(y)
-                ny = np.linalg.norm(y)
-                if ny > 1e-12:
-                    y /= ny
-                    res = float(np.linalg.norm(matvec(y) - theta * y))
-                    if res <= tol:
-                        return float(theta), y, res, j + 1
-                    if res < best[2]:
-                        best = (float(theta), y, res)
-                check_at *= 0.5  # verify less eagerly next time
-            if exhausted:
-                break
-            betas.append(b)
-            Q[:, j + 1] = w / b
-        if not breakdown:
-            break  # full budget spent; a fresh start vector will not help
-        # breakdown without convergence: the start vector lived in a poor
-        # invariant subspace, retry with a new one
-    return best[0], best[1], best[2], max_dim
-
-
 def top_eigenvalues(
     g: Graph,
     k: int = DEFAULT_TOP_K,
@@ -316,15 +241,19 @@ def top_eigenvalues(
     seed: int = 0,
     max_dim: int = 300,
 ) -> SpectrumReport:
-    """Top-k adjacency eigenvalues by an iterative Krylov scheme.
+    """Top-k adjacency eigenvalues by ARPACK's implicitly restarted Lanczos.
 
-    Eigenpairs are extracted one at a time, deflating converged vectors, so
-    repeated eigenvalues are recovered with their multiplicity. The whole
-    computation touches the matrix only through sparse matvecs and is
-    deterministic for a fixed starting-vector seed.
+    One scipy ``eigsh`` call (which="LA", so largest by value, not by
+    magnitude) runs to machine precision with a seeded starting vector and
+    at most max_dim restarts; the matrix is touched only through counted
+    sparse matvecs, reported as ``iterations``. When k >= n - 1, where
+    ARPACK's Krylov space (more than k vectors, at most n) would be the
+    whole space, the dense eigendecomposition is used instead (0 matvecs).
+    Every returned pair is checked explicitly against
+    ||A v - lambda v|| <= tol. Deterministic for a fixed seed.
 
-    Raises SpectrumConvergenceError (carrying the pairs found so far) if an
-    eigenpair fails to meet tol within the iteration budget.
+    Raises SpectrumConvergenceError, carrying the pairs that did meet tol,
+    if ARPACK runs out of restarts or a residual exceeds tol.
     """
     n = g.n
     if not 1 <= k <= n:
@@ -342,36 +271,44 @@ def top_eigenvalues(
         )
 
     A = g.adjacency_csr()
-    matvec = A.dot
-    rng = substream(seed, _SPECTRUM_STREAM)
-    vals: list[float] = []
-    residuals: list[float] = []
-    basis = np.empty((n, 0))
     iterations = 0
-    for j in range(k):
-        budget = min(n - j, max_dim)
-        theta, y, res, used = _lanczos_extreme(matvec, n, basis, rng, tol, budget)
-        iterations += used
-        if theta is None or res > tol:
-            partial = SpectrumReport(
-                eigenvalues=np.asarray(vals),
-                residuals=np.asarray(residuals),
-                k=k,
-                tolerance=tol,
-                iterations=iterations,
-            )
-            raise SpectrumConvergenceError(
-                f"eigenpair {j + 1}/{k} stalled at residual {res:.3e} > tol {tol:.3e}",
-                partial,
-            )
-        vals.append(theta)
-        residuals.append(res)
-        basis = np.column_stack([basis, y])
+    if k >= n - 1:
+        vals, vecs = np.linalg.eigh(A.toarray())
+        vals, vecs = vals[n - k :], vecs[:, n - k :]
+    else:
 
-    order = np.argsort(-np.asarray(vals), kind="stable")
+        def matvec(x):
+            nonlocal iterations
+            iterations += 1
+            return A @ x
+
+        op = LinearOperator((n, n), matvec=matvec, dtype=np.float64)
+        v0 = substream(seed, _SPECTRUM_STREAM).standard_normal(n)
+        try:
+            vals, vecs = eigsh(op, k=k, which="LA", v0=v0, tol=0, maxiter=max_dim)
+        except ArpackNoConvergence as exc:
+            vals, vecs = exc.eigenvalues, exc.eigenvectors
+
+    order = np.argsort(-vals, kind="stable")
+    vals, vecs = vals[order], vecs[:, order]
+    residuals = np.linalg.norm(A @ vecs - vecs * vals, axis=0)
+    ok = residuals <= tol
+    if len(vals) < k or not ok.all():
+        partial = SpectrumReport(
+            eigenvalues=vals[ok],
+            residuals=residuals[ok],
+            k=k,
+            tolerance=tol,
+            iterations=iterations,
+        )
+        raise SpectrumConvergenceError(
+            f"{int(ok.sum())}/{k} eigenpairs met tol {tol:.3e} "
+            f"(restart budget {max_dim}, {iterations} matvecs)",
+            partial,
+        )
     return SpectrumReport(
-        eigenvalues=np.asarray(vals)[order],
-        residuals=np.asarray(residuals)[order],
+        eigenvalues=vals,
+        residuals=residuals,
         k=k,
         tolerance=tol,
         iterations=iterations,

@@ -19,28 +19,3 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(
         np.random.Philox(np.random.SeedSequence(seed, spawn_key=path))
     )
-
-
-class UniformBuffer:
-    """Amortized scalar uniforms from a Generator.
-
-    Tight rejection loops draw one uniform at a time; fetching them in
-    blocks keeps those loops fast. Consumption order is fixed, so results
-    are reproducible for a fixed stream regardless of block size.
-    """
-
-    __slots__ = ("_rng", "_block", "_buf", "_i")
-
-    def __init__(self, rng: np.random.Generator, block: int = 8192):
-        self._rng = rng
-        self._block = block
-        self._buf = rng.random(block)
-        self._i = 0
-
-    def next(self) -> float:
-        i = self._i
-        if i == self._block:
-            self._buf = self._rng.random(self._block)
-            i = 0
-        self._i = i + 1
-        return self._buf[i]

@@ -147,17 +147,15 @@ def internal_degrees_by_block(g: Graph, assignment: np.ndarray) -> dict[int, np.
     assignment = np.asarray(assignment, dtype=np.int64)
     if assignment.shape[0] != g.n:
         raise ValueError(f"assignment covers {assignment.shape[0]} nodes, graph has {g.n}")
-    internal = np.zeros(g.n, dtype=np.int64)
     u, v = g.edges[:, 0], g.edges[:, 1]
     same = (assignment[u] == assignment[v]) & (assignment[u] >= 0)
-    np.add.at(internal, u[same], 1)
-    np.add.at(internal, v[same], 1)
-    out: dict[int, np.ndarray] = {}
-    for k in np.unique(assignment[assignment >= 0]):
-        deg = internal[(assignment == k) & (internal > 0)]
-        if deg.size:
-            out[int(k)] = np.sort(deg)
-    return out
+    internal = np.bincount(np.concatenate([u[same], v[same]]), minlength=g.n)
+    nodes = np.nonzero(internal)[0]  # all assigned, since same excludes -1
+    block, deg = assignment[nodes], internal[nodes].astype(np.int64)
+    order = np.lexsort((deg, block))
+    block, deg = block[order], deg[order]
+    ids, starts = np.unique(block, return_index=True)
+    return {int(k): d for k, d in zip(ids, np.split(deg, starts[1:]))}
 
 
 @dataclass(frozen=True)

@@ -195,6 +195,17 @@ def test_bter_eta_scale_matches_formula():
     assert trace.eta_scale == pytest.approx(expected, rel=1e-12)
 
 
+def test_bter_trace_carries_the_sampled_partition():
+    seq = synthesize_powerlaw(600, 2.0, 24)
+    cfg = GenerationConfig(seed=3)
+    _, trace = generate_bter(seq, cfg)
+    part = preprocess(seq, cfg.connectivity)
+    assert trace.partition.block_count == part.block_count
+    assert np.array_equal(trace.partition.assignment, part.assignment)
+    assert np.array_equal(trace.partition.rho, part.rho)
+    assert np.array_equal(trace.partition.excess, part.excess)
+
+
 def test_bter_eta_scale_direct_arithmetic():
     # the rescale formula at p=20, q=0, sum(e)=90, beta=0.1
     assert 1.0 - 2.0 * 20 / (20 + 90) + 0.1 == pytest.approx(0.73636, abs=5e-6)

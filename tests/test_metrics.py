@@ -239,6 +239,31 @@ def test_spectrum_nonconvergence_carries_partials():
     assert len(partial.eigenvalues) < 3
 
 
+def test_spectrum_restart_budget_exhausted_carries_converged_partials():
+    # one ARPACK restart cannot converge all three pairs; the ones it did
+    # converge come back in the partial report, each within tol
+    g = generate_er(200, 0.05, 1)
+    with pytest.raises(SpectrumConvergenceError) as err:
+        top_eigenvalues(g, k=3, tol=1e-8, max_dim=1)
+    partial = err.value.partial
+    assert partial.k == 3
+    assert len(partial.eigenvalues) < 3
+    assert len(partial.residuals) == len(partial.eigenvalues)
+    assert (partial.residuals <= 1e-8).all()
+
+
+def test_spectrum_many_identical_blocks_keeps_multiplicity():
+    # 200 disjoint K5 have eigenvalue 4 with multiplicity 200: the top 25
+    # must all be copies of it
+    edges = [
+        (5 * b + i, 5 * b + j) for b in range(200) for i in range(5) for j in range(i + 1, 5)
+    ]
+    g, _ = build_graph(edges)
+    spec = top_eigenvalues(g, k=25)
+    assert len(spec.eigenvalues) == 25
+    assert np.abs(spec.eigenvalues - 4.0).max() <= 1e-10
+
+
 # ---------------------------------------------------------------------------
 # reports and comparison
 # ---------------------------------------------------------------------------

@@ -226,6 +226,27 @@ def test_internal_degrees_by_block():
     assert internal[1].tolist() == [1, 1]
 
 
+def test_internal_degrees_by_block_matches_per_block_loop():
+    seq = synthesize_powerlaw(3000, 2.0, 50)
+    g, trace = generate_bter(seq, GenerationConfig(seed=4))
+    assignment = trace.partition.assignment
+    internal = np.zeros(g.n, dtype=np.int64)
+    for u, v in g.edges.tolist():
+        if assignment[u] == assignment[v] >= 0:
+            internal[u] += 1
+            internal[v] += 1
+    expected = {}
+    for k in np.unique(assignment[assignment >= 0]):
+        deg = internal[(assignment == k) & (internal > 0)]
+        if deg.size:
+            expected[int(k)] = np.sort(deg)
+    got = internal_degrees_by_block(g, assignment)
+    assert list(got) == list(expected)
+    for k, deg in expected.items():
+        assert got[k].dtype == np.int64
+        assert np.array_equal(got[k], deg)
+
+
 def test_internal_degrees_requires_cover():
     g, _ = build_graph([(0, 1)])
     with pytest.raises(ValueError):
