@@ -32,7 +32,13 @@ from .degrees import (
     read_degree_file,
     synthesize_powerlaw,
 )
-from .generate import GenerationConfig, generate_bter, generate_cl, generate_er
+from .generate import (
+    GenerationConfig,
+    degree1_split,
+    generate_bter,
+    generate_cl,
+    generate_er,
+)
 from .graph import EdgeListFormatError, read_snap_edgelist, write_edgelist
 from .metrics import (
     ALL_METRICS,
@@ -42,6 +48,7 @@ from .metrics import (
     compute_report,
 )
 from .theory import (
+    CommunityAudit,
     audit_community,
     internal_degrees_by_block,
     kruskal_katona_check,
@@ -118,7 +125,7 @@ def _load_graph_file(path_str: str):
         raise InputError(f"no such graph file: {path}")
     try:
         return read_snap_edgelist(path)
-    except EdgeListFormatError as exc:
+    except ValueError as exc:  # EdgeListFormatError, or ids build_graph rejects
         raise InputError(str(exc)) from exc
 
 
@@ -252,26 +259,36 @@ def cmd_generate(args, argv: list[str]) -> int:
         if args.degrees or args.from_graph or args.powerlaw:
             raise UsageError("--model er takes no degree input")
         config_echo.update(n=args.n, p=args.p)
-        graph = generate_er(args.n, args.p, params["seed"])
+        try:
+            graph = generate_er(args.n, args.p, params["seed"])
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
         write_edgelist(graph, out)
     else:
         degrees = _degree_input(args, inputs)
         if args.model == "cl":
             config_echo["cl_mode"] = args.cl_mode
-            graph = generate_cl(degrees, params["seed"], mode=args.cl_mode)
+            try:
+                graph = generate_cl(degrees, params["seed"], mode=args.cl_mode)
+            except ValueError as exc:
+                raise UsageError(str(exc)) from exc
             write_edgelist(graph, out)
         else:
-            formula = ConnectivityFormula(
-                variant=params["variant"], rho=params["rho"], eta=params["eta"]
-            )
-            cfg = GenerationConfig(
-                seed=params["seed"],
-                connectivity=formula,
-                manual_fraction=params["manual_fraction"],
-                d1_weight=params["d1_weight"],
-                q_override=params["q"],
-                beta=params["beta"],
-            )
+            try:
+                formula = ConnectivityFormula(
+                    variant=params["variant"], rho=params["rho"], eta=params["eta"]
+                )
+                cfg = GenerationConfig(
+                    seed=params["seed"],
+                    connectivity=formula,
+                    manual_fraction=params["manual_fraction"],
+                    d1_weight=params["d1_weight"],
+                    q_override=params["q"],
+                    beta=params["beta"],
+                )
+                degree1_split(degrees, cfg)  # checks --q against the set-aside count
+            except ValueError as exc:
+                raise UsageError(str(exc)) from exc
             graph, trace = generate_bter(degrees, cfg)
             write_edgelist(graph, out)
 
@@ -376,20 +393,33 @@ def _write_report_csvs(report: MetricsReport, out_dir: Path) -> list[Path]:
     return written
 
 
-def cmd_analyze(args, argv: list[str]) -> int:
-    metrics = _parse_metrics(args.metrics)
-    loaded = _load_graph_file(args.graph)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    report = compute_report(
-        loaded.graph,
+def _compute_report(graph, metrics: tuple[str, ...], args) -> MetricsReport:
+    """compute_report with the user's --top-k and --tol checked first."""
+    if "spectrum" in metrics:
+        if min(args.top_k, graph.n) < 1:
+            raise UsageError(
+                f"need 1 <= --top-k and a graph with nodes, got --top-k "
+                f"{args.top_k} on {graph.n} nodes"
+            )
+        if args.tol <= 0:
+            raise UsageError("--tol must be positive")
+    return compute_report(
+        graph,
         metrics=metrics,
         top_k=args.top_k,
         tol=args.tol,
         seed=args.seed,
         threads=args.threads,
     )
+
+
+def cmd_analyze(args, argv: list[str]) -> int:
+    metrics = _parse_metrics(args.metrics)
+    loaded = _load_graph_file(args.graph)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+
+    report = _compute_report(loaded.graph, metrics, args)
     outputs = _write_report_csvs(report, out_dir)
 
     config = {
@@ -453,21 +483,14 @@ def _comparison_side(graph_path, report_path, metrics, args):
         raise UsageError("give exactly one of --graph-a/--report-a (same for b)")
     if graph_path is not None:
         loaded = _load_graph_file(graph_path)
-        return (
-            compute_report(
-                loaded.graph,
-                metrics=metrics,
-                top_k=args.top_k,
-                tol=args.tol,
-                seed=args.seed,
-                threads=args.threads,
-            ),
-            Path(graph_path),
-        )
+        return _compute_report(loaded.graph, metrics, args), Path(graph_path)
     p = Path(report_path)
     if not p.is_dir():
         raise InputError(f"no such report directory: {p}")
-    return _report_from_dir(p), p
+    try:
+        return _report_from_dir(p), p
+    except ValueError as exc:
+        raise InputError(f"{p}: {exc}") from exc
 
 
 def cmd_compare(args, argv: list[str]) -> int:
@@ -569,13 +592,22 @@ def cmd_audit(args, argv: list[str]) -> int:
         )
         rows = []
         passed = 0
+        # blocks with equal internal-degree multisets (per_block values are
+        # sorted) have equal audits, so each distinct one is audited once
+        audits: dict[bytes, CommunityAudit] = {}
         for k in sorted(per_block):
-            audit = audit_community(
-                per_block[k],
-                kappa=args.kappa,
-                core_constants=core_constants,
-                exact_threshold=args.exact_threshold,
-            )
+            key = per_block[k].tobytes()
+            if key not in audits:
+                try:
+                    audits[key] = audit_community(
+                        per_block[k],
+                        kappa=args.kappa,
+                        core_constants=core_constants,
+                        exact_threshold=args.exact_threshold,
+                    )
+                except ValueError as exc:
+                    raise UsageError(str(exc)) from exc
+            audit = audits[key]
             passed += audit.passes
             rows.append(
                 (
@@ -642,7 +674,10 @@ def cmd_replay(args, argv: list[str]) -> int:
     manifest_path = Path(args.manifest)
     if not manifest_path.is_file():
         raise InputError(f"no such manifest: {manifest_path}")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    try:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{manifest_path}: not a JSON manifest: {exc}") from exc
     command = manifest.get("command")
     recorded_argv = list(manifest.get("argv", []))
     if command not in _OUT_FLAGS:
@@ -699,8 +734,8 @@ def _add_common(parser):
         "--threads",
         type=int,
         default=_default_threads(),
-        help="worker cap for parallel sections (default: $BTER_THREADS or 1); "
-        "results are identical for any value",
+        help="accepted for compatibility and ignored: every command runs "
+        "single-threaded (default: $BTER_THREADS or 1)",
     )
 
 
@@ -802,9 +837,6 @@ def main(argv: list[str] | None = None) -> int:
     except SpectrumConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

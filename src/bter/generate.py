@@ -275,6 +275,27 @@ def _phase1_pairs(part: CommunityPartition, seed: int) -> np.ndarray:
     return np.concatenate(chunks)
 
 
+def degree1_split(degrees: DegreeSequence, cfg: GenerationConfig) -> tuple[int, int, int]:
+    """Degree-1 adjustment counts (r, p, q) of a block-model run.
+
+    r is the number of degree-1 nodes; the first p of them are set aside
+    for manual wiring, and q of those (even) are paired with each other.
+    Raises ValueError when cfg.q_override exceeds p.
+    """
+    r = int(np.searchsorted(degrees.degrees, 2))
+    p = nint(cfg.manual_fraction * r)
+    if cfg.q_override is not None:
+        q = cfg.q_override
+        if q > p:
+            raise ValueError(f"q_override={q} exceeds set-aside count p={p}")
+    else:
+        # Expected degree-1-to-degree-1 edge count under CL; clamped to the
+        # largest even number of nodes actually available.
+        q = 2 * nint(p * p / (2.0 * degrees.total))
+        q = min(q, 2 * (p // 2))
+    return r, p, q
+
+
 def generate_bter(
     degrees: DegreeSequence, cfg: GenerationConfig
 ) -> tuple[Graph, PhaseTrace]:
@@ -284,29 +305,17 @@ def generate_bter(
     Phase 2a/2b/2c, then merges all pairs into a simple graph (self-loops
     and duplicates discarded). Deterministic for fixed (degrees, cfg).
     """
+    r, p, q = degree1_split(degrees, cfg)
     part = preprocess(degrees, cfg.connectivity)
     n = degrees.n
-    sum_d = degrees.total
 
     pairs1 = _phase1_pairs(part, cfg.seed)
 
-    # Degree-1 adjustment: set aside the first p degree-1 nodes for manual
-    # wiring; the rest get a raised CL weight.
-    r = int(np.searchsorted(degrees.degrees, 2))
-    p = nint(cfg.manual_fraction * r)
+    # Degree-1 adjustment: the first p degree-1 nodes are wired manually;
+    # the rest get a raised CL weight.
     e = part.excess.copy()
     e[:p] = 0.0
     e[p:r] = cfg.d1_weight
-
-    if cfg.q_override is not None:
-        q = cfg.q_override
-        if q > p:
-            raise ValueError(f"q_override={q} exceeds set-aside count p={p}")
-    else:
-        # Expected degree-1-to-degree-1 edge count under CL; clamped to the
-        # largest even number of nodes actually available.
-        q = 2 * nint(p * p / (2.0 * sum_d))
-        q = min(q, 2 * (p // 2))
 
     # Phase 2a: random pairing among q of the set-aside nodes.
     if q > 0:

@@ -293,6 +293,36 @@ def test_audit_pipeline(tmp_path):
     assert total_blocks == len(blocks) - 1
 
 
+def test_audit_blocks_match_direct_per_block_audits(tmp_path):
+    from bter.cli import _core_label, _fmt
+    from bter.communities import read_partition_csv
+    from bter.graph import read_snap_edgelist
+    from bter.theory import audit_community, internal_degrees_by_block
+
+    g = tmp_path / "g.txt"
+    assert run("generate", "--model", "bter", "--powerlaw", "2000,2,40",
+               "--seed", 3, "--out", g) == EXIT_OK
+    out = tmp_path / "audit"
+    assert run("audit", "--graph", g, "--partition", f"{g}.partition.csv",
+               "--kappa", 0.2, "--out-dir", out) == EXIT_OK
+    lines = (out / "blocks.csv").read_text().splitlines()
+    constants = (0.25, 0.5, 1.0)
+    assert lines[0].endswith(",".join(_core_label(c) for c in constants))
+
+    per_block = internal_degrees_by_block(
+        read_snap_edgelist(g).graph, read_partition_csv(f"{g}.partition.csv")[0]
+    )
+    # repeated multisets are what the audit reuses
+    assert len({d.tobytes() for d in per_block.values()}) < len(per_block)
+    assert len(lines) - 1 == len(per_block)
+    for line, k in zip(lines[1:], sorted(per_block)):
+        a = audit_community(per_block[k], kappa=0.2, core_constants=constants)
+        assert line == ",".join([
+            str(k), _fmt(a.s), _fmt(a.expected_triangles), _fmt(a.wedge_bound),
+            str(a.passes).lower(), *(str(a.er_core[c][0]) for c in constants),
+        ])
+
+
 def test_audit_partition_node_mismatch(tmp_path, k4_file):
     part = tmp_path / "part.csv"
     part.write_text("node,block,bar_d,rho,excess\n0,0,2,0.9,0\n1,0,2,0.9,0\n")
@@ -344,3 +374,81 @@ def test_threads_env_default(tmp_path, monkeypatch):
 def test_version_flag(capsys):
     assert run("--version") == EXIT_OK
     assert capsys.readouterr().out.startswith("bter ")
+
+
+# ---------------------------------------------------------------------------
+# exit codes of bad values
+# ---------------------------------------------------------------------------
+
+_BTER_GEN = ("generate", "--model", "bter", "--powerlaw", "300,2,17", "--seed", 1,
+             "--out", "{out}")
+_ANALYZE_SPECTRUM = ("analyze", "--graph", "{graph}", "--metrics", "spectrum",
+                     "--out-dir", "{out}")
+_AUDIT = ("audit", "--graph", "{graph}", "--partition", "{graph}.partition.csv",
+          "--out-dir", "{out}")
+
+
+@pytest.fixture(scope="module")
+def small_bter(tmp_path_factory):
+    g = tmp_path_factory.mktemp("small") / "g.txt"
+    assert run(*(str(g) if a == "{out}" else a for a in _BTER_GEN)) == EXIT_OK
+    return g
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("generate", "--model", "er", "--n", 10, "--p", 2, "--seed", 1, "--out", "{out}"),
+        ("generate", "--model", "er", "--n", -1, "--p", 0.5, "--seed", 1, "--out", "{out}"),
+        (*_BTER_GEN, "--manual-fraction", 2),
+        (*_BTER_GEN, "--d1-weight", 0),
+        (*_BTER_GEN, "--beta", -1),
+        (*_BTER_GEN, "--q", 3),
+        (*_BTER_GEN, "--q", 10000),
+        (*_BTER_GEN, "--rho", 0),
+        (*_BTER_GEN, "--eta", -1),
+        (*_ANALYZE_SPECTRUM, "--top-k", 0),
+        (*_ANALYZE_SPECTRUM, "--tol", 0),
+        (*_AUDIT, "--kappa", 2),
+        (*_AUDIT, "--core-constants", "a"),
+        (*_AUDIT, "--predict", "0,2"),
+    ],
+    ids=lambda argv: " ".join(str(a) for a in argv if "{" not in str(a)),
+)
+def test_bad_values_are_usage_errors(argv, small_bter, tmp_path, capsys):
+    out = tmp_path / "out"
+    args = [str(a).replace("{out}", str(out)).replace("{graph}", str(small_bter))
+            for a in argv]
+    assert main(args) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_internal_value_error_is_not_a_usage_error(small_bter, tmp_path, monkeypatch):
+    import bter.metrics
+
+    def broken(*args, **kwargs):
+        raise ValueError("broken triangle kernel")
+
+    monkeypatch.setattr(bter.metrics, "count_triangles_wedges", broken)
+    for argv in (
+        ("analyze", "--graph", small_bter, "--out-dir", tmp_path / "a"),
+        ("audit", "--graph", small_bter, "--out-dir", tmp_path / "b"),
+    ):
+        with pytest.raises(ValueError, match="broken triangle kernel"):
+            run(*argv)
+
+
+def test_malformed_inputs_are_input_errors(k4_file, tmp_path):
+    negative = tmp_path / "neg.txt"
+    negative.write_text("# nodes 5\n-1 2\n", encoding="utf-8")
+    assert run("analyze", "--graph", negative, "--out-dir", tmp_path / "a") == EXIT_INPUT
+
+    manifest = tmp_path / "m.json"
+    manifest.write_text("{not json", encoding="utf-8")
+    assert run("replay", "--manifest", manifest) == EXIT_INPUT
+
+    report = tmp_path / "rep"
+    report.mkdir()
+    (report / "summary.csv").write_text("field,value\nnodes,x\nedges,1\n", encoding="utf-8")
+    assert run("compare", "--graph-a", k4_file, "--report-b", report,
+               "--out", tmp_path / "c.csv") == EXIT_INPUT

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import brute_force_triangles, dense_adjacency
+from conftest import brute_force_triangles, dense_adjacency, sparse_triangles
+from bter import metrics
 from bter.degrees import synthesize_powerlaw
 from bter.generate import GenerationConfig, generate_bter, generate_cl, generate_er
 from bter.graph import build_graph
@@ -57,11 +58,39 @@ def test_per_node_identities():
 
 def test_counts_match_brute_force():
     rng = np.random.default_rng(11)
+    graphs = [
+        build_graph([], n=0)[0],
+        build_graph([], n=5)[0],  # edgeless
+        build_graph([(0, i) for i in range(1, 9)])[0],  # star: wedges, no triangles
+        # every node of degree 4: the (degree, id) rank is decided by id alone
+        build_graph([(i, (i + s) % 9) for i in range(9) for s in (1, 2)])[0],
+        # K6 plus a disjoint edge
+        build_graph([(i, j) for i in range(6) for j in range(i + 1, 6)] + [(6, 7)])[0],
+    ]
     for _ in range(40):
         n = int(rng.integers(1, 13))
-        g = generate_er(n, float(rng.uniform(0, 1)), int(rng.integers(1 << 40)))
+        graphs.append(generate_er(n, float(rng.uniform(0, 1)), int(rng.integers(1 << 40))))
+    for g in graphs:
         total, per_node = brute_force_triangles(g)
         c = count_triangles_wedges(g)
+        assert c.triangles == total
+        assert np.array_equal(c.per_node_triangles, per_node)
+        assert c.per_node_triangles.dtype == c.per_node_wedges.dtype == np.int64
+        assert c.wedges == int((g.degrees * (g.degrees - 1) // 2).sum())
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+def test_counts_match_sparse_oracle_midsize(chunk, monkeypatch):
+    if chunk is not None:
+        # out-degree classes 2-4 then span several passes, and larger
+        # classes get one node per pass
+        monkeypatch.setattr(metrics, "_WEDGE_CHUNK", chunk)
+    # n = 3000 with hubs: many out-degree classes and closing searches
+    seq = synthesize_powerlaw(3000, 2.0, 120)
+    for g in (generate_bter(seq, GenerationConfig(seed=7))[0], generate_cl(seq, 7, mode="fast")):
+        total, per_node = sparse_triangles(g)
+        c = count_triangles_wedges(g)
+        assert total > 0
         assert c.triangles == total
         assert np.array_equal(c.per_node_triangles, per_node)
 
