@@ -548,6 +548,9 @@ def _core_label(c: float) -> str:
 
 
 def cmd_audit(args, argv: list[str]) -> int:
+    # checked before any file is read: without a partition kappa is never used
+    if not 0.0 < args.kappa < 1.0:
+        raise UsageError(f"--kappa must be in (0, 1), got {args.kappa}")
     loaded = _load_graph_file(args.graph)
     graph = loaded.graph
     out_dir = Path(args.out_dir)

@@ -9,12 +9,14 @@ interconnect phase as per-node excess.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .degrees import DegreeSequence
+from .graph import read_ascii, write_rows
 
 VARIANTS = ("standard", "cubic")
 
@@ -139,28 +141,37 @@ def preprocess(seq: DegreeSequence, f: ConnectivityFormula) -> CommunityPartitio
     return CommunityPartition(blocks, assignment, bar_d, rho, excess)
 
 
+_PARTITION_HEADER = "node,block,bar_d,rho,excess"
+
+
 def write_partition_csv(part: CommunityPartition, seq: DegreeSequence, path) -> None:
     """Dump "node,block,bar_d,rho,excess" rows (block -1 for unassigned)."""
+    k = part.assignment
+    assigned = k >= 0
+    bar = np.zeros(seq.n, dtype=np.int64)
+    bar[assigned] = part.bar_d[k[assigned]]
+    rho = np.zeros(seq.n, dtype=np.float64)
+    rho[assigned] = part.rho[k[assigned]]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("node,block,bar_d,rho,excess\n")
-        for node in range(seq.n):
-            k = int(part.assignment[node])
-            bar = int(part.bar_d[k]) if k >= 0 else 0
-            rho = part.rho[k] if k >= 0 else 0.0
-            fh.write(f"{node},{k},{bar},{rho:.12g},{part.excess[node]:.12g}\n")
+        fh.write(_PARTITION_HEADER + "\n")
+        write_rows(
+            fh,
+            "%d,%d,%d,%.12g,%.12g\n",
+            (np.arange(seq.n), k, bar, rho, part.excess),
+        )
 
 
-def read_partition_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read a partition dump; returns (assignment, excess) arrays.
+def _partition_rows_by_line(path) -> tuple[list[int], list[int], list[float]]:
+    """Line-by-line parser: the reference for what read_partition_csv accepts.
 
-    Rows may appear in any node order but must cover 0..n-1 exactly once.
+    Returns the node, block and excess columns in file order.
     """
     nodes: list[int] = []
     blocks: list[int] = []
     excess: list[float] = []
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
-        if header != "node,block,bar_d,rho,excess":
+        if header != _PARTITION_HEADER:
             raise ValueError(f"{path}: unexpected partition header {header!r}")
         for line in fh:
             line = line.strip()
@@ -172,12 +183,55 @@ def read_partition_csv(path) -> tuple[np.ndarray, np.ndarray]:
             nodes.append(int(parts[0]))
             blocks.append(int(parts[1]))
             excess.append(float(parts[4]))
+    return nodes, blocks, excess
+
+
+def _partition_rows_fast(path) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """One np.loadtxt pass over an ASCII partition dump; None where the line
+    parser must decide (non-ASCII text, whitespace-only lines, a row that is
+    not five fields with integer node and block and a float excess).
+    """
+    data = read_ascii(path)
+    if data is None:
+        return None
+    header, _, body = data.partition(b"\n")
+    if header.decode().strip() != _PARTITION_HEADER or not body or body.isspace():
+        return None
+    try:
+        rows = np.loadtxt(
+            io.BytesIO(body),
+            dtype=[("node", np.int64), ("block", np.int64), ("excess", np.float64)],
+            delimiter=",",
+            usecols=(0, 1, 4),
+            comments=None,
+            ndmin=1,
+        )
+    except ValueError:
+        return None
+    # every row has at least five fields, so this many commas means exactly five
+    if body.count(b",") != 4 * len(rows):
+        return None
+    return rows["node"], rows["block"], rows["excess"]
+
+
+def read_partition_csv(path) -> tuple[np.ndarray, np.ndarray]:
+    """Read a partition dump; returns (assignment, excess) arrays.
+
+    Rows may appear in any node order but must cover 0..n-1 exactly once.
+    Raises ValueError on a bad header, a row that is not five fields, a
+    non-integer node or block id, or a node column with gaps or repeats.
+    """
+    parsed = _partition_rows_fast(path)
+    nodes, blocks, excess = (
+        parsed if parsed is not None else _partition_rows_by_line(path)
+    )
     n = len(nodes)
-    if sorted(nodes) != list(range(n)):
+    # np.sort of a list holding ids beyond int64 sorts Python ints (object dtype)
+    if not np.array_equal(np.sort(nodes), np.arange(n)):
         raise ValueError(f"{path}: node column must cover 0..{n - 1} exactly once")
+    nodes = np.asarray(nodes, dtype=np.int64)
     assignment = np.empty(n, dtype=np.int64)
     exc = np.empty(n, dtype=np.float64)
-    for node, k, e in zip(nodes, blocks, excess):
-        assignment[node] = k
-        exc[node] = e
+    assignment[nodes] = blocks
+    exc[nodes] = excess
     return assignment, exc

@@ -8,11 +8,18 @@ A graph is immutable after construction and safe for concurrent reads.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import chain
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:  # scipy is imported where it is used: only the spectrum needs it
+    import scipy.sparse as sp
+
+# Rows formatted per string operation by the file writers.
+_WRITE_CHUNK = 1 << 16
 
 
 class EdgeListFormatError(ValueError):
@@ -76,9 +83,11 @@ class Graph:
         self._build_adjacency()
 
     def _build_adjacency(self) -> None:
-        rows = np.concatenate([self.edges[:, 0], self.edges[:, 1]])
-        cols = np.concatenate([self.edges[:, 1], self.edges[:, 0]])
-        order = np.lexsort((cols, rows))
+        # every edge as (v, u), then as (u, v): edges are canonical, so a stable
+        # sort by row alone leaves each row's neighbours ascending (u < row < v)
+        rows = np.concatenate([self.edges[:, 1], self.edges[:, 0]])
+        cols = np.concatenate([self.edges[:, 0], self.edges[:, 1]])
+        order = np.argsort(rows, kind="stable")
         self._indices = cols[order]
         counts = np.bincount(rows, minlength=self.n)
         self._indptr = np.zeros(self.n + 1, dtype=np.int64)
@@ -109,6 +118,8 @@ class Graph:
 
     def adjacency_csr(self) -> sp.csr_matrix:
         """Adjacency matrix as a scipy CSR matrix (0/1, float64)."""
+        import scipy.sparse as sp
+
         data = np.ones(len(self._indices), dtype=np.float64)
         return sp.csr_matrix(
             (data, self._indices.copy(), self._indptr.copy()), shape=(self.n, self.n)
@@ -160,9 +171,14 @@ def build_graph(
     kept = arr[~loops]
     lo = np.minimum(kept[:, 0], kept[:, 1])
     hi = np.maximum(kept[:, 0], kept[:, 1])
-    keys = np.unique(lo * np.int64(max(n, 1)) + hi)
+    keys = lo * np.int64(max(n, 1)) + hi
+    if (keys[1:] > keys[:-1]).all():
+        # already unique and sorted, as every file write_edgelist writes is
+        edges = np.column_stack((lo, hi))
+    else:
+        keys = np.unique(keys)
+        edges = np.column_stack(np.divmod(keys, np.int64(max(n, 1))))
     duplicates = int(kept.shape[0] - keys.shape[0])
-    edges = np.column_stack(np.divmod(keys, np.int64(max(n, 1))))
     stats = EdgeStreamStats(raw, self_loops, duplicates)
     return Graph(n, edges), stats
 
@@ -179,14 +195,20 @@ class LoadedEdgeList:
     stats: EdgeStreamStats
 
 
-def read_snap_edgelist(path) -> LoadedEdgeList:
-    """Read a SNAP-style edge list: '#' comment lines, two ids per data line.
+def _declared_nodes(comment: str) -> int | None:
+    """N if a stripped comment line is exactly a "# nodes N" header, else None."""
+    tokens = comment[1:].split()
+    if len(tokens) == 2 and tokens[0] == "nodes" and tokens[1].isdigit():
+        return int(tokens[1])
+    return None
 
-    Directed inputs are symmetrized (every line is treated as an undirected
-    pair) and self-loops and duplicates are dropped. A strict "# nodes N"
-    comment (as written by :func:`write_edgelist`) declares the node count,
-    preserving isolated nodes with an identity id map; otherwise node ids
-    are compacted to 0..n-1 in ascending order of original id.
+
+def _parse_lines(path) -> tuple[np.ndarray, int | None]:
+    """Line-by-line parser: the reference for what read_snap_edgelist accepts.
+
+    Returns the (m, 2) pair array and the last "# nodes N" value. Raises
+    EdgeListFormatError naming the first data line that is not exactly two
+    integers (as ``int`` reads them).
     """
     pairs: list[tuple[int, int]] = []
     declared_n: int | None = None
@@ -196,9 +218,9 @@ def read_snap_edgelist(path) -> LoadedEdgeList:
             if not stripped:
                 continue
             if stripped.startswith("#"):
-                tokens = stripped[1:].split()
-                if len(tokens) == 2 and tokens[0] == "nodes" and tokens[1].isdigit():
-                    declared_n = int(tokens[1])
+                declared = _declared_nodes(stripped)
+                if declared is not None:
+                    declared_n = declared
                 continue
             tokens = stripped.split()
             if len(tokens) != 2:
@@ -208,12 +230,84 @@ def read_snap_edgelist(path) -> LoadedEdgeList:
             except ValueError:
                 raise EdgeListFormatError(path, line_number, stripped) from None
             pairs.append((u, v))
-
     arr = (
         np.asarray(pairs, dtype=np.int64)
         if pairs
         else np.empty((0, 2), dtype=np.int64)
     )
+    return arr, declared_n
+
+
+def read_ascii(path) -> bytes | None:
+    """A file's bytes with text-mode (universal) newlines, or None if it is
+    not all ASCII, in which case only a text-mode line parser may read it.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data.isascii():
+        return None
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    return data
+
+
+def _parse_fast(path) -> tuple[np.ndarray, int | None] | None:
+    """One-pass parser for ASCII files; None where _parse_lines must decide.
+
+    Full-line comments are found by scanning for '#' and cut out, and the
+    remaining text is parsed by np.loadtxt, whose int64 fields accept
+    exactly the ASCII integers ``int`` does that fit in int64. Anything else
+    (non-ASCII text, '#' after data on a line, a line that is not two such
+    integers) returns None.
+    """
+    data = read_ascii(path)
+    if data is None:
+        return None
+    declared_n: int | None = None
+    view = memoryview(data)
+    pieces = []
+    kept_from = 0
+    pos = data.find(b"#")
+    while pos >= 0:
+        line_start = data.rfind(b"\n", 0, pos) + 1
+        line_end = data.find(b"\n", pos)
+        if line_end < 0:
+            line_end = len(data)
+        if not data[line_start:pos].strip():  # a comment line: cut it out
+            declared = _declared_nodes(data[line_start:line_end].decode().strip())
+            if declared is not None:
+                declared_n = declared
+            pieces.append(view[kept_from:line_start])
+            kept_from = line_end
+        pos = data.find(b"#", line_end)
+    pieces.append(view[kept_from:])
+    body = b"".join(pieces)
+    if not body or body.isspace():
+        return np.empty((0, 2), dtype=np.int64), declared_n
+    try:
+        arr = np.loadtxt(io.BytesIO(body), dtype=np.int64, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if arr.shape[1] != 2:
+        return None
+    return arr, declared_n
+
+
+def read_snap_edgelist(path) -> LoadedEdgeList:
+    """Read a SNAP-style edge list: '#' comment lines, two ids per data line.
+
+    Directed inputs are symmetrized (every line is treated as an undirected
+    pair) and self-loops and duplicates are dropped. A strict "# nodes N"
+    comment (as written by :func:`write_edgelist`) declares the node count,
+    preserving isolated nodes with an identity id map; otherwise node ids
+    are compacted to 0..n-1 in ascending order of original id.
+
+    Files are parsed in one pass; a file that pass declines is parsed line by
+    line, which gives the same result or raises EdgeListFormatError naming
+    the first bad line.
+    """
+    parsed = _parse_fast(path)
+    arr, declared_n = parsed if parsed is not None else _parse_lines(path)
     if declared_n is not None and (arr.size == 0 or int(arr.max()) < declared_n):
         original_ids = np.arange(declared_n, dtype=np.int64)
         compact = arr
@@ -224,6 +318,17 @@ def read_snap_edgelist(path) -> LoadedEdgeList:
         n = len(original_ids)
     graph, stats = build_graph(compact, n=n)
     return LoadedEdgeList(graph, original_ids, stats)
+
+
+def write_rows(fh, row_format: str, columns) -> None:
+    """Write ``row_format % row`` for each row of equal-length 1-d columns.
+
+    Rows are formatted _WRITE_CHUNK at a time, one string operation each, so
+    no Python object is held per row of the whole table.
+    """
+    for start in range(0, len(columns[0]), _WRITE_CHUNK):
+        chunk = [c[start : start + _WRITE_CHUNK].tolist() for c in columns]
+        fh.write(row_format * len(chunk[0]) % tuple(chain.from_iterable(zip(*chunk))))
 
 
 def write_edgelist(g: Graph, path) -> None:
@@ -237,8 +342,7 @@ def write_edgelist(g: Graph, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         if g.n:
             fh.write(f"# nodes {g.n}\n")
-        for u, v in g.edges:
-            fh.write(f"{u} {v}\n")
+        write_rows(fh, "%d %d\n", (g.edges[:, 0], g.edges[:, 1]))
 
 
 def load_graph(path) -> Graph:

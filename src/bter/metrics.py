@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .graph import Graph
 from .rng import substream
@@ -267,6 +266,9 @@ def top_eigenvalues(
             tolerance=tol,
             iterations=0,
         )
+
+    # imported here, not at module top, so commands without a spectrum never load scipy
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
     A = g.adjacency_csr()
     iterations = 0

@@ -337,6 +337,16 @@ def test_audit_without_partition_still_checks_bound(k4_file, tmp_path):
     assert not (out / "blocks.csv").exists()
 
 
+@pytest.mark.parametrize("kappa", ["2", "0", "1", "-0.5", "nan"])
+def test_audit_rejects_kappa_before_reading(k4_file, tmp_path, kappa):
+    out = tmp_path / "audit"
+    missing = tmp_path / "missing.txt"
+    for graph in (k4_file, missing):  # a usage error, even before the input error
+        assert run("audit", "--graph", graph, "--kappa", kappa,
+                   "--out-dir", out) == EXIT_USAGE
+    assert not (out / "manifest.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # replay
 # ---------------------------------------------------------------------------
@@ -452,3 +462,45 @@ def test_malformed_inputs_are_input_errors(k4_file, tmp_path):
     (report / "summary.csv").write_text("field,value\nnodes,x\nedges,1\n", encoding="utf-8")
     assert run("compare", "--graph-a", k4_file, "--report-b", report,
                "--out", tmp_path / "c.csv") == EXIT_INPUT
+
+
+# ---------------------------------------------------------------------------
+# start-up cost
+# ---------------------------------------------------------------------------
+
+_SCIPY_PROBE = """
+import sys
+from bter.cli import main
+code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+print(code, any(m == "scipy" or m.startswith("scipy.") for m in sys.modules))
+"""
+
+
+def _scipy_after(*argv) -> tuple[int, bool]:
+    import subprocess
+    import sys
+
+    import bter
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(bter.__file__).parents[1]), env.get("PYTHONPATH", "")]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, *map(str, argv)],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    code, loaded = proc.stdout.split()[-2:]  # after what the command prints
+    return int(code), loaded == "True"
+
+
+def test_scipy_is_loaded_only_for_the_spectrum(tmp_path):
+    graph = tmp_path / "g.txt"
+    assert run("generate", "--model", "er", "--n", 400, "--p", 0.02, "--seed", 2,
+               "--out", graph) == EXIT_OK
+    assert _scipy_after() == (EXIT_OK, False)
+    assert _scipy_after("analyze", "--graph", graph, "--metrics", "degree,cc,triangles",
+                        "--out-dir", tmp_path / "a") == (EXIT_OK, False)
+    assert _scipy_after("analyze", "--graph", graph, "--metrics", "spectrum",
+                        "--top-k", 2, "--tol", "1e-300",
+                        "--out-dir", tmp_path / "s") == (EXIT_NO_CONVERGENCE, True)

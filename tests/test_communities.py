@@ -1,9 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import bter.communities
+import bter.graph
 from bter.communities import (
     CommunityPartition,
     ConnectivityFormula,
@@ -172,3 +175,69 @@ def test_partition_csv_rejects_gaps(tmp_path):
     path.write_text("node,block,bar_d,rho,excess\n0,0,2,0.9,0\n2,0,2,0.9,0\n")
     with pytest.raises(ValueError):
         read_partition_csv(path)
+
+
+def test_partition_csv_rejects_bad_rows(tmp_path):
+    path = tmp_path / "bad.csv"
+    header = "node,block,bar_d,rho,excess\n"
+    for rows in ("0,0,2,0.9,0\n1,0,2,0.9\n", "0,0,2,0.9,0\nx,0,2,0.9,0\n",
+                 "0,0,2,0.9,0\n1.0,0,2,0.9,0\n"):
+        path.write_text(header + rows)
+        with pytest.raises(ValueError):
+            read_partition_csv(path)
+
+
+def _partition_outcome(path):
+    try:
+        assignment, excess = read_partition_csv(path)
+    except Exception as exc:  # the outcome compared is the exception itself
+        return type(exc), str(exc)
+    return assignment.tolist(), excess.tobytes()  # bit-exact, NaN included
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "node,block,bar_d,rho,excess\n1,0,2,0.9,0.5\n0,-1,0,0,1\n",
+        "node,block,bar_d,rho,excess\r\n0,-1,0,0,1\r\n1,0,x,y,2e-3\r\n",
+        " node,block,bar_d,rho,excess \n\n 0 , +1 ,2,0.9, nan \n\n",
+        "node,block,bar_d,rho,excess\n0,0,2,0.9,1_0\n",
+        "node,block,bar_d,rho,excess\n0,0,2,0.9,inf\n1,0,2,0.9,\u0661\n",
+        "node,block,bar_d,rho,excess\n0,0,2,0.9,0.5,7\n",
+        "node,block,bar_d,rho,excess\n",
+        "node,block\n0,0\n",
+        "",
+        "node,block,bar_d,rho,excess\n0,0,2,0.9,0.5\n0,0,2,0.9,0.5\n",
+        "node,block,bar_d,rho,excess\n99999999999999999999,0,2,0.9,0.5\n",
+        "node,block,bar_d,rho,excess\n0,99999999999999999999,2,0.9,0.5\n",
+        "node,block,bar_d,rho,excess\n0,0,2,0.9,\n",
+    ],
+)
+def test_partition_reader_matches_line_parser(tmp_path, text):
+    path = tmp_path / "part.csv"
+    path.write_bytes(text.encode("utf-8"))
+    fast = _partition_outcome(path)
+    with mock.patch.object(bter.communities, "_partition_rows_fast", return_value=None):
+        assert fast == _partition_outcome(path)
+
+
+def write_partition_csv_by_row(part, seq, path) -> None:
+    """write_partition_csv as it was: one f-string per node."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("node,block,bar_d,rho,excess\n")
+        for node in range(seq.n):
+            k = int(part.assignment[node])
+            bar = int(part.bar_d[k]) if k >= 0 else 0
+            rho = part.rho[k] if k >= 0 else 0.0
+            fh.write(f"{node},{k},{bar},{rho:.12g},{part.excess[node]:.12g}\n")
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+def test_write_partition_csv_matches_row_writer(tmp_path, monkeypatch, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(bter.graph, "_WRITE_CHUNK", chunk)
+    for seq in (synthesize_powerlaw(3000, 2.0, 60), seq_of(1, 1), seq_of(1, 3, 3, 3)):
+        part = preprocess(seq, ConnectivityFormula(rho=0.9, eta=0.7))
+        write_partition_csv(part, seq, tmp_path / "new.csv")
+        write_partition_csv_by_row(part, seq, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()

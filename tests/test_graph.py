@@ -1,9 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import bter.graph
 from bter.graph import (
     EdgeListFormatError,
+    EdgeStreamStats,
     Graph,
     build_graph,
     read_snap_edgelist,
@@ -182,3 +186,119 @@ def test_generated_graph_round_trips(tmp_path):
     path = tmp_path / "g.txt"
     write_edgelist(g, path)
     assert read_snap_edgelist(path).graph == g
+
+
+# ---------------------------------------------------------------------------
+# fast paths against the code they replace
+# ---------------------------------------------------------------------------
+
+
+def build_graph_by_unique(arr: np.ndarray, n: int):
+    """build_graph as it was before canonical streams skipped np.unique."""
+    loops = arr[:, 0] == arr[:, 1]
+    kept = arr[~loops]
+    lo = np.minimum(kept[:, 0], kept[:, 1])
+    hi = np.maximum(kept[:, 0], kept[:, 1])
+    keys = np.unique(lo * np.int64(max(n, 1)) + hi)
+    edges = np.column_stack(np.divmod(keys, np.int64(max(n, 1))))
+    stats = EdgeStreamStats(len(arr), int(loops.sum()), len(kept) - len(keys))
+    return Graph(n, edges), stats
+
+
+@given(
+    st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15)), max_size=80),
+    st.sampled_from(["canonical", "shuffled", "flipped", "duplicated", "looped"]),
+    st.randoms(use_true_random=False),
+)
+def test_build_graph_matches_unique_path(pairs, shape, rnd):
+    canonical = sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v})
+    stream = list(canonical)
+    if shape == "shuffled":
+        rnd.shuffle(stream)
+    elif shape == "flipped":
+        stream = [(v, u) if rnd.random() < 0.5 else (u, v) for u, v in stream]
+    elif shape == "duplicated":
+        stream = sorted(stream + rnd.sample(stream, len(stream) // 2))
+    elif shape == "looped":
+        stream = list(pairs)  # raw: loops, duplicates, any order
+    arr = np.array(stream, dtype=np.int64).reshape(-1, 2)
+    g, stats = build_graph(arr, n=16)
+    ref_g, ref_stats = build_graph_by_unique(arr, 16)
+    assert g == ref_g and stats == ref_stats
+
+
+# Line fragments for the reader oracle: every kind of line the line parser
+# accepts, skips or rejects.
+_LINES = st.one_of(
+    st.tuples(st.integers(0, 30), st.integers(0, 30)).map(lambda p: f"{p[0]} {p[1]}"),
+    st.tuples(st.integers(-3, 30), st.integers(0, 30), st.sampled_from(
+        [" ", "  ", "\t", " \t ", "\x0b", "\x0c"])).map(
+        lambda p: f"{p[0]}{p[2]}{p[1]}"),
+    st.sampled_from([
+        "", "   ", "\t", "# a comment", "  # indented comment", "#",
+        "# Nodes: 23133 Edges: 186878", "# FromNodeId\tToNodeId",
+        "1 2 # inline", "1", "1 2 3", "a b", "1.0 2", "1_0 2", "+3 4", "007 8",
+        "9223372036854775807 1", "9223372036854775808 1", "99999999999999999999 3",
+        "\u0661 2", "1\u00a02", "1 2\u2028", "\x1c# nodes 40", "1\x1c2",
+        "1 -", "--1 2", "# nodes \u00b2",
+    ]),
+    st.integers(0, 40).map(lambda k: f"# nodes {k}"),
+    st.integers(0, 40).map(lambda k: f"  #  nodes\t{k}  "),
+)
+
+
+def _read_outcome(path):
+    try:
+        loaded = read_snap_edgelist(path)
+    except Exception as exc:  # the outcome compared is the exception itself
+        return type(exc), getattr(exc, "line_number", None)
+    return loaded.graph, loaded.original_ids.tolist(), loaded.stats
+
+
+@given(
+    st.lists(st.tuples(_LINES, st.sampled_from(["\n", "\r\n", "\r"])), max_size=12),
+    st.booleans(),
+)
+def test_reader_matches_line_parser(tmp_path_factory, lines, final_newline):
+    text = "".join(line + end for line, end in lines)
+    if not final_newline:
+        text = text.rstrip("\r\n")
+    path = tmp_path_factory.mktemp("oracle") / "g.txt"
+    path.write_bytes(text.encode("utf-8"))
+    fast = _read_outcome(path)
+    with mock.patch.object(bter.graph, "_parse_fast", return_value=None):
+        slow = _read_outcome(path)
+    assert fast == slow
+
+
+def test_fast_reader_takes_clean_files(tmp_path):
+    # the oracle above would pass vacuously if the fast parser declined everything
+    path = tmp_path / "g.txt"
+    path.write_bytes(b"# FromNodeId ToNodeId\r\n# nodes 9\r\n\r\n 5\t7 \r\n+1 3\r\n")
+    arr, declared_n = bter.graph._parse_fast(path)
+    assert arr.tolist() == [[5, 7], [1, 3]] and declared_n == 9
+    path.write_bytes(b"1 2\n1 2 # inline\n")
+    assert bter.graph._parse_fast(path) is None
+
+
+def write_edgelist_by_row(g: Graph, path) -> None:
+    """write_edgelist as it was: one f-string per edge."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        if g.n:
+            fh.write(f"# nodes {g.n}\n")
+        for u, v in g.edges:
+            fh.write(f"{u} {v}\n")
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+def test_write_edgelist_matches_row_writer(tmp_path, monkeypatch, chunk):
+    from bter.degrees import synthesize_powerlaw
+    from bter.generate import GenerationConfig, generate_bter
+
+    if chunk is not None:
+        monkeypatch.setattr(bter.graph, "_WRITE_CHUNK", chunk)
+    g, _ = generate_bter(synthesize_powerlaw(3000, 2.0, 60), GenerationConfig(seed=5))
+    for graph in (g, Graph(5, np.empty((0, 2))), Graph(0, np.empty((0, 2)))):
+        write_edgelist(graph, tmp_path / "new.txt")
+        write_edgelist_by_row(graph, tmp_path / "old.txt")
+        assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "old.txt").read_bytes()
