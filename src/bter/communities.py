@@ -67,27 +67,48 @@ def community_rho(bar_d: int, d_max: int, f: ConnectivityFormula) -> float:
     return min(1.0, max(0.0, value))
 
 
-def partition_communities(seq: DegreeSequence) -> list[np.ndarray]:
+def partition_communities(seq: DegreeSequence) -> tuple[np.ndarray, np.ndarray]:
     """Greedy block formation over the sorted degree sequence.
 
     Scanning nodes with degree >= 2 in ascending order, each block takes
     bar_d + 1 consecutive nodes where bar_d is its first node's degree; the
     final block takes whatever nodes remain. Degree-1 nodes are unassigned.
+    Blocks are contiguous node ranges, returned as (block_start, block_size).
     """
     degrees = seq.degrees
-    start = int(np.searchsorted(degrees, 2))
-    blocks: list[np.ndarray] = []
-    i = start
     n = seq.n
-    while i < n:
-        size = int(degrees[i]) + 1
-        blocks.append(np.arange(i, min(i + size, n), dtype=np.int64))
-        i += size
-    return blocks
+    i = int(np.searchsorted(degrees, 2))
+    # one pass per run of equal degree d: the blocks that start inside the run
+    # are d + 1 apart, and the last of them may reach past the run's end
+    run_ends = np.append(np.flatnonzero(np.diff(degrees[i:])) + i + 1, n)
+    starts: list[np.ndarray] = []
+    for end in run_ends.tolist():
+        if i >= end:
+            continue
+        step = int(degrees[i]) + 1
+        run = np.arange(i, end, step, dtype=np.int64)
+        starts.append(run)
+        i = int(run[-1]) + step
+    block_start = np.concatenate(starts) if starts else np.empty(0, dtype=np.int64)
+    block_size = np.diff(np.append(block_start, n))
+    return block_start, block_size
+
+
+def _members(
+    block_start: np.ndarray, block_size: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(node, block) of every member of every block, block by block."""
+    block = np.repeat(np.arange(len(block_size), dtype=np.int64), block_size)
+    first = np.cumsum(block_size) - block_size  # each block's offset in the member list
+    node = np.arange(block.size, dtype=np.int64) + (block_start - first)[block]
+    return node, block
 
 
 def excess_degrees(
-    seq: DegreeSequence, blocks: list[np.ndarray], rho_values: np.ndarray
+    seq: DegreeSequence,
+    block_start: np.ndarray,
+    block_size: np.ndarray,
+    rho_values: np.ndarray,
 ) -> np.ndarray:
     """Per-node excess degree: the Chung-Lu weight left after block wiring.
 
@@ -95,19 +116,26 @@ def excess_degrees(
     clamped at 0 (the clamp cannot trigger under the size = bar_d + 1 rule
     but guards any partition fed in externally).
     """
+    block_start = np.asarray(block_start, dtype=np.int64)
+    block_size = np.asarray(block_size, dtype=np.int64)
     e = np.zeros(seq.n, dtype=np.float64)
     e[seq.degrees == 1] = 1.0
-    for block, rho in zip(blocks, rho_values):
-        expected_internal = rho * (len(block) - 1)
-        e[block] = np.maximum(0.0, seq.degrees[block] - expected_internal)
+    node, block = _members(block_start, block_size)
+    expected_internal = np.asarray(rho_values, dtype=np.float64) * (block_size - 1)
+    e[node] = np.maximum(0.0, seq.degrees[node] - expected_internal[block])
     return e
 
 
 @dataclass(frozen=True)
 class CommunityPartition:
-    """Full preprocessing result for one degree sequence."""
+    """Full preprocessing result for one degree sequence.
 
-    blocks: list[np.ndarray]
+    Block k is the contiguous node range
+    block_start[k] .. block_start[k] + block_size[k] - 1.
+    """
+
+    block_start: np.ndarray  # per-block first node
+    block_size: np.ndarray  # per-block node count
     assignment: np.ndarray  # node -> block id, -1 for unassigned degree-1 nodes
     bar_d: np.ndarray  # per-block minimum target degree
     rho: np.ndarray  # per-block ER probability
@@ -115,10 +143,10 @@ class CommunityPartition:
 
     @property
     def block_count(self) -> int:
-        return len(self.blocks)
+        return len(self.block_size)
 
     def block_sizes(self) -> np.ndarray:
-        return np.array([len(b) for b in self.blocks], dtype=np.int64)
+        return self.block_size.copy()
 
 
 def preprocess(seq: DegreeSequence, f: ConnectivityFormula) -> CommunityPartition:
@@ -127,18 +155,18 @@ def preprocess(seq: DegreeSequence, f: ConnectivityFormula) -> CommunityPartitio
     A short final block (fewer than bar_d + 1 nodes, because the sequence
     ran out) gets rho = 0, so its members carry their full degree as excess.
     """
-    blocks = partition_communities(seq)
-    d_max = seq.d_max
-    bar_d = np.array([int(seq.degrees[b[0]]) for b in blocks], dtype=np.int64)
-    rho = np.zeros(len(blocks), dtype=np.float64)
-    for k, block in enumerate(blocks):
-        last_and_short = k == len(blocks) - 1 and len(block) < bar_d[k] + 1
-        rho[k] = 0.0 if last_and_short else community_rho(int(bar_d[k]), d_max, f)
+    block_start, block_size = partition_communities(seq)
+    bar_d = seq.degrees[block_start]
+    # rho depends on bar_d alone: evaluate the scalar formula once per value
+    values, which = np.unique(bar_d, return_inverse=True)
+    rho = np.array([community_rho(b, seq.d_max, f) for b in values.tolist()])[which]
+    if len(bar_d) and block_size[-1] < bar_d[-1] + 1:
+        rho[-1] = 0.0
     assignment = np.full(seq.n, -1, dtype=np.int64)
-    for k, block in enumerate(blocks):
-        assignment[block] = k
-    excess = excess_degrees(seq, blocks, rho)
-    return CommunityPartition(blocks, assignment, bar_d, rho, excess)
+    node, block = _members(block_start, block_size)
+    assignment[node] = block
+    excess = excess_degrees(seq, block_start, block_size, rho)
+    return CommunityPartition(block_start, block_size, assignment, bar_d, rho, excess)
 
 
 _PARTITION_HEADER = "node,block,bar_d,rho,excess"

@@ -104,13 +104,13 @@ def _linear_to_pairs(idx: np.ndarray, n: int) -> np.ndarray:
     return np.column_stack([u, v])
 
 
-def _sample_pair_indices(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
-    """Linear indices of an ER(n, p) draw, strictly increasing.
+def _sample_pair_indices(total: int, p: float, rng: np.random.Generator) -> np.ndarray:
+    """Indices of the pairs an i.i.d. Bernoulli(p) draw keeps out of a pair
+    space of ``total`` pairs, strictly increasing.
 
     Geometric skipping visits only successful pairs, so cost is O(edges)
-    rather than O(n^2).
+    rather than O(total).
     """
-    total = n * (n - 1) // 2
     if total == 0 or p <= 0.0:
         return np.empty(0, dtype=np.int64)
     if p >= 1.0:
@@ -151,7 +151,7 @@ def generate_er(n: int, p: float, seed: int) -> Graph:
         raise ValueError("n must be non-negative")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be in [0, 1]")
-    idx = _sample_pair_indices(n, p, substream(seed))
+    idx = _sample_pair_indices(n * (n - 1) // 2, p, substream(seed))
     return _graph_from_unique_pairs(n, _linear_to_pairs(idx, n))
 
 
@@ -260,16 +260,31 @@ def generate_cl(
 
 
 def _phase1_pairs(part: CommunityPartition, seed: int) -> np.ndarray:
-    """ER edges inside every block, each block on its own stream."""
+    """ER edges inside every block, one draw per affinity group.
+
+    Blocks of equal (size, rho) form one group: all of their pairs are one
+    i.i.d. Bernoulli(rho) population, sampled in a single pass over the
+    concatenated pair space of the group's blocks (in block order) on the
+    group's own stream. Group g is the g-th distinct (size, rho), ascending.
+    """
+    live = np.flatnonzero((part.block_size >= 2) & (part.rho > 0.0))
+    size, rho = part.block_size[live], part.rho[live]
+    order = np.lexsort((rho, size))  # stable: block order within a group
+    live, size, rho = live[order], size[order], rho[order]
+    new_group = np.ones(len(live), dtype=bool)
+    new_group[1:] = (np.diff(size) != 0) | (np.diff(rho) != 0.0)
+    firsts = np.flatnonzero(new_group).tolist()
     chunks: list[np.ndarray] = []
-    for k, block in enumerate(part.blocks):
-        size = len(block)
-        if size < 2 or part.rho[k] <= 0.0:
-            continue
-        idx = _sample_pair_indices(size, float(part.rho[k]), substream(seed, _PHASE1, k))
+    for g, (first, end) in enumerate(zip(firsts, firsts[1:] + [len(live)])):
+        s = int(size[first])
+        per_block = s * (s - 1) // 2
+        idx = _sample_pair_indices(
+            (end - first) * per_block, float(rho[first]), substream(seed, _PHASE1, g)
+        )
         if idx.size:
-            local = _linear_to_pairs(idx, size)
-            chunks.append(block[0] + local)  # blocks are contiguous index ranges
+            block, local = np.divmod(idx, per_block)
+            start = part.block_start[live[first:end]][block]
+            chunks.append(start[:, None] + _linear_to_pairs(local, s))
     if not chunks:
         return np.empty((0, 2), dtype=np.int64)
     return np.concatenate(chunks)

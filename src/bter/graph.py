@@ -145,6 +145,13 @@ def _as_pair_array(edge_stream) -> np.ndarray:
     return arr.reshape(-1, 2)
 
 
+def _run_starts(ordered: np.ndarray) -> np.ndarray:
+    """Mask of the entries of a sorted array that differ from the one before."""
+    first = np.ones(len(ordered), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return first
+
+
 def build_graph(
     edge_stream: Iterable[tuple[int, int]] | np.ndarray, n: int | None = None
 ) -> tuple[Graph, EdgeStreamStats]:
@@ -154,7 +161,9 @@ def build_graph(
     the returned stats account for every input pair. Node ids must be
     non-negative. When ``n`` is not given it is inferred as max id + 1 over
     every id referenced in the stream, including endpoints of dropped
-    self-loops.
+    self-loops. A stream that is already canonical (u < v, rows unique and
+    sorted) becomes the graph's edge array without a copy, when it is an
+    int64 array: the graph then shares it and marks it read-only.
     """
     arr = _as_pair_array(edge_stream)
     raw = arr.shape[0]
@@ -166,20 +175,23 @@ def build_graph(
     elif n < inferred:
         raise ValueError(f"n={n} too small for max node id {inferred - 1}")
 
-    loops = arr[:, 0] == arr[:, 1]
+    width = np.int64(max(n, 1))
+    u, v = arr[:, 0], arr[:, 1]
+    if (u < v).all():
+        keys = u * width + v
+        if (keys[1:] > keys[:-1]).all():
+            # already canonical, as every file write_edgelist writes is
+            return Graph(n, arr), EdgeStreamStats(raw, 0, 0)
+    loops = u == v
     self_loops = int(loops.sum())
-    kept = arr[~loops]
-    lo = np.minimum(kept[:, 0], kept[:, 1])
-    hi = np.maximum(kept[:, 0], kept[:, 1])
-    keys = lo * np.int64(max(n, 1)) + hi
-    if (keys[1:] > keys[:-1]).all():
-        # already unique and sorted, as every file write_edgelist writes is
-        edges = np.column_stack((lo, hi))
-    else:
-        keys = np.unique(keys)
-        edges = np.column_stack(np.divmod(keys, np.int64(max(n, 1))))
-    duplicates = int(kept.shape[0] - keys.shape[0])
-    stats = EdgeStreamStats(raw, self_loops, duplicates)
+    kept = arr[~loops] if self_loops else arr
+    keys = np.minimum(kept[:, 0], kept[:, 1]) * width
+    keys += np.maximum(kept[:, 0], kept[:, 1])
+    # sort plus a neighbour mask: np.unique may take a slower hash path
+    keys.sort()
+    unique = keys[_run_starts(keys)]
+    edges = np.column_stack(np.divmod(unique, width))
+    stats = EdgeStreamStats(raw, self_loops, len(keys) - len(unique))
     return Graph(n, edges), stats
 
 
@@ -293,6 +305,20 @@ def _parse_fast(path) -> tuple[np.ndarray, int | None] | None:
     return arr, declared_n
 
 
+def _compact_ids(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sorted distinct ids, arr with each id replaced by its rank among them),
+    from one argsort.
+    """
+    flat = arr.ravel()
+    order = np.argsort(flat)
+    ranked = flat[order]
+    first = _run_starts(ranked)
+    original_ids = ranked[first]
+    compact = np.empty_like(flat)
+    compact[order] = np.cumsum(first) - 1
+    return original_ids, compact.reshape(arr.shape)
+
+
 def read_snap_edgelist(path) -> LoadedEdgeList:
     """Read a SNAP-style edge list: '#' comment lines, two ids per data line.
 
@@ -313,8 +339,7 @@ def read_snap_edgelist(path) -> LoadedEdgeList:
         compact = arr
         n = declared_n
     else:
-        original_ids = np.unique(arr)
-        compact = np.searchsorted(original_ids, arr) if arr.size else arr
+        original_ids, compact = _compact_ids(arr)
         n = len(original_ids)
     graph, stats = build_graph(compact, n=n)
     return LoadedEdgeList(graph, original_ids, stats)

@@ -210,11 +210,15 @@ def clustering_profile(
     global_c = 3.0 * counts.triangles / counts.wedges if counts.wedges else 0.0
 
     by_degree: dict[int, tuple[float, int]] = {}
+    # a stable sort keeps each degree's values in node order, so every mean
+    # sums the same floats in the same order as a mask per degree would
     degs = g.degrees[defined]
-    vals = per_node[defined]
-    for d in np.unique(degs):
-        sel = vals[degs == d]
-        by_degree[int(d)] = (float(sel.mean()), int(sel.size))
+    order = np.argsort(degs, kind="stable")
+    degs, vals = degs[order], per_node[defined][order]
+    cuts = np.flatnonzero(np.diff(degs)) + 1
+    for first, sel in zip([0, *cuts.tolist()], np.split(vals, cuts)):
+        if sel.size:
+            by_degree[int(degs[first])] = (float(sel.mean()), int(sel.size))
     return ClusteringProfile(global_c=global_c, per_node=per_node, by_degree=by_degree)
 
 

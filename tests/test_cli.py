@@ -1,9 +1,11 @@
 import json
 import os
+import re
 from pathlib import Path
 
 import pytest
 
+import bter
 from bter.cli import EXIT_INPUT, EXIT_NO_CONVERGENCE, EXIT_OK, EXIT_USAGE, main
 
 
@@ -384,6 +386,14 @@ def test_threads_env_default(tmp_path, monkeypatch):
 def test_version_flag(capsys):
     assert run("--version") == EXIT_OK
     assert capsys.readouterr().out.startswith("bter ")
+
+
+def test_package_and_project_versions_agree():
+    # a regex, not tomllib: Python 3.10 has no TOML reader
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    match = re.search(r'^version\s*=\s*"([^"]+)"', text, flags=re.MULTILINE)
+    assert match is not None
+    assert match.group(1) == bter.__version__
 
 
 # ---------------------------------------------------------------------------

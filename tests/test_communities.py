@@ -1,3 +1,4 @@
+import hashlib
 import math
 from unittest import mock
 
@@ -8,7 +9,6 @@ from hypothesis import given, strategies as st
 import bter.communities
 import bter.graph
 from bter.communities import (
-    CommunityPartition,
     ConnectivityFormula,
     community_rho,
     excess_degrees,
@@ -69,26 +69,33 @@ def test_rho_domain_error():
         community_rho(10, 5, ConnectivityFormula())
 
 
+def block_lists(block_start, block_size):
+    """Node lists of (block_start, block_size) blocks, for hand comparisons."""
+    return [list(range(a, a + s)) for a, s in zip(block_start.tolist(), block_size.tolist())]
+
+
 def test_partition_hand_example():
-    blocks = partition_communities(seq_of(1, 1, 2, 2, 2, 3, 3))
-    assert [b.tolist() for b in blocks] == [[2, 3, 4], [5, 6]]
+    starts, sizes = partition_communities(seq_of(1, 1, 2, 2, 2, 3, 3))
+    assert block_lists(starts, sizes) == [[2, 3, 4], [5, 6]]
 
 
 def test_partition_all_degree_one():
-    assert partition_communities(seq_of(1, 1, 1)) == []
+    starts, sizes = partition_communities(seq_of(1, 1, 1))
+    assert starts.tolist() == [] and sizes.tolist() == []
 
 
 def test_partition_uniform_exact_blocks():
     d, q = 4, 6
-    blocks = partition_communities(seq_of(*([d] * (q * (d + 1)))))
-    assert len(blocks) == q
-    assert all(len(b) == d + 1 for b in blocks)
+    starts, sizes = partition_communities(seq_of(*([d] * (q * (d + 1)))))
+    assert len(starts) == q
+    assert all(s == d + 1 for s in sizes)
 
 
 @given(st.lists(st.integers(1, 25), min_size=1, max_size=300))
 def test_partition_block_shape_invariants(values):
     seq = DegreeSequence.from_degrees(values)
-    blocks = partition_communities(seq)
+    starts, sizes = partition_communities(seq)
+    blocks = block_lists(starts, sizes)
     covered = np.concatenate(blocks) if blocks else np.empty(0, dtype=np.int64)
     wanted = np.nonzero(seq.degrees >= 2)[0]
     assert np.array_equal(np.sort(covered), wanted)  # disjoint, exactly d>=2
@@ -104,27 +111,26 @@ def test_partition_block_shape_invariants(values):
 def test_excess_cases():
     # degree-1 node
     seq = seq_of(1, 2, 2, 2)
-    blocks = partition_communities(seq)
-    e = excess_degrees(seq, blocks, np.array([1.0]))
+    starts, sizes = partition_communities(seq)
+    e = excess_degrees(seq, starts, sizes, np.array([1.0]))
     assert e[0] == 1.0
     # full block at rho 1: internal supply equals the degree
     seq = seq_of(*([10] * 11))
-    blocks = partition_communities(seq)
-    e = excess_degrees(seq, blocks, np.array([1.0]))
+    starts, sizes = partition_communities(seq)
+    e = excess_degrees(seq, starts, sizes, np.array([1.0]))
     assert np.allclose(e, 0.0)
 
 
 def test_excess_hand_value():
     seq = seq_of(5, 5, 5, 5)
-    blocks = [np.arange(4)]
-    e = excess_degrees(seq, blocks, np.array([0.9457]))
+    e = excess_degrees(seq, np.array([0]), np.array([4]), np.array([0.9457]))
     assert e[0] == pytest.approx(5 - 0.9457 * 3, rel=1e-12)
     assert e[0] == pytest.approx(2.163, abs=5e-4)
 
 
 def test_excess_clamped_at_zero():
     seq = seq_of(2, 9, 9)  # externally supplied partition larger than d=2 needs
-    e = excess_degrees(seq, [np.arange(3)], np.array([1.0]))
+    e = excess_degrees(seq, np.array([0]), np.array([3]), np.array([1.0]))
     assert e[0] == 0.0
 
 
@@ -139,8 +145,76 @@ def test_preprocess_last_short_block_gets_rho_zero():
 
 def test_preprocess_full_last_block_keeps_formula():
     part = preprocess(seq_of(*([3] * 8)), ConnectivityFormula())
-    assert len(part.blocks) == 2
+    assert part.block_count == 2
     assert part.rho[-1] == part.rho[0] > 0.0
+
+
+def preprocess_by_block(seq, f):
+    """preprocess as it was: a node list per block and a Python loop over them."""
+    degrees = seq.degrees
+    blocks = []
+    i = int(np.searchsorted(degrees, 2))
+    while i < seq.n:
+        size = int(degrees[i]) + 1
+        blocks.append(np.arange(i, min(i + size, seq.n), dtype=np.int64))
+        i += size
+    bar_d = np.array([int(degrees[b[0]]) for b in blocks], dtype=np.int64)
+    rho = np.zeros(len(blocks), dtype=np.float64)
+    for k, block in enumerate(blocks):
+        last_and_short = k == len(blocks) - 1 and len(block) < bar_d[k] + 1
+        rho[k] = 0.0 if last_and_short else community_rho(int(bar_d[k]), seq.d_max, f)
+    assignment = np.full(seq.n, -1, dtype=np.int64)
+    excess = np.zeros(seq.n, dtype=np.float64)
+    excess[degrees == 1] = 1.0
+    for k, block in enumerate(blocks):
+        assignment[block] = k
+        excess[block] = np.maximum(0.0, degrees[block] - rho[k] * (len(block) - 1))
+    return blocks, assignment, bar_d, rho, excess
+
+
+@given(
+    st.lists(st.integers(1, 40), min_size=1, max_size=400),
+    st.sampled_from([ConnectivityFormula(), ConnectivityFormula(variant="cubic"),
+                     ConnectivityFormula(rho=0.7, eta=1.25)]),
+)
+def test_preprocess_matches_per_block_loop(values, f):
+    seq = DegreeSequence.from_degrees(values)
+    part = preprocess(seq, f)
+    blocks, assignment, bar_d, rho, excess = preprocess_by_block(seq, f)
+    assert block_lists(part.block_start, part.block_size) == [b.tolist() for b in blocks]
+    assert part.block_count == len(blocks)
+    assert part.block_sizes().tolist() == [len(b) for b in blocks]
+    assert np.array_equal(part.assignment, assignment)
+    assert np.array_equal(part.bar_d, bar_d)
+    # bit-exact: the partition CSV prints these with %.12g
+    assert part.rho.tobytes() == rho.tobytes()
+    assert part.excess.tobytes() == excess.tobytes()
+
+
+_PARTITION_SHA256 = {
+    # write_partition_csv output of synthesize_powerlaw(n, 2, d_max) as 0.2.0
+    # wrote it; the array-native partition must not move a byte
+    (ConnectivityFormula(), 2000, 40):
+        "97cd9f08b05e10ba3a0e2b24314d2ee39faebd5aa8a2f52bb67db288bac21b89",
+    (ConnectivityFormula(), 20000, 300):
+        "be5ddab5c9fa83d8ed2b9f2adc0241a921fbb2943b014a3dc1cb2a81ba737730",
+    (ConnectivityFormula(variant="cubic"), 20000, 300):
+        "73b614822296298247853decf11b3ef0a58300962535f8b86118314f7095603d",
+    (ConnectivityFormula(rho=0.7, eta=1.25), 20000, 300):
+        "26241e693c6d8ab492b547de98acd3d030b25e481b9d89320f7ad36289fc0a22",
+}
+
+
+@pytest.mark.parametrize(
+    "f, n, d_max",
+    list(_PARTITION_SHA256),
+    ids=["standard-n2000", "standard-n20000", "cubic-n20000", "eta1.25-n20000"],
+)
+def test_partition_csv_bytes_pinned(tmp_path, f, n, d_max):
+    seq = synthesize_powerlaw(n, 2.0, d_max)
+    path = tmp_path / "part.csv"
+    write_partition_csv(preprocess(seq, f), seq, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == _PARTITION_SHA256[f, n, d_max]
 
 
 @given(st.lists(st.integers(1, 25), min_size=1, max_size=200))

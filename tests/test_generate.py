@@ -1,9 +1,12 @@
+import hashlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from bter.communities import preprocess
+import bter.generate
+from bter.communities import ConnectivityFormula, preprocess
 from bter.degrees import DegreeSequence, synthesize_powerlaw
 from bter.generate import (
     GenerationConfig,
@@ -14,6 +17,7 @@ from bter.generate import (
     _cl_fast_pairs,
     _phase1_pairs,
 )
+from bter.graph import write_edgelist
 from bter.rng import substream
 
 
@@ -72,6 +76,23 @@ def test_er_edge_count_matches_binomial_moments():
     expected = pairs * p
     sigma_mean = math.sqrt(pairs * p * (1 - p) / runs)
     assert abs(np.mean(counts) - expected) <= 3 * sigma_mean
+
+
+@pytest.mark.parametrize(
+    "n, p, seed, digest",
+    [
+        # write_edgelist output as 0.2.0 wrote it; the pair sampler's
+        # generalisation to any pair-space size must not move a byte
+        (500, 0.05, 3, "56321fe96ccb80bbdc94fe492ebdc06518d213d1fc82e1696fbd60b659172424"),
+        (60, 0.7, 11, "fbd0d4739cf5e218a17cfa5ba6525b0e663ba4dc1baf3184071eee6f7395d4e5"),
+        (1, 0.5, 0, "7f3b793163c8aed94619fc640e4172208640cc44ab72c025ca1875bc99ac9651"),
+    ],
+    ids=["n500", "n60", "n1"],
+)
+def test_er_bytes_pinned(tmp_path, n, p, seed, digest):
+    path = tmp_path / "er.txt"
+    write_edgelist(generate_er(n, p, seed), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_er_determinism():
@@ -292,7 +313,7 @@ def test_phase1_counts_match_binomial_expectation():
     seq = synthesize_powerlaw(500, 2.0, 22)
     cfg_proto = GenerationConfig(seed=0)
     part = preprocess(seq, cfg_proto.connectivity)
-    pair_counts = np.array([len(b) * (len(b) - 1) / 2 for b in part.blocks])
+    pair_counts = part.block_size * (part.block_size - 1) / 2
     expected = float((part.rho * pair_counts).sum())
     variance = float((part.rho * (1 - part.rho) * pair_counts).sum())
     runs = 100
@@ -302,6 +323,67 @@ def test_phase1_counts_match_binomial_expectation():
     ]
     sigma_mean = math.sqrt(variance / runs)
     assert abs(np.mean(totals) - expected) <= 4 * sigma_mean
+
+
+def _affinity_groups(part):
+    """Block ids of every Phase 1 affinity group, groups in ascending
+    (size, rho) order and blocks ascending within each."""
+    groups: dict[tuple[int, float], list[int]] = {}
+    for k, (size, rho) in enumerate(zip(part.block_size.tolist(), part.rho.tolist())):
+        if size >= 2 and rho > 0.0:
+            groups.setdefault((size, rho), []).append(k)
+    return [groups[key] for key in sorted(groups)]
+
+
+# three groups of several blocks each, one of a single block, and a short
+# last block (rho 0) that Phase 1 must skip; rho < 1 everywhere
+_LAW_SEQ = seq_of(*([1] * 5 + [2] * 30 + [3] * 40 + [5] * 36 + [9] * 10 + [12] * 7))
+_LAW_FORMULA = ConnectivityFormula(rho=0.6, eta=0.5)
+
+
+def test_phase1_one_substream_per_affinity_group():
+    part = preprocess(_LAW_SEQ, _LAW_FORMULA)
+    groups = _affinity_groups(part)
+    assert [len(g) for g in groups] == [10, 10, 6, 1]
+    assert part.rho[-1] == 0.0
+    with mock.patch.object(bter.generate, "substream", wraps=substream) as spy:
+        _phase1_pairs(part, 5)
+    assert [c.args for c in spy.call_args_list] == [(5, 1, g) for g in range(len(groups))]
+
+
+def test_phase1_pair_law_per_affinity_group():
+    # every pair of every block is an independent Bernoulli(rho_k) draw:
+    # per group, a chi-square over its pairs' inclusion counts and the
+    # group's total against its binomial moments; across groups and inside
+    # one (whose blocks share a single draw), no correlation between the
+    # edge counts of any two blocks
+    part = preprocess(_LAW_SEQ, _LAW_FORMULA)
+    n, runs = _LAW_SEQ.n, 2000
+    counts = np.zeros((n, n))
+    per_block = np.zeros((runs, part.block_count))
+    for seed in range(runs):
+        pairs = _phase1_pairs(part, seed)
+        np.add.at(counts, (pairs[:, 0], pairs[:, 1]), 1)
+        per_block[seed] = np.bincount(part.assignment[pairs[:, 0]], minlength=part.block_count)
+    inside = np.zeros((n, n), dtype=bool)
+    for groups in _affinity_groups(part):
+        rho = float(part.rho[groups[0]])
+        cells = []
+        for k in groups:
+            a, s = int(part.block_start[k]), int(part.block_size[k])
+            iu = np.triu_indices(s, 1)
+            inside[a + iu[0], a + iu[1]] = True
+            cells.append(counts[a + iu[0], a + iu[1]])
+        cells = np.concatenate(cells)
+        var = runs * rho * (1 - rho)
+        chi2 = float(((cells - runs * rho) ** 2 / var).sum())
+        dof = cells.size
+        assert abs(chi2 - dof) <= 5 * math.sqrt(2 * dof), (groups, chi2, dof)
+        assert abs(cells.sum() - runs * rho * dof) <= 4 * math.sqrt(var * dof)
+    assert not counts[~inside].any()  # nothing outside a live block
+    probes = [k for groups in _affinity_groups(part) for k in groups[:2]]
+    r = np.corrcoef(per_block[:, probes].T)
+    assert (np.abs(r[np.triu_indices(len(probes), 1)]) <= 4 / math.sqrt(runs)).all()
 
 
 def test_cl_capped_pair_always_present():

@@ -227,6 +227,33 @@ def test_build_graph_matches_unique_path(pairs, shape, rnd):
     assert g == ref_g and stats == ref_stats
 
 
+def test_build_graph_keeps_a_canonical_array():
+    arr = np.array([[0, 1], [0, 3], [2, 3]], dtype=np.int64)
+    g, stats = build_graph(arr, n=5)
+    assert np.shares_memory(g.edges, arr)  # no copy of a clean stream
+    assert stats == EdgeStreamStats(3, 0, 0)
+
+
+@given(
+    st.lists(st.tuples(st.integers(0, 2**40), st.integers(0, 2**40)), max_size=60),
+    st.sampled_from(["shuffled", "duplicated", "looped"]),
+    st.randoms(use_true_random=False),
+)
+def test_compact_ids_match_unique_and_searchsorted(pairs, shape, rnd):
+    stream = list(pairs)
+    if shape == "duplicated":
+        stream += rnd.sample(stream, len(stream) // 2)
+    elif shape == "looped":
+        stream += [(u, u) for u, _ in rnd.sample(stream, len(stream) // 3)]
+    rnd.shuffle(stream)
+    arr = np.array(stream, dtype=np.int64).reshape(-1, 2)
+    ids, compact = bter.graph._compact_ids(arr)
+    ref_ids = np.unique(arr)
+    assert np.array_equal(ids, ref_ids)
+    assert np.array_equal(compact, np.searchsorted(ref_ids, arr))
+    assert compact.shape == arr.shape and compact.dtype == np.int64
+
+
 # Line fragments for the reader oracle: every kind of line the line parser
 # accepts, skips or rejects.
 _LINES = st.one_of(

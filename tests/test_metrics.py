@@ -138,6 +138,30 @@ def test_clustering_wedge_free_graph():
     assert prof.by_degree == {}
 
 
+def by_degree_by_mask(prof, degrees):
+    """clustering_profile's by-degree means as they were: one mask per degree."""
+    defined = ~np.isnan(prof.per_node)
+    degs, vals = degrees[defined], prof.per_node[defined]
+    return {
+        int(d): (float(vals[degs == d].mean()), int((degs == d).sum()))
+        for d in np.unique(degs)
+    }
+
+
+def test_by_degree_means_match_mask_loop():
+    graphs = [
+        generate_er(300, 0.03, 1),
+        generate_cl(synthesize_powerlaw(2000, 2.0, 60), 2),
+        generate_bter(synthesize_powerlaw(3000, 2.0, 60), GenerationConfig(seed=3))[0],
+    ]
+    for g in graphs:
+        prof = clustering_profile(g)
+        ref = by_degree_by_mask(prof, g.degrees)
+        assert list(prof.by_degree) == list(ref)
+        # the same floats summed in the same order: equal to the last bit
+        assert all(prof.by_degree[d] == ref[d] for d in ref)
+
+
 def test_by_degree_clustering_decreases_for_block_model():
     # with a strong connectivity decay the mean local coefficient falls
     # across octave degree buckets; statistically over 50 seeds
