@@ -1,6 +1,6 @@
 """Block two-level ER graph synthesis, baselines, metrics, and theory checks."""
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .communities import (
     CommunityPartition,

@@ -409,7 +409,6 @@ def _compute_report(graph, metrics: tuple[str, ...], args) -> MetricsReport:
         top_k=args.top_k,
         tol=args.tol,
         seed=args.seed,
-        threads=args.threads,
     )
 
 
@@ -565,7 +564,7 @@ def cmd_audit(args, argv: list[str]) -> int:
 
     from .metrics import count_triangles_wedges
 
-    counts = count_triangles_wedges(graph, threads=args.threads)
+    counts = count_triangles_wedges(graph)
     ok = kruskal_katona_check(counts.triangles, graph.edge_count)
     kk_path = out_dir / "kk.csv"
     _write_rows(

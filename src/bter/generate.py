@@ -22,7 +22,7 @@ import numpy as np
 
 from .communities import CommunityPartition, ConnectivityFormula, preprocess
 from .degrees import DegreeSequence
-from .graph import EdgeStreamStats, Graph, build_graph, canonical_keys
+from .graph import EdgeStreamStats, Graph, build_graph
 from .rng import substream
 
 _PHASE1, _PHASE2 = 1, 2
@@ -73,6 +73,13 @@ class PhaseTrace:
     first phase that produced it. sum(raw) == stats.raw_edges and
     sum(kept) == final edge count. partition is the preprocessing result
     the run sampled Phase 1 from; it is left out of equality and repr.
+
+    Phases 1, 2a and 2b never collide, so kept == raw for each of them and
+    Phase 2c takes every loss: Phase 1 pairs lie inside blocks, whose nodes
+    all have degree >= 2 (ids >= r); Phase 2a pairs distinct set-aside nodes
+    (ids < p <= r), each once; Phase 2b joins each other set-aside node once
+    to a node of positive excess (id >= p). None of the three draws a loop
+    or repeats a pair.
     """
 
     p: int
@@ -132,14 +139,6 @@ def _sample_pair_indices(total: int, p: float, rng: np.random.Generator) -> np.n
     return np.concatenate(out) if out else np.empty(0, dtype=np.int64)
 
 
-def _graph_from_unique_pairs(n: int, pairs: np.ndarray) -> Graph:
-    """Graph from pairs already known to be distinct, loop-free, u < v."""
-    pairs = pairs.reshape(-1, 2)
-    keys = pairs[:, 0] * np.int64(max(n, 1)) + pairs[:, 1]
-    order = np.argsort(keys, kind="stable")
-    return Graph(n, pairs[order])
-
-
 # ---------------------------------------------------------------------------
 # Baseline samplers
 # ---------------------------------------------------------------------------
@@ -152,7 +151,7 @@ def generate_er(n: int, p: float, seed: int) -> Graph:
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be in [0, 1]")
     idx = _sample_pair_indices(n * (n - 1) // 2, p, substream(seed))
-    return _graph_from_unique_pairs(n, _linear_to_pairs(idx, n))
+    return build_graph(_linear_to_pairs(idx, n), n=n)[0]
 
 
 def _cl_exact_pairs(w: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -251,7 +250,7 @@ def generate_cl(
     w = degrees.degrees.astype(np.float64)
     rng = substream(seed)
     pairs = _cl_exact_pairs(w, rng) if mode == "exact" else _cl_fast_pairs(w, rng)
-    return _graph_from_unique_pairs(degrees.n, pairs)
+    return build_graph(pairs, n=degrees.n)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -370,40 +369,20 @@ def generate_bter(
     sum_e_scaled = float(e_scaled.sum())
     edges_2c = nint(sum_e_scaled / 2.0) if sum_e_scaled > 0.0 else 0
     if edges_2c > 0:
-        draws = substream(cfg.seed, _PHASE2, _SUB_C).choice(
-            n, size=2 * edges_2c, p=e_scaled / sum_e_scaled
+        pairs2c = substream(cfg.seed, _PHASE2, _SUB_C).choice(
+            n, size=(edges_2c, 2), p=e_scaled / sum_e_scaled
         )
-        pairs2c = draws.reshape(-1, 2).astype(np.int64)
     else:
         pairs2c = np.empty((0, 2), dtype=np.int64)
 
-    phase_pairs = dict(
-        zip(PHASE_NAMES, (pairs1, pairs2a, pairs2b, pairs2c))
-    )
-    all_pairs = np.concatenate(list(phase_pairs.values()))
+    raw = dict(zip(PHASE_NAMES, map(len, (pairs1, pairs2a, pairs2b, pairs2c))))
+    all_pairs = np.concatenate([pairs1, pairs2a, pairs2b, pairs2c])
+    del pairs1, pairs2a, pairs2b, pairs2c  # not alive during the merge
     graph, stats = build_graph(all_pairs, n=n)
 
-    raw = {name: int(len(pp)) for name, pp in phase_pairs.items()}
-    kept = _first_occurrence_attribution(phase_pairs, n)
+    kept = dict(raw)  # only Phase 2c can lose pairs (see PhaseTrace)
+    kept["phase2c"] = graph.edge_count - raw["phase1"] - raw["phase2a"] - raw["phase2b"]
     trace = PhaseTrace(
         p=p, q=q, eta_scale=eta_scale, raw=raw, kept=kept, stats=stats, partition=part
     )
     return graph, trace
-
-
-def _first_occurrence_attribution(
-    phase_pairs: dict[str, np.ndarray], n: int
-) -> dict[str, int]:
-    """Credit each surviving edge to the first phase that emitted it."""
-    labels = np.concatenate(
-        [np.full(len(pp), i, dtype=np.int64) for i, pp in enumerate(phase_pairs.values())]
-    )
-    pairs = np.concatenate(list(phase_pairs.values()))
-    if pairs.size == 0:
-        return {name: 0 for name in phase_pairs}
-    keys = canonical_keys(pairs, n)
-    ok = keys >= 0  # drop self-loops
-    keys, labels = keys[ok], labels[ok]
-    _, first_idx = np.unique(keys, return_index=True)
-    counts = np.bincount(labels[first_idx], minlength=len(phase_pairs))
-    return {name: int(counts[i]) for i, name in enumerate(phase_pairs)}

@@ -83,13 +83,15 @@ class Graph:
         self._build_adjacency()
 
     def _build_adjacency(self) -> None:
-        # every edge as (v, u), then as (u, v): edges are canonical, so a stable
-        # sort by row alone leaves each row's neighbours ascending (u < row < v)
-        rows = np.concatenate([self.edges[:, 1], self.edges[:, 0]])
-        cols = np.concatenate([self.edges[:, 0], self.edges[:, 1]])
-        order = np.argsort(rows, kind="stable")
-        self._indices = cols[order]
+        # edge j as (v_j, u_j) then (u_j, v_j), so its columns are the edge
+        # array itself (no copy). Edges are sorted by (u, v), so a stable sort
+        # by row alone lists row x's neighbours u < x ascending, then its
+        # neighbours v > x ascending.
+        rows = self.edges[:, ::-1].ravel()
         counts = np.bincount(rows, minlength=self.n)
+        order = np.argsort(rows, kind="stable")
+        del rows  # free before the gather
+        self._indices = self.edges.ravel()[order]
         self._indptr = np.zeros(self.n + 1, dtype=np.int64)
         np.cumsum(counts, out=self._indptr[1:])
         self._degrees = np.diff(self._indptr)
@@ -368,22 +370,3 @@ def write_edgelist(g: Graph, path) -> None:
         if g.n:
             fh.write(f"# nodes {g.n}\n")
         write_rows(fh, "%d %d\n", (g.edges[:, 0], g.edges[:, 1]))
-
-
-def load_graph(path) -> Graph:
-    """Convenience wrapper: read an edge-list file and return just the graph."""
-    return read_snap_edgelist(path).graph
-
-
-def canonical_keys(pairs: np.ndarray, n: int) -> np.ndarray:
-    """Map an (m, 2) pair array to scalar keys identifying unordered pairs.
-
-    Self-loops map to -1. Used for first-occurrence attribution when several
-    edge streams are merged.
-    """
-    pairs = pairs.reshape(-1, 2)
-    lo = np.minimum(pairs[:, 0], pairs[:, 1])
-    hi = np.maximum(pairs[:, 0], pairs[:, 1])
-    keys = lo * np.int64(max(n, 1)) + hi
-    keys[lo == hi] = -1
-    return keys

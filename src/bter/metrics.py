@@ -133,7 +133,7 @@ class DivergenceSummary:
 _WEDGE_CHUNK = 1 << 20  # wedges closed per array pass; bounds the kernel's memory
 
 
-def count_triangles_wedges(g: Graph, threads: int = 1) -> TriangleWedgeCounts:
+def count_triangles_wedges(g: Graph) -> TriangleWedgeCounts:
     """Exact triangle and wedge counts by degree-ordered compact-forward passes.
 
     Nodes are ranked by (degree, id) and every edge is oriented toward the
@@ -141,8 +141,7 @@ def count_triangles_wedges(g: Graph, threads: int = 1) -> TriangleWedgeCounts:
     node, its lowest-ranked corner, and out-degrees stay O(sqrt(m)). Out-wedges
     are enumerated per out-degree class and closed by binary search in the
     sorted oriented edge keys, at most about _WEDGE_CHUNK wedges per pass, so
-    memory stays bounded. Counts are exact. threads is accepted for
-    compatibility and ignored: results and speed do not depend on it.
+    memory stays bounded. Counts are exact.
     """
     n = g.n
     degrees = g.degrees.astype(np.int64)
@@ -193,15 +192,15 @@ def count_triangles_wedges(g: Graph, threads: int = 1) -> TriangleWedgeCounts:
 
 
 def clustering_profile(
-    g: Graph, counts: TriangleWedgeCounts | None = None, threads: int = 1
+    g: Graph, counts: TriangleWedgeCounts | None = None
 ) -> ClusteringProfile:
     """Global C, per-node C_i, and mean C_i per degree.
 
     Nodes centering no wedge (degree < 2) have undefined C_i and are left
-    out of the by-degree means. threads is accepted and ignored.
+    out of the by-degree means.
     """
     if counts is None:
-        counts = count_triangles_wedges(g, threads=threads)
+        counts = count_triangles_wedges(g)
     per_node = np.full(g.n, np.nan)
     defined = counts.per_node_wedges > 0
     per_node[defined] = (
@@ -332,12 +331,8 @@ def compute_report(
     top_k: int = DEFAULT_TOP_K,
     tol: float = 1e-8,
     seed: int = 0,
-    threads: int = 1,
 ) -> MetricsReport:
-    """Compute the requested measurement views for one graph.
-
-    threads is accepted and ignored.
-    """
+    """Compute the requested measurement views for one graph."""
     unknown = set(metrics) - set(ALL_METRICS)
     if unknown:
         raise ValueError(f"unknown metrics: {sorted(unknown)}")
@@ -346,7 +341,7 @@ def compute_report(
     global_c = None
     by_degree = None
     if "cc" in metrics or "triangles" in metrics:
-        counts = count_triangles_wedges(g, threads=threads)
+        counts = count_triangles_wedges(g)
         triangles, wedges = counts.triangles, counts.wedges
         if "cc" in metrics:
             prof = clustering_profile(g, counts)

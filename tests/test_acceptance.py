@@ -89,7 +89,7 @@ def test_criterion_1_table_counts_and_clustering():
         start = time.monotonic()
         loaded = read_snap_edgelist(path)
         g = loaded.graph
-        counts = count_triangles_wedges(g, threads=4)
+        counts = count_triangles_wedges(g)
         global_c = 3.0 * counts.triangles / counts.wedges
         elapsed = time.monotonic() - start
         ok = (

@@ -9,6 +9,7 @@ import bter.generate
 from bter.communities import ConnectivityFormula, preprocess
 from bter.degrees import DegreeSequence, synthesize_powerlaw
 from bter.generate import (
+    PHASE_NAMES,
     GenerationConfig,
     generate_bter,
     generate_cl,
@@ -17,7 +18,7 @@ from bter.generate import (
     _cl_fast_pairs,
     _phase1_pairs,
 )
-from bter.graph import write_edgelist
+from bter.graph import build_graph, write_edgelist
 from bter.rng import substream
 
 
@@ -431,6 +432,57 @@ def test_bter_well_formed_on_arbitrary_sequences(values, seed):
     assert sum(trace.kept.values()) == g.edge_count
     assert sum(trace.raw.values()) == trace.stats.raw_edges
     assert 0 <= trace.q <= trace.p <= seq.n
+
+
+def _first_occurrence_kept(phase_pairs: list[np.ndarray], n: int) -> list[int]:
+    """Oracle: credit each surviving edge to the first phase that emitted it."""
+    labels = np.concatenate(
+        [np.full(len(pp), i, dtype=np.int64) for i, pp in enumerate(phase_pairs)]
+    )
+    pairs = np.concatenate(phase_pairs).reshape(-1, 2)
+    lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+    ok = lo != hi  # drop self-loops
+    keys, labels = lo[ok] * np.int64(max(n, 1)) + hi[ok], labels[ok]
+    _, first_idx = np.unique(keys, return_index=True)
+    return np.bincount(labels[first_idx], minlength=len(phase_pairs)).tolist()
+
+
+@given(
+    st.lists(st.one_of(st.just(1), st.integers(1, 40)), min_size=1, max_size=150),
+    st.sampled_from([0.0, 0.75, 1.0]),
+    st.sampled_from(["standard", "cubic"]),
+    st.integers(0, 2**31),
+    st.data(),
+)
+@settings(max_examples=120, deadline=None)
+def test_bter_kept_matches_first_occurrence(values, manual_fraction, variant, seed, data):
+    seq = DegreeSequence.from_degrees(values)
+    r = int(np.searchsorted(seq.degrees, 2))
+    p = nint(manual_fraction * r)
+    q = data.draw(st.none() | st.integers(0, p // 2).map(lambda k: 2 * k), label="q")
+    cfg = GenerationConfig(
+        seed=seed,
+        connectivity=ConnectivityFormula(variant),
+        manual_fraction=manual_fraction,
+        q_override=q,
+    )
+    merged = []
+
+    def capture(pairs, n):
+        merged.append(np.array(pairs))
+        return build_graph(pairs, n=n)
+
+    with mock.patch.object(bter.generate, "build_graph", side_effect=capture):
+        trace = generate_bter(seq, cfg)[1]
+    (pairs,) = merged
+    bounds = np.cumsum([trace.raw[name] for name in PHASE_NAMES])[:-1]
+    phase_pairs = np.split(pairs, bounds)
+    assert list(trace.kept.values()) == _first_occurrence_kept(phase_pairs, seq.n)
+    # phases 1, 2a and 2b: no self-loop, no pair twice, within or across them
+    first = np.concatenate(phase_pairs[:3])
+    lo, hi = first.min(axis=1), first.max(axis=1)
+    assert (lo < hi).all()
+    assert len(np.unique(lo * seq.n + hi)) == len(first)
 
 
 def test_bter_degree_fidelity_buckets():

@@ -95,14 +95,6 @@ def test_counts_match_sparse_oracle_midsize(chunk, monkeypatch):
         assert np.array_equal(c.per_node_triangles, per_node)
 
 
-def test_thread_count_does_not_change_counts():
-    g = generate_er(60, 0.2, 4)
-    c1 = count_triangles_wedges(g, threads=1)
-    c4 = count_triangles_wedges(g, threads=4)
-    assert c1.triangles == c4.triangles
-    assert np.array_equal(c1.per_node_triangles, c4.per_node_triangles)
-
-
 @given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=35))
 @settings(max_examples=60)
 def test_triangle_edge_bound_property(stream):
