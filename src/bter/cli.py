@@ -267,9 +267,8 @@ def cmd_generate(args, argv: list[str]) -> int:
     else:
         degrees = _degree_input(args, inputs)
         if args.model == "cl":
-            config_echo["cl_mode"] = args.cl_mode
             try:
-                graph = generate_cl(degrees, params["seed"], mode=args.cl_mode)
+                graph = generate_cl(degrees, params["seed"])
             except ValueError as exc:
                 raise UsageError(str(exc)) from exc
             write_edgelist(graph, out)
@@ -766,8 +765,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="CL weight of remaining degree-1 nodes (default 1.10)")
     g.add_argument("--q", type=int, help="paired degree-1 node count (even; default formula)")
     g.add_argument("--beta", type=float, help="duplicate-compensation proportion (default 0.10)")
-    g.add_argument("--cl-mode", choices=("auto", "exact", "fast"), default="auto",
-                   dest="cl_mode", help="Chung-Lu sampling mode (cl model)")
     g.add_argument("--config", help="flat KEY=VALUE config file; flags win over file values")
     g.add_argument("--out", required=True, help="output edge-list path")
     _add_common(g)

@@ -10,12 +10,13 @@ split into three subphases that damp the high variance of degree-1 nodes:
   2c  rescale the excess weights and sample nint(sum(e)/2) edges with both
       endpoints drawn independently in proportion to the weights.
 
-All samplers are deterministic functions of their inputs and seed.
+ER, Phase 1 and CL all draw through one exact sampler of constant-probability
+blocks of node pairs. All samplers are deterministic functions of their
+inputs and seed.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,51 +93,94 @@ class PhaseTrace:
 
 
 # ---------------------------------------------------------------------------
-# Pair-index machinery shared by the ER samplers
+# The block sampler shared by ER, Phase 1 and CL
 # ---------------------------------------------------------------------------
 
-
-def _pair_row_starts(n: int) -> np.ndarray:
-    """starts[u] = linear index of pair (u, u+1) in lexicographic order."""
-    counts = np.arange(n - 1, -1, -1, dtype=np.int64)
-    starts = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=starts[1:])
-    return starts
+# Most gaps one sampling round draws, over all of its blocks.
+_ROUND_DRAWS = 4_000_000
 
 
-def _linear_to_pairs(idx: np.ndarray, n: int) -> np.ndarray:
-    starts = _pair_row_starts(n)
-    u = np.searchsorted(starts, idx, side="right") - 1
-    v = u + 1 + (idx - starts[u])
-    return np.column_stack([u, v])
+def _triangle_pairs(t: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j), i < j, of the t-th pair of range(s) in lexicographic order.
 
-
-def _sample_pair_indices(total: int, p: float, rng: np.random.Generator) -> np.ndarray:
-    """Indices of the pairs an i.i.d. Bernoulli(p) draw keeps out of a pair
-    space of ``total`` pairs, strictly increasing.
-
-    Geometric skipping visits only successful pairs, so cost is O(edges)
-    rather than O(total).
+    The row comes from a float square root, nudged down so that it is exact
+    or one short (the float error stays below 1e-5 for every s < 3e9, where
+    s^2 < 2^63), then one exact integer step up.
     """
-    if total == 0 or p <= 0.0:
-        return np.empty(0, dtype=np.int64)
-    if p >= 1.0:
-        return np.arange(total, dtype=np.int64)
-    out: list[np.ndarray] = []
-    pos = np.int64(-1)
-    while True:
-        # batch near the expected remaining hit count, bounded for memory
-        expect = min(max(64, int((total - pos) * p * 1.2)), 4_000_000)
-        steps = rng.geometric(p, size=expect).astype(np.int64)
-        hits = pos + np.cumsum(steps)
-        inside = hits < total
-        if inside.all():
-            out.append(hits)
-            pos = hits[-1]
-        else:
-            out.append(hits[inside])
-            break
-    return np.concatenate(out) if out else np.empty(0, dtype=np.int64)
+    after = (s * (s - 1) >> 1) - 1 - t  # pairs that follow t
+    # r = pairs in t's row = the largest r with C(r, 2) <= after
+    r = ((np.sqrt(8.0 * after + 1.0) + 1.0) * 0.5 - 1e-5).astype(np.int64)
+    r += (r * (r + 1) >> 1) <= after  # C(r + 1, 2) <= after: r was one short
+    i = s - 1 - r
+    return i, i + (r * (r + 1) >> 1) - after
+
+
+def _sample_blocks(
+    row0: np.ndarray,
+    col0: np.ndarray,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    p: np.ndarray,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """The pairs an independent Bernoulli(p[k]) draw keeps in every block k.
+
+    Block k holds the pairs (u, v), u < v, with u in row0[k] + range(rows[k])
+    and v in col0[k] + range(cols[k]): a triangle when the two ranges are one
+    (row0 == col0), else a rectangle whose rows all lie below its columns.
+
+    Every block is sampled by geometric skipping over its pairs in
+    lexicographic order. Each round, all live blocks draw their gaps in one
+    call, about as many as they have hits left to find; a block stays live
+    until a gap carries it past its last pair. A one-block draw reads the
+    same gaps whatever the round sizes, as the stream is read in order.
+    """
+    tri = row0 == col0
+    total = np.where(tri, rows * (rows - 1) // 2, rows * cols)
+    live = np.flatnonzero((total > 0) & (p > 0.0))
+    last = np.full(live.size, -1, dtype=np.int64)  # each live block's last hit
+    hit_block, hit_local = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    while live.size:
+        end, q = total[live], p[live]
+        lam = (end - 1 - last) * q  # expected hits left
+        want = np.minimum(lam + 2.0 * np.sqrt(lam) + 1.0, _ROUND_DRAWS).astype(np.int64)
+        cut = np.cumsum(want)
+        # the blocks whose draws fit in this round; the first always does
+        take = int(np.searchsorted(cut, _ROUND_DRAWS, side="right"))
+        end, cut = end[:take], cut[:take] - 1  # cut: each block's last draw
+        seg = np.repeat(np.arange(take, dtype=np.int32), want[:take])
+        gaps = rng.geometric(q[seg])
+        # a gap past its block's end overshoots whatever its length: clipped
+        # at the span left, a block's running sum stays below its draws times
+        # its span, so within int64 for any block of under 2e12 pairs
+        np.minimum(gaps, (end - last[:take])[seg], out=gaps)
+        np.cumsum(gaps, out=gaps)
+        # to each block's local pair indices; the sums of the blocks before it
+        # may wrap around int64, and this subtraction undoes that exactly
+        shift = np.concatenate(([0], gaps[cut[:-1]])) - last[:take]
+        gaps -= shift[seg]
+        inside = gaps < end[seg]
+        hit_block.append(live[seg[inside]])
+        hit_local.append(gaps[inside])
+        reached = gaps[cut]
+        del seg, gaps, inside
+        more = np.flatnonzero(reached < end)
+        live = np.concatenate((live[more], live[take:]))
+        last = np.concatenate((reached[more], last[take:]))
+    block, local = np.concatenate(hit_block), np.concatenate(hit_local)
+    del hit_block, hit_local
+    out = np.empty((block.size, 2), dtype=np.int64)
+    at = np.flatnonzero(tri[block])
+    b = block[at]
+    i, j = _triangle_pairs(local[at], rows[b])
+    start = row0[b]
+    out[at, 0], out[at, 1] = start + i, start + j
+    at = np.flatnonzero(~tri[block])
+    b, t = block[at], local[at]
+    del block, local, i, j, start
+    i, j = np.divmod(t, cols[b])
+    out[at, 0], out[at, 1] = row0[b] + i, col0[b] + j
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -150,106 +194,34 @@ def generate_er(n: int, p: float, seed: int) -> Graph:
         raise ValueError("n must be non-negative")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be in [0, 1]")
-    idx = _sample_pair_indices(n * (n - 1) // 2, p, substream(seed))
-    return build_graph(_linear_to_pairs(idx, n), n=n)[0]
+    start, size = np.array([0]), np.array([n])
+    pairs = _sample_blocks(start, start, size, size, np.array([p]), substream(seed))
+    return build_graph(pairs, n=n)[0]
 
 
-def _cl_exact_pairs(w: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Per-pair Bernoulli CL draw; the O(n^2) oracle form."""
-    n = len(w)
-    total = float(w.sum())
-    rows = []
-    for u in range(n - 1):
-        probs = np.minimum(1.0, w[u] * w[u + 1 :] / total)
-        hit = rng.random(n - 1 - u) < probs
-        vs = np.nonzero(hit)[0]
-        if vs.size:
-            rows.append(np.column_stack([np.full(vs.size, u, dtype=np.int64), u + 1 + vs]))
-    if not rows:
-        return np.empty((0, 2), dtype=np.int64)
-    return np.concatenate(rows)
+def _degree_class_blocks(degrees: DegreeSequence) -> tuple[np.ndarray, ...]:
+    """The CL pair blocks, as _sample_blocks takes them: one per pair of
+    degree classes a <= b, a class being the run of nodes of one degree."""
+    deg = degrees.degrees
+    first = np.flatnonzero(np.concatenate(([True], deg[1:] != deg[:-1])))
+    count = np.diff(np.append(first, deg.size))
+    weight = deg[first].astype(np.float64)
+    a, b = np.triu_indices(len(first))
+    p = np.minimum(1.0, weight[a] * weight[b] / degrees.total)
+    return first[a], first[b], count[a], count[b], p
 
 
-def _cl_fast_pairs(w: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Edge-skipping CL draw (Miller-Hagberg style).
-
-    Walks pairs in descending-weight order, jumping geometrically under an
-    upper-bound probability and thinning to the true one, which reproduces
-    the exact per-pair Bernoulli law in O(n + edges) expected time. Relies
-    on w being sorted ascending.
-    """
-    n = len(w)
-    total = float(w.sum())
-    weights = w.tolist()  # plain floats: the hot loop avoids numpy scalars
-    us: list[int] = []
-    vs: list[int] = []
-    # buffer size is a pure performance knob: draws consume a prefix of the
-    # stream in order, so results do not depend on it
-    buf_n = min(8192, max(64, 2 * n))
-    buf = rng.random(buf_n).tolist()
-    buf_i = buf_n
-    log = math.log
-
-    for u in range(n - 1, 0, -1):
-        wu = weights[u]
-        if wu <= 0.0:
-            continue
-        v = u - 1
-        p = wu * weights[v] / total
-        if p > 1.0:
-            p = 1.0
-        while v >= 0 and p > 0.0:
-            if p < 1.0:
-                if buf_i == buf_n:
-                    buf = rng.random(buf_n).tolist()
-                    buf_i = 0
-                r = buf[buf_i]
-                buf_i += 1
-                if r <= 0.0:
-                    break
-                v -= int(log(r) / log(1.0 - p))
-            if v >= 0:
-                q = wu * weights[v] / total
-                if q > 1.0:
-                    q = 1.0
-                if buf_i == buf_n:
-                    buf = rng.random(buf_n).tolist()
-                    buf_i = 0
-                r = buf[buf_i]
-                buf_i += 1
-                if r < q / p:
-                    us.append(v)
-                    vs.append(u)
-                p = q
-                v -= 1
-    if not us:
-        return np.empty((0, 2), dtype=np.int64)
-    return np.column_stack([np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64)])
-
-
-EXACT_MODE_THRESHOLD = 256
-
-
-def generate_cl(
-    degrees: DegreeSequence, seed: int, mode: str = "auto"
-) -> Graph:
+def generate_cl(degrees: DegreeSequence, seed: int) -> Graph:
     """Chung-Lu graph: pair (i, j) present with probability min(1, d_i d_j / 2m).
 
-    mode "exact" is the per-pair Bernoulli oracle, "fast" the edge-skipping
-    sampler; both realize the same pair-inclusion law. "auto" picks exact
-    for n <= EXACT_MODE_THRESHOLD. The two modes consume randomness
-    differently, so the same seed gives different (equally distributed)
-    graphs.
+    Nodes of equal degree form a class, a contiguous range of the sorted
+    sequence, so the pairs between two classes (or inside one) share one
+    probability. Each of these blocks is sampled exactly, by the block
+    sampler, on the run's single stream.
     """
     if degrees.total < 2:
         raise ValueError("degree sequence must sum to at least 2")
-    if mode == "auto":
-        mode = "exact" if degrees.n <= EXACT_MODE_THRESHOLD else "fast"
-    if mode not in ("exact", "fast"):
-        raise ValueError(f"unknown mode {mode!r}")
-    w = degrees.degrees.astype(np.float64)
-    rng = substream(seed)
-    pairs = _cl_exact_pairs(w, rng) if mode == "exact" else _cl_fast_pairs(w, rng)
+    pairs = _sample_blocks(*_degree_class_blocks(degrees), substream(seed))
     return build_graph(pairs, n=degrees.n)[0]
 
 
@@ -259,34 +231,9 @@ def generate_cl(
 
 
 def _phase1_pairs(part: CommunityPartition, seed: int) -> np.ndarray:
-    """ER edges inside every block, one draw per affinity group.
-
-    Blocks of equal (size, rho) form one group: all of their pairs are one
-    i.i.d. Bernoulli(rho) population, sampled in a single pass over the
-    concatenated pair space of the group's blocks (in block order) on the
-    group's own stream. Group g is the g-th distinct (size, rho), ascending.
-    """
-    live = np.flatnonzero((part.block_size >= 2) & (part.rho > 0.0))
-    size, rho = part.block_size[live], part.rho[live]
-    order = np.lexsort((rho, size))  # stable: block order within a group
-    live, size, rho = live[order], size[order], rho[order]
-    new_group = np.ones(len(live), dtype=bool)
-    new_group[1:] = (np.diff(size) != 0) | (np.diff(rho) != 0.0)
-    firsts = np.flatnonzero(new_group).tolist()
-    chunks: list[np.ndarray] = []
-    for g, (first, end) in enumerate(zip(firsts, firsts[1:] + [len(live)])):
-        s = int(size[first])
-        per_block = s * (s - 1) // 2
-        idx = _sample_pair_indices(
-            (end - first) * per_block, float(rho[first]), substream(seed, _PHASE1, g)
-        )
-        if idx.size:
-            block, local = np.divmod(idx, per_block)
-            start = part.block_start[live[first:end]][block]
-            chunks.append(start[:, None] + _linear_to_pairs(local, s))
-    if not chunks:
-        return np.empty((0, 2), dtype=np.int64)
-    return np.concatenate(chunks)
+    """ER edges inside every block: one triangle per block, all on one stream."""
+    start, size = part.block_start, part.block_size
+    return _sample_blocks(start, start, size, size, part.rho, substream(seed, _PHASE1))
 
 
 def degree1_split(degrees: DegreeSequence, cfg: GenerationConfig) -> tuple[int, int, int]:

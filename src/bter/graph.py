@@ -77,12 +77,20 @@ class Graph:
             keys = edges[:, 0] * np.int64(n) + edges[:, 1]
             if not (np.diff(keys) > 0).all():
                 raise ValueError("edges must be unique and lexicographically sorted")
+        self._adopt(n, edges)
+
+    @classmethod
+    def _canonical(cls, n: int, edges: np.ndarray) -> Graph:
+        """A graph on an (m, 2) int64 array build_graph has made or checked
+        canonical, taken without a second check."""
+        graph = cls.__new__(cls)
+        graph._adopt(n, edges)
+        return graph
+
+    def _adopt(self, n: int, edges: np.ndarray) -> None:
         self.n = int(n)
         self.edges = edges
         self.edges.setflags(write=False)
-        self._build_adjacency()
-
-    def _build_adjacency(self) -> None:
         # edge j as (v_j, u_j) then (u_j, v_j), so its columns are the edge
         # array itself (no copy). Edges are sorted by (u, v), so a stable sort
         # by row alone lists row x's neighbours u < x ascending, then its
@@ -183,18 +191,23 @@ def build_graph(
         keys = u * width + v
         if (keys[1:] > keys[:-1]).all():
             # already canonical, as every file write_edgelist writes is
-            return Graph(n, arr), EdgeStreamStats(raw, 0, 0)
+            return Graph._canonical(n, arr), EdgeStreamStats(raw, 0, 0)
+        del keys
     loops = u == v
     self_loops = int(loops.sum())
     kept = arr[~loops] if self_loops else arr
     keys = np.minimum(kept[:, 0], kept[:, 1]) * width
     keys += np.maximum(kept[:, 0], kept[:, 1])
+    del kept
     # sort plus a neighbour mask: np.unique may take a slower hash path
     keys.sort()
     unique = keys[_run_starts(keys)]
-    edges = np.column_stack(np.divmod(unique, width))
     stats = EdgeStreamStats(raw, self_loops, len(keys) - len(unique))
-    return Graph(n, edges), stats
+    del keys
+    edges = np.empty((len(unique), 2), dtype=np.int64)
+    np.divmod(unique, width, out=(edges[:, 0], edges[:, 1]))
+    del unique
+    return Graph._canonical(n, edges), stats
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,10 @@
 """Counter-based, splittable random streams.
 
 Each sampling site derives an independent Philox stream from the run seed
-plus a structural path (phase id, affinity group id, ...), so phases and
-affinity groups can be sampled in any order, or concurrently, without
-changing the result. Phase 1 keys one stream per affinity group (the blocks
-of equal size and rho), and the blocks of one group share its single draw.
+plus a structural path, so phases can be sampled in any order without
+changing the result. ER and CL take the stream (seed); Phase 1 takes
+(seed, 1) for all of its blocks, which share one draw; Phase 2a/2b/2c take
+(seed, 2, 0|1|2); the spectrum's starting vector takes its own path.
 """
 
 from __future__ import annotations

@@ -49,7 +49,7 @@ def random_graph(rng: np.random.Generator, n_max: int = 12) -> Graph:
 def sampled_cl_triangle_mean(degrees, runs, rng):
     """Empirical triangle mean over independent-pair CL draws.
 
-    Vectorizes the exact-mode law (each pair present independently with
+    Vectorizes the per-pair CL law (each pair present independently with
     probability min(1, d_i d_j / 2s)) across all runs; the oracle side of
     the expected-triangle check.
     """

@@ -74,7 +74,7 @@ def synth_runs():
     out = {"seq": seq, "tv_bter": [], "tv_cl": [], "c_bter": [], "c_cl": []}
     for seed in range(SYNTH_SEEDS):
         gb, _ = generate_bter(seq, GenerationConfig(seed=seed))
-        gc = generate_cl(seq, seed + 50_000, mode="fast")
+        gc = generate_cl(seq, seed + 50_000)
         out["tv_bter"].append(degree_tv_distance(degree_histogram(gb), target))
         out["tv_cl"].append(degree_tv_distance(degree_histogram(gc), target))
         out["c_bter"].append(clustering_profile(gb).global_c)
@@ -178,11 +178,10 @@ def test_criterion_6_extremal_bound_everywhere():
     for _ in range(500):  # ER sweep
         n = int(rng.integers(1, 41))
         check(generate_er(n, float(rng.uniform(0, 1)), int(rng.integers(1 << 60))))
-    for _ in range(200):  # CL, both modes
+    for _ in range(200):  # CL
         r = int(rng.integers(2, 40))
         seq = DegreeSequence.from_degrees(rng.integers(1, 8, size=r))
-        mode = "exact" if checked % 2 else "fast"
-        check(generate_cl(seq, int(rng.integers(1 << 60)), mode=mode))
+        check(generate_cl(seq, int(rng.integers(1 << 60))))
     for _ in range(150):  # block model, both connectivity variants
         seq = synthesize_powerlaw(int(rng.integers(20, 300)), 2.0, 12)
         variant = "cubic" if checked % 3 == 0 else "standard"
@@ -212,7 +211,7 @@ def test_criterion_7_spectrum_oracle():
             g = generate_er(n, float(rng.uniform(0.05, 0.7)), int(rng.integers(1 << 60)))
         elif style == 1:
             seq = DegreeSequence.from_degrees(rng.integers(1, 6, size=n))
-            g = generate_cl(seq, int(rng.integers(1 << 60)), mode="exact")
+            g = generate_cl(seq, int(rng.integers(1 << 60)))
         else:
             seq = synthesize_powerlaw(n, 2.0, max(2, int(math.sqrt(n))))
             g = generate_bter(seq, GenerationConfig(seed=int(rng.integers(1 << 60))))[0]
@@ -300,7 +299,7 @@ def test_addendum_eigenvalue_ordering_on_astro():
         seed=1, connectivity=ConnectivityFormula(variant, rho, eta)
     )
     model_graph, _ = generate_bter(degrees, cfg)
-    cl_graph = generate_cl(degrees, 1, mode="fast")
+    cl_graph = generate_cl(degrees, 1)
 
     # fitted generation lands within 10% of the table-scale edge count
     assert abs(model_graph.edge_count - real.edge_count) <= 0.1 * real.edge_count

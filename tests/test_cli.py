@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -127,6 +128,30 @@ def test_generate_bter_outputs(tmp_path):
     assert (tmp_path / "g.txt.partition.csv").is_file()
     manifest = json.loads((tmp_path / "g.txt.manifest.json").read_text())
     assert set(manifest["outputs"]) == {"g.txt", "g.txt.trace.csv", "g.txt.partition.csv"}
+
+
+# sha256 of each output of `generate --powerlaw 300,2,17 --seed 1` as 0.5.0
+# writes it; a change to a sampler or to its streams must not move a byte
+# unnoticed
+_GENERATE_SHA256 = {
+    "bter": {
+        "g.txt": "22788e8e1dce1c2ce90cc612fcb746ce4f21bf83984e42e76a64a3d6ceb9fda3",
+        "g.txt.trace.csv": "eb71f27b71680b5ba6b074c97513eae623fd6775ccb5028c35ace786eab87dcd",
+        "g.txt.partition.csv": "4a257f10bee9b5ea1eb6b35e3f3cf6cab8932bfa76ff79a924e18ad31144916d",
+    },
+    "cl": {"g.txt": "60dc0d1eb3a7945429b24bdeee283f237a987611f09249683bd6b176a06d4aad"},
+}
+
+
+@pytest.mark.parametrize("model", sorted(_GENERATE_SHA256))
+def test_generate_bytes_pinned(tmp_path, model):
+    assert run("generate", "--model", model, "--powerlaw", "300,2,17", "--seed", 1,
+               "--out", tmp_path / "g.txt") == EXIT_OK
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in _GENERATE_SHA256[model]
+    }
+    assert digests == _GENERATE_SHA256[model]
 
 
 def test_generate_determinism_across_runs_and_threads(tmp_path):
@@ -360,6 +385,19 @@ def test_replay_reproduces_generate(tmp_path, capsys):
                "--seed", 9, "--out", g) == EXIT_OK
     assert run("replay", "--manifest", f"{g}.manifest.json") == EXIT_OK
     assert "byte-identical" in capsys.readouterr().out
+
+
+def test_replay_of_cl_and_of_the_removed_cl_mode(tmp_path):
+    g = tmp_path / "g.txt"
+    assert run("generate", "--model", "cl", "--powerlaw", "300,2,17",
+               "--seed", 9, "--out", g) == EXIT_OK
+    manifest = tmp_path / "g.txt.manifest.json"
+    assert run("replay", "--manifest", manifest) == EXIT_OK
+    # a manifest of a run that passed --cl-mode (removed in 0.5.0) exits 2
+    data = json.loads(manifest.read_text())
+    data["argv"][data["argv"].index("--out"):0] = ["--cl-mode", "fast"]
+    manifest.write_text(json.dumps(data))
+    assert run("replay", "--manifest", manifest) == EXIT_USAGE
 
 
 def test_replay_detects_tampering(tmp_path, capsys):

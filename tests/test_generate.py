@@ -15,8 +15,11 @@ from bter.generate import (
     generate_cl,
     generate_er,
     nint,
-    _cl_fast_pairs,
     _phase1_pairs,
+    _ROUND_DRAWS,
+    _degree_class_blocks,
+    _sample_blocks,
+    _triangle_pairs,
 )
 from bter.graph import build_graph, write_edgelist
 from bter.rng import substream
@@ -102,6 +105,127 @@ def test_er_determinism():
 
 
 # ---------------------------------------------------------------------------
+# the block sampler
+# ---------------------------------------------------------------------------
+
+
+def test_triangle_decode_exhaustive():
+    for s in range(2, 65):
+        i, j = _triangle_pairs(np.arange(s * (s - 1) // 2), np.int64(s))
+        iu = np.triu_indices(s, 1)
+        assert np.array_equal(i, iu[0]) and np.array_equal(j, iu[1]), s
+
+
+def test_triangle_decode_exact_at_large_size():
+    s = 2_000_000
+    pairs = s * (s - 1) // 2
+
+    def exact(t):  # row by integer square root, no floats
+        after = pairs - 1 - t
+        r = (1 + math.isqrt(8 * after + 1)) // 2
+        i = s - 1 - r
+        return i, t - (pairs - r * (r + 1) // 2) + i + 1
+
+    t = np.array([0, 1, s - 2, s - 1, pairs // 2, pairs // 3 + 7, pairs - 2, pairs - 1])
+    i, j = _triangle_pairs(t, np.int64(s))
+    assert list(zip(i.tolist(), j.tolist())) == [exact(x) for x in t.tolist()]
+    assert (i[0], j[0]) == (0, 1) and (i[-1], j[-1]) == (s - 2, s - 1)
+    assert (i[3], j[3]) == (1, 2)
+
+
+# triangles and rectangles, in no particular node order, with p in
+# {1, 0.5, 0.01, 1e-3}; their pair sets are disjoint
+_MIXED = [  # row0, col0, rows, cols, p
+    (40, 40, 12, 12, 0.5),
+    (0, 10, 10, 30, 0.01),
+    (100, 100, 60, 60, 1e-3),
+    (52, 60, 8, 5, 1.0),
+    (65, 65, 6, 6, 1.0),
+    (71, 80, 9, 20, 0.5),
+    (160, 160, 30, 30, 0.01),
+]
+
+
+def _mixed_blocks():
+    return tuple(np.array(col) for col in zip(*_MIXED))
+
+
+@pytest.mark.parametrize("cap", [_ROUND_DRAWS, 100], ids=["one-round", "many-rounds"])
+def test_block_sampler_law_on_mixed_blocks(cap):
+    # per block: every pair's inclusion count is Binomial(runs, p) (a
+    # chi-square over the block's pairs), the block's edge count has the
+    # binomial mean and variance, and no two blocks' counts correlate; a
+    # small cap makes blocks wait for later rounds and finish over several
+    row0, col0, rows, cols, p = _mixed_blocks()
+    n, runs = 190, 4000
+    counts = np.zeros((n, n))
+    per_block = np.zeros((runs, len(_MIXED)))
+    owner = np.full((n, n), -1)
+    for k, (a, b, nr, nc, _) in enumerate(_MIXED):
+        cell = np.zeros((n, n), dtype=bool)
+        cell[a : a + nr, b : b + nc] = True
+        owner[np.triu(cell, 1)] = k
+    with mock.patch.object(bter.generate, "_ROUND_DRAWS", cap):
+        for seed in range(runs):
+            pairs = _sample_blocks(row0, col0, rows, cols, p, substream(seed, 9))
+            np.add.at(counts, (pairs[:, 0], pairs[:, 1]), 1)
+            per_block[seed] = np.bincount(owner[pairs[:, 0], pairs[:, 1]], minlength=len(_MIXED))
+    assert not counts[owner < 0].any()
+    for k, (_, _, _, _, pk) in enumerate(_MIXED):
+        cells = counts[owner == k]
+        if pk == 1.0:
+            assert (cells == runs).all()
+            continue
+        var = runs * pk * (1 - pk)
+        chi2 = float(((cells - runs * pk) ** 2 / var).sum())
+        assert abs(chi2 - cells.size) <= 5 * math.sqrt(2 * cells.size), (k, chi2)
+        size = cells.size
+        mean, sd = size * pk, math.sqrt(size * pk * (1 - pk))
+        block = per_block[:, k]
+        assert abs(block.mean() - mean) <= 4 * sd / math.sqrt(runs), k
+        kurt = (1 - 6 * pk * (1 - pk)) / (size * pk * (1 - pk))  # excess kurtosis
+        se_var = math.sqrt(2 / (runs - 1) + kurt / runs)
+        assert abs(block.var(ddof=1) / sd**2 - 1) <= 5 * se_var, k
+    drawn = [k for k, row in enumerate(_MIXED) if row[4] < 1.0]
+    r = np.corrcoef(per_block[:, drawn].T)
+    assert (np.abs(r[np.triu_indices(len(drawn), 1)]) <= 4 / math.sqrt(runs)).all()
+
+
+def test_er_tiny_p_on_a_huge_pair_space():
+    # C(1e6, 2) = 5e11 pairs at p = 1e-12: a handful of draws, each gap
+    # clipped at the pair count, not a pass over the pairs
+    for seed in range(5):
+        g = generate_er(1_000_000, 1e-12, seed)
+        assert g.n == 1_000_000 and g.edge_count <= 5
+
+
+class _CountingRng:
+    def __init__(self, rng):
+        self.rng, self.sizes = rng, []
+
+    def geometric(self, p):
+        self.sizes.append(np.size(p))
+        return self.rng.geometric(p)
+
+
+def test_block_sampler_rounds_stay_capped():
+    # one block: any cap reads the same gaps, so the same pairs
+    one = np.array([0]), np.array([0]), np.array([300]), np.array([300]), np.array([0.4])
+    default = _sample_blocks(*one, substream(3))
+    with mock.patch.object(bter.generate, "_ROUND_DRAWS", 1000):
+        rng = _CountingRng(substream(3))
+        capped = _sample_blocks(*one, rng)
+        assert max(rng.sizes) <= 1000 and len(rng.sizes) > 15
+        assert np.array_equal(capped, default)
+    with mock.patch.object(bter.generate, "_ROUND_DRAWS", 100):
+        rng = _CountingRng(substream(3))
+        mixed = _sample_blocks(*_mixed_blocks(), rng)
+        assert max(rng.sizes) <= 100 and len(rng.sizes) > 1
+    assert len(np.unique(mixed, axis=0)) == len(mixed)
+    assert _ROUND_DRAWS == 4_000_000
+
+
+# ---------------------------------------------------------------------------
 # CL
 # ---------------------------------------------------------------------------
 
@@ -110,7 +234,7 @@ def test_cl_two_nodes_edge_frequency():
     # degrees [1, 1]: the single pair appears with probability 1/2
     seq = seq_of(1, 1)
     hits = sum(
-        generate_cl(seq, seed, mode="exact").edge_count for seed in range(10_000)
+        generate_cl(seq, seed).edge_count for seed in range(10_000)
     )
     freq = hits / 10_000
     sigma = math.sqrt(0.25 / 10_000)
@@ -124,7 +248,7 @@ def test_cl_regular_uniform_pair_probability():
     p = k * k / seq.total
     freq = np.zeros((n, n))
     for seed in range(runs):
-        for u, v in generate_cl(seq, seed, mode="exact").edges:
+        for u, v in generate_cl(seq, seed).edges:
             freq[u, v] += 1
     freq /= runs
     sigma = math.sqrt(p * (1 - p) / runs)
@@ -140,7 +264,7 @@ def test_cl_mean_degree_tracks_target():
     runs = 200
     acc = np.zeros(seq.n)
     for seed in range(runs):
-        acc += generate_cl(seq, seed, mode="fast").degrees
+        acc += generate_cl(seq, seed).degrees
     acc /= runs
     for d in np.unique(seq.degrees):
         sel = seq.degrees == d
@@ -152,32 +276,60 @@ def test_cl_requires_mass():
         generate_cl(seq_of(1), 0)
 
 
+def _cl_exact_pairs(w: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Oracle: a per-pair Bernoulli CL draw, O(n^2)."""
+    n = len(w)
+    total = float(w.sum())
+    rows = []
+    for u in range(n - 1):
+        probs = np.minimum(1.0, w[u] * w[u + 1 :] / total)
+        hit = rng.random(n - 1 - u) < probs
+        vs = np.nonzero(hit)[0]
+        if vs.size:
+            rows.append(np.column_stack([np.full(vs.size, u, dtype=np.int64), u + 1 + vs]))
+    if not rows:
+        return np.empty((0, 2), dtype=np.int64)
+    return np.concatenate(rows)
+
+
 def test_cl_fast_matches_exact_inclusion_law():
-    # fast mode must realize the same per-pair Bernoulli law as exact mode;
-    # frequencies over 1e5 runs against the analytic probability, with a
-    # Bonferroni familywise bound replacing the naive 3-sigma one (435
-    # simultaneous pair comparisons)
+    # the block sampler must realize the per-pair Bernoulli law; frequencies
+    # over 1e5 runs against the analytic probability, with a Bonferroni
+    # familywise bound replacing the naive 3-sigma one (435 simultaneous
+    # pair comparisons)
     rng0 = np.random.default_rng(7)
-    deg = np.sort(rng0.integers(1, 5, size=30)).astype(np.float64)
+    seq = DegreeSequence(np.sort(rng0.integers(1, 5, size=30)))
+    deg = seq.degrees.astype(np.float64)
     total = float(deg.sum())
     runs = 100_000
-    freq = np.zeros((30, 30))
-    for seed in range(runs):
-        for u, v in _cl_fast_pairs(deg, substream(seed, 77)):
-            freq[u, v] += 1
-    freq /= runs
+    blocks = _degree_class_blocks(seq)
+    keys = [_sample_blocks(*blocks, substream(seed, 77)) @ [30, 1] for seed in range(runs)]
+    freq = np.bincount(np.concatenate(keys), minlength=900).reshape(30, 30) / runs
     for u in range(29):
         for v in range(u + 1, 30):
             p = min(1.0, deg[u] * deg[v] / total)
             sigma = math.sqrt(p * (1 - p) / runs)
             assert abs(freq[u, v] - p) <= 4.6 * sigma, (u, v)
+    assert not np.tril(freq).any()
 
 
-def test_cl_mode_selection():
-    seq = seq_of(2, 2, 2)
-    assert generate_cl(seq, 0, mode="auto") == generate_cl(seq, 0, mode="exact")
-    with pytest.raises(ValueError):
-        generate_cl(seq, 0, mode="turbo")
+def test_cl_edge_count_moments_match_exact_oracle():
+    # edge counts of generate_cl and of the per-pair oracle, each against
+    # the analytic sum(p) and sum(p(1-p)), and against each other
+    seq = seq_of(1, 1, 1, 2, 2, 2, 2, 3, 3, 4, 5, 6, 8, 9)
+    w = seq.degrees.astype(np.float64)
+    iu = np.triu_indices(seq.n, 1)
+    p = np.minimum(1.0, np.outer(w, w) / w.sum())[iu]
+    mean, var = float(p.sum()), float((p * (1 - p)).sum())
+    runs = 4000
+    fast = np.array([generate_cl(seq, seed).edge_count for seed in range(runs)])
+    oracle = np.array(
+        [len(_cl_exact_pairs(w, np.random.default_rng(seed))) for seed in range(runs)]
+    )
+    for counts in (fast, oracle):
+        assert abs(counts.mean() - mean) <= 4 * math.sqrt(var / runs)
+        assert abs(counts.var(ddof=1) / var - 1) <= 5 * math.sqrt(2 / runs)
+    assert abs(fast.mean() - oracle.mean()) <= 4 * math.sqrt(2 * var / runs)
 
 
 # ---------------------------------------------------------------------------
@@ -342,14 +494,13 @@ _LAW_SEQ = seq_of(*([1] * 5 + [2] * 30 + [3] * 40 + [5] * 36 + [9] * 10 + [12] *
 _LAW_FORMULA = ConnectivityFormula(rho=0.6, eta=0.5)
 
 
-def test_phase1_one_substream_per_affinity_group():
+def test_phase1_and_cl_take_one_substream_each():
     part = preprocess(_LAW_SEQ, _LAW_FORMULA)
-    groups = _affinity_groups(part)
-    assert [len(g) for g in groups] == [10, 10, 6, 1]
-    assert part.rho[-1] == 0.0
+    assert [len(g) for g in _affinity_groups(part)] == [10, 10, 6, 1]
     with mock.patch.object(bter.generate, "substream", wraps=substream) as spy:
         _phase1_pairs(part, 5)
-    assert [c.args for c in spy.call_args_list] == [(5, 1, g) for g in range(len(groups))]
+        generate_cl(_LAW_SEQ, 5)
+    assert [c.args for c in spy.call_args_list] == [(5, 1), (5,)]
 
 
 def test_phase1_pair_law_per_affinity_group():
@@ -388,11 +539,10 @@ def test_phase1_pair_law_per_affinity_group():
 
 
 def test_cl_capped_pair_always_present():
-    # degrees [5, 5]: pair probability min(1, 25/10) = 1 in both modes
+    # degrees [5, 5]: pair probability min(1, 25/10) = 1
     seq = seq_of(5, 5)
-    for mode in ("exact", "fast"):
-        for seed in range(20):
-            assert generate_cl(seq, seed, mode=mode).edge_count == 1
+    for seed in range(20):
+        assert generate_cl(seq, seed).edge_count == 1
 
 
 def test_bter_config_validation():
@@ -495,7 +645,7 @@ def test_bter_degree_fidelity_buckets():
     for seed in range(runs):
         gb, _ = generate_bter(seq, GenerationConfig(seed=seed))
         acc_b += gb.degrees
-        acc_c += generate_cl(seq, seed + 10_000, mode="fast").degrees
+        acc_c += generate_cl(seq, seed + 10_000).degrees
     acc_b /= runs
     acc_c /= runs
     for d in np.unique(seq.degrees):

@@ -56,6 +56,16 @@ def test_graph_constructor_validates_canonical_form():
         Graph(3, np.array([[0, 1], [0, 1]]))  # duplicate
 
 
+def test_build_graph_checks_once():
+    # build_graph hands the array it checked or built to Graph without
+    # Graph's own checks, on the canonical path and on the dedupe path
+    with mock.patch.object(Graph, "__init__", side_effect=AssertionError("checked twice")):
+        for stream in ([(0, 1), (1, 2)], [(2, 1), (0, 1), (1, 2), (3, 3)]):
+            g, _ = build_graph(stream, n=4)
+            assert g.edges.tolist() == [[0, 1], [1, 2]]
+            assert g.degrees.tolist() == [1, 2, 1, 0]
+
+
 @given(edge_streams)
 def test_build_graph_order_insensitive(stream):
     g1, _ = build_graph(stream, n=12)

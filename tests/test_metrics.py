@@ -87,7 +87,7 @@ def test_counts_match_sparse_oracle_midsize(chunk, monkeypatch):
         monkeypatch.setattr(metrics, "_WEDGE_CHUNK", chunk)
     # n = 3000 with hubs: many out-degree classes and closing searches
     seq = synthesize_powerlaw(3000, 2.0, 120)
-    for g in (generate_bter(seq, GenerationConfig(seed=7))[0], generate_cl(seq, 7, mode="fast")):
+    for g in (generate_bter(seq, GenerationConfig(seed=7))[0], generate_cl(seq, 7)):
         total, per_node = sparse_triangles(g)
         c = count_triangles_wedges(g)
         assert total > 0
@@ -372,7 +372,7 @@ def test_compare_requires_same_k():
 def test_block_model_beats_cl_on_clustering_gap():
     seq = synthesize_powerlaw(3000, 2.0, 54)
     gb, _ = generate_bter(seq, GenerationConfig(seed=4))
-    gc = generate_cl(seq, 4, mode="fast")
+    gc = generate_cl(seq, 4)
     target_hist = {
         int(d): int(c) for d, c in zip(*np.unique(seq.degrees, return_counts=True))
     }
