@@ -180,8 +180,8 @@ def write_partition_csv(part: CommunityPartition, seq: DegreeSequence, path) -> 
     bar[assigned] = part.bar_d[k[assigned]]
     rho = np.zeros(seq.n, dtype=np.float64)
     rho[assigned] = part.rho[k[assigned]]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_PARTITION_HEADER + "\n")
+    with open(path, "wb") as fh:
+        fh.write(_PARTITION_HEADER.encode() + b"\n")
         write_rows(
             fh,
             "%d,%d,%d,%.12g,%.12g\n",

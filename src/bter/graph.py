@@ -9,8 +9,9 @@ A graph is immutable after construction and safe for concurrent reads.
 from __future__ import annotations
 
 import io
+import re
 from dataclasses import dataclass
-from itertools import chain
+from functools import partial
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
@@ -18,7 +19,9 @@ import numpy as np
 if TYPE_CHECKING:  # scipy is imported where it is used: only the spectrum needs it
     import scipy.sparse as sp
 
-# Rows formatted per string operation by the file writers.
+# Rows the file writers build as one byte matrix: enough to spread the
+# per-chunk numpy calls, few enough to keep the matrix and its digit
+# temporaries to a few MB.
 _WRITE_CHUNK = 1 << 16
 
 
@@ -91,17 +94,27 @@ class Graph:
         self.n = int(n)
         self.edges = edges
         self.edges.setflags(write=False)
-        # edge j as (v_j, u_j) then (u_j, v_j), so its columns are the edge
-        # array itself (no copy). Edges are sorted by (u, v), so a stable sort
-        # by row alone lists row x's neighbours u < x ascending, then its
-        # neighbours v > x ascending.
-        rows = self.edges[:, ::-1].ravel()
-        counts = np.bincount(rows, minlength=self.n)
-        order = np.argsort(rows, kind="stable")
-        del rows  # free before the gather
-        self._indices = self.edges.ravel()[order]
+        # Row x lists its neighbours u < x ascending, then its neighbours
+        # v > x ascending. Concatenated over rows, the upper runs are the v
+        # column as it stands (edges are sorted by (u, v)) and the lower runs
+        # are the u column sorted by (v, u), so each fills its own slots in
+        # order: no argsort, no m-long position array.
+        u, v = edges[:, 0], edges[:, 1]
+        below = np.bincount(v, minlength=self.n)
+        above = np.bincount(u, minlength=self.n)
         self._indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(counts, out=self._indptr[1:])
+        np.cumsum(below + above, out=self._indptr[1:])
+        upper = np.repeat(
+            np.tile([False, True], self.n), np.column_stack((below, above)).ravel()
+        )
+        del below, above
+        self._indices = np.empty(2 * len(edges), dtype=np.int64)
+        self._indices[upper] = v
+        lower = v * np.int64(self.n)
+        lower += u
+        lower.sort()
+        np.remainder(lower, self.n, out=lower)
+        self._indices[~upper] = lower
         self._degrees = np.diff(self._indptr)
         self._indices.setflags(write=False)
         self._degrees.setflags(write=False)
@@ -360,15 +373,92 @@ def read_snap_edgelist(path) -> LoadedEdgeList:
     return LoadedEdgeList(graph, original_ids, stats)
 
 
-def write_rows(fh, row_format: str, columns) -> None:
-    """Write ``row_format % row`` for each row of equal-length 1-d columns.
+_SPECIFIER = re.compile(r"%(d|\.12g)")
 
-    Rows are formatted _WRITE_CHUNK at a time, one string operation each, so
-    no Python object is held per row of the whole table.
+
+def _int_field(values: np.ndarray):
+    """The width of the "%d" text of integer ``values``, and a function that
+    writes that text into a (len, width) uint8 view, right-aligned: 0 in the
+    unused leading slots, '-' in the first slot of a negative value's field
+    (the zeros between it and the first digit drop out with the padding).
     """
+    if values.dtype.kind not in "iu":
+        raise TypeError(f'"%d" column must be integer, got {values.dtype}')
+    # magnitudes as uint64 are exact for every int64, -2**63 included
+    magnitude = values.astype(np.uint64)
+    negative = values < 0
+    signed = bool(negative.any())
+    if signed:
+        np.negative(magnitude, out=magnitude, where=negative)
+    largest = int(magnitude.max())
+    if largest < 1 << 32:  # digits from uint32 passes are cheaper
+        magnitude = magnitude.astype(np.uint32)
+    width = signed + len(str(largest))
+
+    def fill(out: np.ndarray) -> None:
+        if signed:
+            out[:, 0] = np.where(negative, ord("-"), 0)
+        rest = magnitude
+        for slot in range(width - 1, signed - 1, -1):
+            quotient = rest // 10
+            digit = (rest - quotient * 10).astype(np.uint8)
+            digit += ord("0")
+            if slot < width - 1:  # a leading slot: blank once the value ran out
+                digit[rest == 0] = 0
+            out[:, slot] = digit
+            rest = quotient
+
+    return width, fill
+
+
+def _float_field(values: np.ndarray):
+    """The width of the "%.12g" text of float ``values``, and a function that
+    writes that text into a (len, width) uint8 view, left-aligned. Each
+    distinct float64 bit pattern (so -0.0 apart from 0.0) is formatted once
+    by ``%``, and rows gather from that table.
+    """
+    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
+    distinct, which = np.unique(bits, return_inverse=True)
+    texts = [b"%.12g" % x for x in distinct.view(np.float64).tolist()]
+    width = max(map(len, texts))
+    padded = b"".join(text.ljust(width, b"\0") for text in texts)
+    table = np.frombuffer(padded, dtype=np.uint8).reshape(-1, width)
+    return width, lambda out: np.take(table, which, axis=0, out=out)
+
+
+def write_rows(fh, row_format: str, columns) -> None:
+    """Write ``row_format % row`` for each row of equal-length 1-d columns
+    to a file opened in binary mode, byte for byte as ``%`` writes it.
+
+    ``row_format`` may hold only "%d" (integer columns) and "%.12g" (float
+    columns) specifiers. Each chunk of _WRITE_CHUNK rows becomes one uint8
+    matrix: a field per column, zero-padded to the widest value in the
+    chunk, with the literal text between them as constant columns. The
+    chunk's bytes are that matrix's nonzero entries in row-major order.
+    """
+    pieces = _SPECIFIER.split(row_format)
+    if any("%" in text for text in pieces[::2]):
+        raise ValueError(f"unsupported row format {row_format!r}: only %d and %.12g")
+    if len(pieces) // 2 != len(columns):
+        raise ValueError(f"row format {row_format!r} does not fit {len(columns)} columns")
+    # the text around the specifiers: fields of constant columns
+    literals = [
+        (len(text), partial(np.copyto, src=np.frombuffer(text.encode("ascii"), np.uint8)))
+        for text in pieces[::2]
+    ]
+    formatters = [_int_field if spec == "d" else _float_field for spec in pieces[1::2]]
+    columns = [np.asarray(c) for c in columns]
     for start in range(0, len(columns[0]), _WRITE_CHUNK):
-        chunk = [c[start : start + _WRITE_CHUNK].tolist() for c in columns]
-        fh.write(row_format * len(chunk[0]) % tuple(chain.from_iterable(zip(*chunk))))
+        chunk = [c[start : start + _WRITE_CHUNK] for c in columns]
+        fields = literals[:1]
+        for format_, values, literal in zip(formatters, chunk, literals[1:]):
+            fields += [format_(values), literal]
+        matrix = np.empty((len(chunk[0]), sum(w for w, _ in fields)), dtype=np.uint8)
+        at = 0
+        for width, fill in fields:
+            fill(matrix[:, at : at + width])
+            at += width
+        fh.write(matrix[matrix != 0])
 
 
 def write_edgelist(g: Graph, path) -> None:
@@ -379,7 +469,7 @@ def write_edgelist(g: Graph, path) -> None:
     the graph exactly (the header carries nodes that appear on no edge
     line). The genuinely empty graph produces an empty file.
     """
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open(path, "wb") as fh:
         if g.n:
-            fh.write(f"# nodes {g.n}\n")
+            fh.write(b"# nodes %d\n" % g.n)
         write_rows(fh, "%d %d\n", (g.edges[:, 0], g.edges[:, 1]))

@@ -315,3 +315,12 @@ def test_write_partition_csv_matches_row_writer(tmp_path, monkeypatch, chunk):
         write_partition_csv(part, seq, tmp_path / "new.csv")
         write_partition_csv_by_row(part, seq, tmp_path / "old.csv")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_write_partition_csv_matches_row_writer_at_scale(tmp_path):
+    # n=3000 node ids have 1-4 digits; these run from 1 to 6 within one file
+    seq = synthesize_powerlaw(150_000, 2.0, 1000)
+    part = preprocess(seq, ConnectivityFormula(rho=0.9, eta=0.7))
+    write_partition_csv(part, seq, tmp_path / "new.csv")
+    write_partition_csv_by_row(part, seq, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()

@@ -1,3 +1,5 @@
+import io
+import math
 from unittest import mock
 
 import numpy as np
@@ -12,6 +14,7 @@ from bter.graph import (
     build_graph,
     read_snap_edgelist,
     write_edgelist,
+    write_rows,
 )
 
 edge_streams = st.lists(
@@ -339,3 +342,102 @@ def test_write_edgelist_matches_row_writer(tmp_path, monkeypatch, chunk):
         write_edgelist(graph, tmp_path / "new.txt")
         write_edgelist_by_row(graph, tmp_path / "old.txt")
         assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "old.txt").read_bytes()
+
+
+def argsort_csr(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR as Graph built it before: a stable argsort of the row ids."""
+    rows = g.edges[:, ::-1].ravel()
+    indptr = np.zeros(g.n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=g.n), out=indptr[1:])
+    return indptr, g.edges.ravel()[np.argsort(rows, kind="stable")]
+
+
+def _assert_csr_matches_argsort(g: Graph) -> None:
+    indptr, indices = argsort_csr(g)
+    assert np.array_equal(g._indptr, indptr)
+    assert np.array_equal(g._indices, indices)
+    assert np.array_equal(g.degrees, np.diff(indptr))
+
+
+@given(edge_streams, st.integers(0, 3))
+def test_csr_matches_argsort_build(stream, isolated):
+    inferred = max((max(pair) for pair in stream), default=-1) + 1
+    g, _ = build_graph(stream, n=inferred + isolated)
+    _assert_csr_matches_argsort(g)
+
+
+@pytest.mark.parametrize(
+    "n, edges",
+    [
+        (0, []),
+        (4, []),
+        (7, [(0, j) for j in range(1, 7)]),  # star on the first node
+        (7, [(j, 6) for j in range(6)]),  # star on the last node
+        (9, [(2, 5), (5, 8)]),  # isolated nodes before, between and after
+        (8, [(i, j) for i in range(8) for j in range(i + 1, 8)]),  # K8
+    ],
+)
+def test_csr_matches_argsort_build_on_shapes(n, edges):
+    _assert_csr_matches_argsort(Graph(n, np.array(edges, dtype=np.int64).reshape(-1, 2)))
+
+
+_INT64_BOUNDARIES = sorted(
+    {0, -1, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63 - 1, -(2**63 - 1), -(2**63)}
+    | {sign * 10**k + d for k in range(1, 19) for d in (-1, 0, 1) for sign in (1, -1)}
+    | {-(2**32) - 1, -(2**32), -(2**32) + 1}
+)
+int64s = st.one_of(st.sampled_from(_INT64_BOUNDARIES), st.integers(-(2**63), 2**63 - 1))
+floats = st.one_of(
+    st.sampled_from(
+        [
+            0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf,
+            5e-324, -5e-324, 2.2250738585072014e-308, 1e16, -1e16, 1e-5, 1e-4,
+            999999999999.5, 99999999999.95, 0.1234567890125, 1.0000000000005,
+            9.9999999999995, 0.30000000000000004, 123456789012.0, 1e300,
+        ]
+    ),
+    st.floats(width=64),
+)
+
+
+def _written(row_format, columns, chunk):
+    patch = mock.patch.object(bter.graph, "_WRITE_CHUNK", chunk or bter.graph._WRITE_CHUNK)
+    sink = io.BytesIO()
+    with patch:
+        write_rows(sink, row_format, columns)
+    return sink.getvalue()
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+@given(st.lists(st.tuples(int64s, int64s), max_size=30))
+def test_write_rows_integers_match_percent(chunk, rows):
+    columns = [np.array(c, dtype=np.int64) for c in zip(*rows)] or [np.empty(0, np.int64)] * 2
+    expected = "".join("%d %d\n" % row for row in rows).encode()
+    assert _written("%d %d\n", columns, chunk) == expected
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+@given(st.lists(st.tuples(int64s, floats, floats), max_size=30))
+def test_write_rows_floats_match_percent(chunk, rows):
+    dtypes = (np.int64, np.float64, np.float64)
+    columns = [np.array([row[i] for row in rows], dtype=t) for i, t in enumerate(dtypes)]
+    row_format = "%d,%.12g,%.12g\n"
+    expected = "".join(row_format % row for row in rows).encode()
+    assert _written(row_format, columns, chunk) == expected
+
+
+@pytest.mark.parametrize("row_format", ["%s\n", "%5d\n", "%.6g\n", "%d%%\n", "%d %d\n"])
+def test_write_rows_rejects_other_formats(row_format):
+    with pytest.raises(ValueError):
+        write_rows(io.BytesIO(), row_format, (np.arange(3),))
+
+
+def test_write_edgelist_matches_row_writer_at_scale(tmp_path):
+    # n=3000 ids have 1-4 digits; these run from 1 to 6 within one file
+    from bter.degrees import synthesize_powerlaw
+    from bter.generate import GenerationConfig, generate_bter
+
+    g, _ = generate_bter(synthesize_powerlaw(150_000, 2.0, 1000), GenerationConfig(seed=3))
+    write_edgelist(g, tmp_path / "new.txt")
+    write_edgelist_by_row(g, tmp_path / "old.txt")
+    assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "old.txt").read_bytes()
