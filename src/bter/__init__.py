@@ -1,90 +1,64 @@
-"""Block two-level ER graph synthesis, baselines, metrics, and theory checks."""
+"""Block two-level ER graph synthesis, baselines, metrics, and theory checks.
+
+The public names below are loaded on first access (PEP 562): importing the
+package loads no submodule, and so no numpy, until one of its names is used.
+"""
+
+import importlib
 
 __version__ = "0.5.0"
 
-from .communities import (
-    CommunityPartition,
-    ConnectivityFormula,
-    community_rho,
-    excess_degrees,
-    partition_communities,
-    preprocess,
-)
-from .degrees import (
-    DegreeDistribution,
-    DegreeSequence,
-    extract_degrees,
-    histogram,
-    synthesize_powerlaw,
-)
-from .generate import (
-    GenerationConfig,
-    PhaseTrace,
-    generate_bter,
-    generate_cl,
-    generate_er,
-)
-from .graph import (
-    EdgeStreamStats,
-    Graph,
-    build_graph,
-    read_snap_edgelist,
-    write_edgelist,
-)
-from .metrics import (
-    ClusteringProfile,
-    MetricsReport,
-    SpectrumReport,
-    TriangleWedgeCounts,
-    clustering_profile,
-    compare_reports,
-    compute_report,
-    count_triangles_wedges,
-    top_eigenvalues,
-)
-from .theory import (
-    CommunityAudit,
-    audit_community,
-    cl_expected_triangles,
-    kruskal_katona_check,
-    predict_community_profile,
-)
+# public name -> the submodule that defines it
+_EXPORTS = {
+    "CommunityPartition": "communities",
+    "ConnectivityFormula": "communities",
+    "community_rho": "communities",
+    "excess_degrees": "communities",
+    "partition_communities": "communities",
+    "preprocess": "communities",
+    "DegreeDistribution": "degrees",
+    "DegreeSequence": "degrees",
+    "extract_degrees": "degrees",
+    "histogram": "degrees",
+    "synthesize_powerlaw": "degrees",
+    "GenerationConfig": "generate",
+    "PhaseTrace": "generate",
+    "generate_bter": "generate",
+    "generate_cl": "generate",
+    "generate_er": "generate",
+    "EdgeStreamStats": "graph",
+    "Graph": "graph",
+    "build_graph": "graph",
+    "read_snap_edgelist": "graph",
+    "write_edgelist": "graph",
+    "ClusteringProfile": "metrics",
+    "SpectrumReport": "metrics",
+    "TriangleWedgeCounts": "metrics",
+    "clustering_profile": "metrics",
+    "compute_report": "metrics",
+    "count_triangles_wedges": "metrics",
+    "top_eigenvalues": "metrics",
+    "MetricsReport": "reports",
+    "compare_reports": "reports",
+    "CommunityAudit": "theory",
+    "audit_community": "theory",
+    "cl_expected_triangles": "theory",
+    "kruskal_katona_check": "theory",
+    "predict_community_profile": "theory",
+}
 
-__all__ = [
-    "__version__",
-    "CommunityPartition",
-    "ConnectivityFormula",
-    "community_rho",
-    "excess_degrees",
-    "partition_communities",
-    "preprocess",
-    "DegreeDistribution",
-    "DegreeSequence",
-    "extract_degrees",
-    "histogram",
-    "synthesize_powerlaw",
-    "GenerationConfig",
-    "PhaseTrace",
-    "generate_bter",
-    "generate_cl",
-    "generate_er",
-    "EdgeStreamStats",
-    "Graph",
-    "build_graph",
-    "read_snap_edgelist",
-    "write_edgelist",
-    "ClusteringProfile",
-    "MetricsReport",
-    "SpectrumReport",
-    "TriangleWedgeCounts",
-    "clustering_profile",
-    "compare_reports",
-    "compute_report",
-    "count_triangles_wedges",
-    "top_eigenvalues",
-    "CommunityAudit",
-    "audit_community",
-    "cl_expected_triangles",
-    "kruskal_katona_check",
-    "predict_community_profile",
-]
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS})

@@ -10,50 +10,45 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib
 import json
 import os
 import sys
-import tempfile
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
+from . import _EXPORTS, __version__
 
-from . import __version__
-from .communities import (
-    ConnectivityFormula,
-    # not called here; benchmark/tracing.py patches bter.cli.preprocess
-    preprocess,  # noqa: F401
-    read_partition_csv,
-    write_partition_csv,
-)
-from .degrees import (
-    DegreeSequence,
-    extract_degrees,
-    read_degree_file,
-    synthesize_powerlaw,
-)
-from .generate import (
-    GenerationConfig,
-    degree1_split,
-    generate_bter,
-    generate_cl,
-    generate_er,
-)
-from .graph import EdgeListFormatError, read_snap_edgelist, write_edgelist
-from .metrics import (
-    ALL_METRICS,
-    MetricsReport,
-    SpectrumConvergenceError,
-    compare_reports,
-    compute_report,
-)
-from .theory import (
-    CommunityAudit,
-    audit_community,
-    internal_degrees_by_block,
-    kruskal_katona_check,
-    predict_community_profile,
-)
+if TYPE_CHECKING:
+    from .degrees import DegreeSequence
+    from .reports import MetricsReport
+    from .theory import CommunityAudit
+
+# A command calls each library name as an attribute of this module
+# (``_cli.generate_bter(...)``), which ``__getattr__`` imports on first use.
+# So a command loads only the modules it runs, and a name replaced on
+# ``bter.cli`` from outside (say, by a wrapper that times it) is the one
+# called. The package's public names resolve here, and these as well:
+_INTERNAL = {
+    "read_partition_csv": "communities",
+    "write_partition_csv": "communities",
+    "read_degree_file": "degrees",
+    "degree1_split": "generate",
+    "ALL_METRICS": "reports",
+    "internal_degrees_by_block": "theory",
+}
+
+
+def __getattr__(name: str):
+    module = _INTERNAL.get(name) or _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __package__), name)
+    globals()[name] = value
+    return value
+
+
+_cli = sys.modules[__name__]  # this module, also when run as __main__
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -77,6 +72,10 @@ class UsageError(Exception):
 
 
 class InputError(Exception):
+    pass
+
+
+class NoConvergenceError(Exception):
     pass
 
 
@@ -124,7 +123,7 @@ def _load_graph_file(path_str: str):
     if not path.is_file():
         raise InputError(f"no such graph file: {path}")
     try:
-        return read_snap_edgelist(path)
+        return _cli.read_snap_edgelist(path)
     except ValueError as exc:  # EdgeListFormatError, or ids build_graph rejects
         raise InputError(str(exc)) from exc
 
@@ -219,7 +218,7 @@ def _degree_input(args, inputs: dict[str, Path]) -> DegreeSequence:
             raise InputError(f"no such degree file: {path}")
         inputs["degrees"] = path
         try:
-            return read_degree_file(path)
+            return _cli.read_degree_file(path)
         except ValueError as exc:
             raise InputError(str(exc)) from exc
     if args.from_graph:
@@ -232,12 +231,12 @@ def _degree_input(args, inputs: dict[str, Path]) -> DegreeSequence:
                 file=sys.stderr,
             )
         try:
-            return extract_degrees(loaded.graph, drop_isolated=True)
+            return _cli.extract_degrees(loaded.graph, drop_isolated=True)
         except ValueError as exc:
             raise InputError(str(exc)) from exc
     try:
         n_str, gamma_str, dmax_str = args.powerlaw.split(",")
-        return synthesize_powerlaw(int(n_str), float(gamma_str), int(dmax_str))
+        return _cli.synthesize_powerlaw(int(n_str), float(gamma_str), int(dmax_str))
     except ValueError as exc:
         raise UsageError(f"bad --powerlaw value {args.powerlaw!r}: {exc}") from exc
 
@@ -260,24 +259,24 @@ def cmd_generate(args, argv: list[str]) -> int:
             raise UsageError("--model er takes no degree input")
         config_echo.update(n=args.n, p=args.p)
         try:
-            graph = generate_er(args.n, args.p, params["seed"])
+            graph = _cli.generate_er(args.n, args.p, params["seed"])
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
-        write_edgelist(graph, out)
+        _cli.write_edgelist(graph, out)
     else:
         degrees = _degree_input(args, inputs)
         if args.model == "cl":
             try:
-                graph = generate_cl(degrees, params["seed"])
+                graph = _cli.generate_cl(degrees, params["seed"])
             except ValueError as exc:
                 raise UsageError(str(exc)) from exc
-            write_edgelist(graph, out)
+            _cli.write_edgelist(graph, out)
         else:
             try:
-                formula = ConnectivityFormula(
+                formula = _cli.ConnectivityFormula(
                     variant=params["variant"], rho=params["rho"], eta=params["eta"]
                 )
-                cfg = GenerationConfig(
+                cfg = _cli.GenerationConfig(
                     seed=params["seed"],
                     connectivity=formula,
                     manual_fraction=params["manual_fraction"],
@@ -285,11 +284,11 @@ def cmd_generate(args, argv: list[str]) -> int:
                     q_override=params["q"],
                     beta=params["beta"],
                 )
-                degree1_split(degrees, cfg)  # checks --q against the set-aside count
+                _cli.degree1_split(degrees, cfg)  # checks --q against the set-aside count
             except ValueError as exc:
                 raise UsageError(str(exc)) from exc
-            graph, trace = generate_bter(degrees, cfg)
-            write_edgelist(graph, out)
+            graph, trace = _cli.generate_bter(degrees, cfg)
+            _cli.write_edgelist(graph, out)
 
             trace_path = out.with_name(out.name + ".trace.csv")
             rows = [
@@ -308,7 +307,7 @@ def cmd_generate(args, argv: list[str]) -> int:
             outputs.append(trace_path)
 
             part_path = out.with_name(out.name + ".partition.csv")
-            write_partition_csv(trace.partition, degrees, part_path)
+            _cli.write_partition_csv(trace.partition, degrees, part_path)
             outputs.append(part_path)
 
     manifest = _manifest("generate", argv, config_echo, inputs)
@@ -325,10 +324,10 @@ def cmd_generate(args, argv: list[str]) -> int:
 
 def _parse_metrics(value: str) -> tuple[str, ...]:
     metrics = tuple(m.strip() for m in value.split(",") if m.strip())
-    unknown = set(metrics) - set(ALL_METRICS)
+    unknown = set(metrics) - set(_cli.ALL_METRICS)
     if unknown or not metrics:
         raise UsageError(
-            f"unknown metrics {sorted(unknown)}; choose from {','.join(ALL_METRICS)}"
+            f"unknown metrics {sorted(unknown)}; choose from {','.join(_cli.ALL_METRICS)}"
         )
     return metrics
 
@@ -402,13 +401,18 @@ def _compute_report(graph, metrics: tuple[str, ...], args) -> MetricsReport:
             )
         if args.tol <= 0:
             raise UsageError("--tol must be positive")
-    return compute_report(
-        graph,
-        metrics=metrics,
-        top_k=args.top_k,
-        tol=args.tol,
-        seed=args.seed,
-    )
+    from .metrics import SpectrumConvergenceError
+
+    try:
+        return _cli.compute_report(
+            graph,
+            metrics=metrics,
+            top_k=args.top_k,
+            tol=args.tol,
+            seed=args.seed,
+        )
+    except SpectrumConvergenceError as exc:
+        raise NoConvergenceError(str(exc)) from exc
 
 
 def cmd_analyze(args, argv: list[str]) -> int:
@@ -441,23 +445,39 @@ def cmd_analyze(args, argv: list[str]) -> int:
 def _report_from_dir(path: Path) -> MetricsReport:
     """Rehydrate a MetricsReport from an analyze output directory."""
 
-    def rows(name: str):
+    def rows(name: str, width: int):
         fp = path / name
         if not fp.is_file():
             return None
         lines = fp.read_text(encoding="utf-8").splitlines()
-        return [ln.split(",") for ln in lines[1:] if ln]
+        found = []
+        for number, line in enumerate(lines[1:], start=2):
+            if line:
+                row = line.split(",")
+                if len(row) != width:
+                    raise InputError(f"{fp}:{number}: expected {width} fields, got {line!r}")
+                found.append(row)
+        return found
 
-    summary = rows("summary.csv")
+    summary = rows("summary.csv", 2)
     if summary is None:
         raise InputError(f"{path}: not an analyze output directory (no summary.csv)")
-    fields = {k: v for k, v in summary}
-    degree = rows("degree.csv")
-    cc = rows("cc.csv")
-    cc_summary = rows("cc_summary.csv")
-    triangles = rows("triangles.csv")
-    spectrum = rows("spectrum.csv")
-    return MetricsReport(
+    fields = dict(summary)
+    for key in ("nodes", "edges"):
+        if key not in fields:
+            raise InputError(f"{path / 'summary.csv'}: no {key!r} row")
+    degree = rows("degree.csv", 2)
+    cc = rows("cc.csv", 3)
+    cc_summary = rows("cc_summary.csv", 1)
+    triangles = rows("triangles.csv", 3)
+    spectrum = rows("spectrum.csv", 3)
+    eigenvalues = residuals = None
+    if spectrum:
+        import numpy as np
+
+        eigenvalues = np.array([float(v) for _, v, _ in spectrum])
+        residuals = np.array([float(r) for _, _, r in spectrum])
+    return _cli.MetricsReport(
         n_nodes=int(fields["nodes"]),
         n_edges=int(fields["edges"]),
         degree_hist={int(d): int(c) for d, c in degree} if degree else None,
@@ -467,12 +487,8 @@ def _report_from_dir(path: Path) -> MetricsReport:
         by_degree_cc=(
             {int(d): (float(mean), int(cnt)) for d, mean, cnt in cc} if cc else None
         ),
-        eigenvalues=(
-            np.array([float(v) for _, v, _ in spectrum]) if spectrum else None
-        ),
-        spectrum_residuals=(
-            np.array([float(r) for _, _, r in spectrum]) if spectrum else None
-        ),
+        eigenvalues=eigenvalues,
+        spectrum_residuals=residuals,
     )
 
 
@@ -497,7 +513,7 @@ def cmd_compare(args, argv: list[str]) -> int:
     report_b, input_b = _comparison_side(args.graph_b, args.report_b, metrics, args)
 
     try:
-        summary = compare_reports(report_a, report_b, cc_count_floor=args.cc_floor)
+        summary = _cli.compare_reports(report_a, report_b, cc_count_floor=args.cc_floor)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 
@@ -561,10 +577,14 @@ def cmd_audit(args, argv: list[str]) -> int:
     except ValueError as exc:
         raise UsageError(f"bad --core-constants: {exc}") from exc
 
+    import numpy as np
+
+    # looked up in bter.metrics on each call, as compute_report does, so one
+    # replacement there reaches both analyze and audit
     from .metrics import count_triangles_wedges
 
     counts = count_triangles_wedges(graph)
-    ok = kruskal_katona_check(counts.triangles, graph.edge_count)
+    ok = _cli.kruskal_katona_check(counts.triangles, graph.edge_count)
     kk_path = out_dir / "kk.csv"
     _write_rows(
         kk_path,
@@ -580,14 +600,14 @@ def cmd_audit(args, argv: list[str]) -> int:
             raise InputError(f"no such partition file: {part_path}")
         inputs["partition"] = part_path
         try:
-            assignment, _ = read_partition_csv(part_path)
+            assignment, _ = _cli.read_partition_csv(part_path)
         except ValueError as exc:
             raise InputError(str(exc)) from exc
         if assignment.shape[0] != graph.n:
             raise InputError(
                 f"partition covers {assignment.shape[0]} nodes, graph has {graph.n}"
             )
-        per_block = internal_degrees_by_block(graph, assignment)
+        per_block = _cli.internal_degrees_by_block(graph, assignment)
         header = "block,s,expected_triangles,wedge_threshold,passes," + ",".join(
             _core_label(c) for c in core_constants
         )
@@ -600,7 +620,7 @@ def cmd_audit(args, argv: list[str]) -> int:
             key = per_block[k].tobytes()
             if key not in audits:
                 try:
-                    audits[key] = audit_community(
+                    audits[key] = _cli.audit_community(
                         per_block[k],
                         kappa=args.kappa,
                         core_constants=core_constants,
@@ -641,7 +661,7 @@ def cmd_audit(args, argv: list[str]) -> int:
     if args.predict:
         try:
             n_str, gamma_str = args.predict.split(",")
-            profile = predict_community_profile(int(float(n_str)), float(gamma_str))
+            profile = _cli.predict_community_profile(int(float(n_str)), float(gamma_str))
         except ValueError as exc:
             raise UsageError(f"bad --predict value {args.predict!r}: {exc}") from exc
         pred_path = out_dir / "predicted_profile.csv"
@@ -689,6 +709,8 @@ def cmd_replay(args, argv: list[str]) -> int:
         raise InputError(f"manifest argv lacks {flag}")
     idx = recorded_argv.index(flag) + 1
     original_out = Path(recorded_argv[idx])
+
+    import tempfile
 
     with tempfile.TemporaryDirectory(prefix="bter-replay-") as tmp:
         tmp_dir = Path(tmp)
@@ -773,7 +795,7 @@ def build_parser() -> argparse.ArgumentParser:
     a = sub.add_parser("analyze", help="compute metric CSVs for a graph")
     a.add_argument("--graph", required=True)
     a.add_argument("--metrics", default="degree,cc,triangles",
-                   help=f"comma list from {{{','.join(ALL_METRICS)}}}")
+                   help=f"comma list from {{{','.join(_cli.ALL_METRICS)}}}")
     a.add_argument("--top-k", type=int, default=25, dest="top_k")
     a.add_argument("--tol", type=float, default=1e-8)
     a.add_argument("--seed", type=int, default=0, help="spectrum starting-vector seed")
@@ -827,13 +849,10 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except InputError as exc:
+    except (InputError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (FileNotFoundError, EdgeListFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except SpectrumConvergenceError as exc:
+    except NoConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
 

@@ -3,7 +3,10 @@
 Graphs are simple and undirected: no self-loops, no duplicate edges.
 Edges are stored canonically as an (m, 2) int64 array with u < v per row,
 sorted lexicographically, which makes edge-list output byte-stable.
-A graph is immutable after construction and safe for concurrent reads.
+A graph is immutable after construction and safe for concurrent reads. It
+holds its edges and degrees; the neighbour lists (a CSR) are built on the
+first neighbour or adjacency access, so a graph that is only written,
+counted or measured by degree never builds them.
 """
 
 from __future__ import annotations
@@ -64,9 +67,13 @@ class Graph:
     edges : ndarray, shape (m, 2)
         Canonical edge array: u < v in every row, rows unique and sorted
         lexicographically. Use :func:`build_graph` to clean arbitrary input.
+
+    Degrees are counted on construction. The CSR of sorted neighbour lists
+    is built on the first call to :meth:`neighbors`, :meth:`has_edge` or
+    :meth:`adjacency_csr`, and kept.
     """
 
-    __slots__ = ("n", "edges", "_indptr", "_indices", "_degrees")
+    __slots__ = ("n", "edges", "_degrees", "_csr")
 
     def __init__(self, n: int, edges: np.ndarray):
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
@@ -94,30 +101,43 @@ class Graph:
         self.n = int(n)
         self.edges = edges
         self.edges.setflags(write=False)
-        # Row x lists its neighbours u < x ascending, then its neighbours
-        # v > x ascending. Concatenated over rows, the upper runs are the v
-        # column as it stands (edges are sorted by (u, v)) and the lower runs
-        # are the u column sorted by (v, u), so each fills its own slots in
-        # order: no argsort, no m-long position array.
-        u, v = edges[:, 0], edges[:, 1]
-        below = np.bincount(v, minlength=self.n)
+        self._degrees = np.bincount(edges[:, 0], minlength=self.n)
+        self._degrees += np.bincount(edges[:, 1], minlength=self.n)
+        self._degrees.setflags(write=False)
+        self._csr = None
+
+    def _adjacency(self) -> tuple[np.ndarray, np.ndarray]:
+        """(indptr, indices) of the sorted neighbour lists, built on first call.
+
+        Row x lists its neighbours u < x ascending, then its neighbours
+        v > x ascending. Concatenated over rows, the upper runs are the v
+        column as it stands (edges are sorted by (u, v)) and the lower runs
+        are the u column sorted by (v, u), so each fills its own slots in
+        order: no argsort, no m-long position array. The pair is stored in
+        one assignment, so a concurrent first call at worst builds it twice.
+        """
+        if self._csr is not None:
+            return self._csr
+        u, v = self.edges[:, 0], self.edges[:, 1]
         above = np.bincount(u, minlength=self.n)
-        self._indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(below + above, out=self._indptr[1:])
+        below = self._degrees - above
+        indptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(self._degrees, out=indptr[1:])
         upper = np.repeat(
             np.tile([False, True], self.n), np.column_stack((below, above)).ravel()
         )
         del below, above
-        self._indices = np.empty(2 * len(edges), dtype=np.int64)
-        self._indices[upper] = v
+        indices = np.empty(2 * len(self.edges), dtype=np.int64)
+        indices[upper] = v
         lower = v * np.int64(self.n)
         lower += u
         lower.sort()
         np.remainder(lower, self.n, out=lower)
-        self._indices[~upper] = lower
-        self._degrees = np.diff(self._indptr)
-        self._indices.setflags(write=False)
-        self._degrees.setflags(write=False)
+        indices[~upper] = lower
+        indptr.setflags(write=False)
+        indices.setflags(write=False)
+        self._csr = (indptr, indices)
+        return self._csr
 
     @property
     def edge_count(self) -> int:
@@ -132,7 +152,8 @@ class Graph:
 
     def neighbors(self, u: int) -> np.ndarray:
         """Sorted neighbor ids of u (read-only view)."""
-        return self._indices[self._indptr[u] : self._indptr[u + 1]]
+        indptr, indices = self._adjacency()
+        return indices[indptr[u] : indptr[u + 1]]
 
     def has_edge(self, u: int, v: int) -> bool:
         nbrs = self.neighbors(u)
@@ -143,9 +164,10 @@ class Graph:
         """Adjacency matrix as a scipy CSR matrix (0/1, float64)."""
         import scipy.sparse as sp
 
-        data = np.ones(len(self._indices), dtype=np.float64)
+        indptr, indices = self._adjacency()
+        data = np.ones(len(indices), dtype=np.float64)
         return sp.csr_matrix(
-            (data, self._indices.copy(), self._indptr.copy()), shape=(self.n, self.n)
+            (data, indices.copy(), indptr.copy()), shape=(self.n, self.n)
         )
 
     def __eq__(self, other) -> bool:
@@ -238,7 +260,7 @@ class LoadedEdgeList:
 def _declared_nodes(comment: str) -> int | None:
     """N if a stripped comment line is exactly a "# nodes N" header, else None."""
     tokens = comment[1:].split()
-    if len(tokens) == 2 and tokens[0] == "nodes" and tokens[1].isdigit():
+    if len(tokens) == 2 and tokens[0] == "nodes" and tokens[1].isdecimal():
         return int(tokens[1])
     return None
 

@@ -512,43 +512,113 @@ def test_malformed_inputs_are_input_errors(k4_file, tmp_path):
                "--out", tmp_path / "c.csv") == EXIT_INPUT
 
 
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("summary.csv", "field,value\nedges,6\n"),  # no nodes row
+        ("triangles.csv", "triangles,wedges,global_c\n4\n"),  # a one-field row
+    ],
+)
+def test_malformed_report_is_an_input_error(k4_file, tmp_path, capsys, name, text):
+    rep = tmp_path / "rep"
+    assert run("analyze", "--graph", k4_file, "--out-dir", rep) == EXIT_OK
+    (rep / name).write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    assert run("compare", "--report-a", rep, "--report-b", rep,
+               "--out", tmp_path / "c.csv") == EXIT_INPUT
+    assert re.match(rf"error: .*{name}", capsys.readouterr().err)
+
+
 # ---------------------------------------------------------------------------
 # start-up cost
 # ---------------------------------------------------------------------------
 
-_SCIPY_PROBE = """
-import sys
-from bter.cli import main
-code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
-print(code, any(m == "scipy" or m.startswith("scipy.") for m in sys.modules))
+# Runs the CLI as `python -m bter.cli ARGS` would, then prints the exit code
+# and every module the process loaded.
+_MODULE_PROBE = """
+import runpy, sys
+try:
+    runpy.run_module("bter.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(code, *sorted(sys.modules))
 """
 
 
-def _scipy_after(*argv) -> tuple[int, bool]:
+def _modules_after(*argv) -> tuple[int, set[str]]:
     import subprocess
     import sys
-
-    import bter
 
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(bter.__file__).parents[1]), env.get("PYTHONPATH", "")]
     )
     proc = subprocess.run(
-        [sys.executable, "-c", _SCIPY_PROBE, *map(str, argv)],
+        [sys.executable, "-c", _MODULE_PROBE, *map(str, argv)],
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
-    code, loaded = proc.stdout.split()[-2:]  # after what the command prints
-    return int(code), loaded == "True"
+    code, *modules = proc.stdout.splitlines()[-1].split()  # after what the command prints
+    return int(code), set(modules)
+
+
+def _scipy_after(*argv) -> tuple[int, bool]:
+    code, modules = _modules_after(*argv)
+    return code, any(m == "scipy" or m.startswith("scipy.") for m in modules)
+
+
+def _bter_modules(modules: set[str]) -> set[str]:
+    return {m.removeprefix("bter.") for m in modules if m.startswith("bter.")}
 
 
 def test_scipy_is_loaded_only_for_the_spectrum(tmp_path):
     graph = tmp_path / "g.txt"
     assert run("generate", "--model", "er", "--n", 400, "--p", 0.02, "--seed", 2,
                "--out", graph) == EXIT_OK
-    assert _scipy_after() == (EXIT_OK, False)
+    assert _scipy_after("--version") == (EXIT_OK, False)
     assert _scipy_after("analyze", "--graph", graph, "--metrics", "degree,cc,triangles",
                         "--out-dir", tmp_path / "a") == (EXIT_OK, False)
     assert _scipy_after("analyze", "--graph", graph, "--metrics", "spectrum",
                         "--top-k", 2, "--tol", "1e-300",
                         "--out-dir", tmp_path / "s") == (EXIT_NO_CONVERGENCE, True)
+
+
+def test_version_and_compare_over_reports_run_without_numpy(k4_file, tmp_path):
+    code, modules = _modules_after("--version")
+    assert code == EXIT_OK and "numpy" not in modules
+    for metrics in ("degree,cc,triangles", "degree,spectrum"):
+        rep = tmp_path / metrics
+        assert run("analyze", "--graph", k4_file, "--metrics", metrics, "--top-k", 2,
+                   "--out-dir", rep) == EXIT_OK
+        code, modules = _modules_after("compare", "--report-a", rep, "--report-b", rep,
+                                       "--metrics", metrics, "--out", rep / "cmp.csv")
+        assert code == EXIT_OK
+        # only a report with a spectrum rehydrates arrays
+        assert ("numpy" in modules) == ("spectrum" in metrics)
+
+
+def test_each_command_loads_only_its_own_modules(tmp_path):
+    graph = tmp_path / "g.txt"
+    code, modules = _modules_after("generate", "--model", "bter", "--powerlaw", "300,2,20",
+                                   "--seed", 1, "--out", graph)
+    assert code == EXIT_OK
+    assert _bter_modules(modules) == {"communities", "degrees", "generate", "graph",
+                                      "reports", "rng"}
+    code, modules = _modules_after("analyze", "--graph", graph, "--out-dir", tmp_path / "a")
+    assert code == EXIT_OK
+    assert _bter_modules(modules) == {"graph", "metrics", "reports", "rng"}
+    code, modules = _modules_after("audit", "--graph", graph, "--partition",
+                                   f"{graph}.partition.csv", "--predict", "1e4,2",
+                                   "--out-dir", tmp_path / "d")
+    assert code == EXIT_OK
+    assert _bter_modules(modules) == {"communities", "degrees", "graph", "metrics",
+                                      "reports", "rng", "theory"}
+
+
+def test_package_names_resolve_on_first_access():
+    assert set(bter.__all__) <= set(dir(bter))
+    namespace = {}
+    exec("from bter import *", namespace)
+    for name in bter.__all__:
+        assert namespace[name] is getattr(bter, name)
+    with pytest.raises(AttributeError):
+        bter.no_such_name

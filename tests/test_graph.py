@@ -157,6 +157,20 @@ def test_read_snap_ignores_snap_style_headers(tmp_path):
     assert loaded.graph.n == 2  # compaction path, header not ours
 
 
+def test_node_count_header_needs_digits_int_reads(tmp_path):
+    # '\u00b2'.isdigit() holds but int() rejects it: the line is a plain comment
+    path = tmp_path / "super.txt"
+    path.write_text("# nodes \u00b2\n5 6\n", encoding="utf-8")
+    assert bter.graph._parse_fast(path) is None  # non-ASCII: the line parser decides
+    arr, declared_n = bter.graph._parse_lines(path)
+    assert arr.tolist() == [[5, 6]] and declared_n is None
+    assert read_snap_edgelist(path).original_ids.tolist() == [5, 6]
+    path.write_text("# nodes 4\n1 2\n", encoding="utf-8")
+    for parse in (bter.graph._parse_fast, bter.graph._parse_lines):
+        arr, declared_n = parse(path)
+        assert arr.tolist() == [[1, 2]] and declared_n == 4
+
+
 def test_write_triangle(tmp_path):
     g, _ = build_graph([(0, 1), (1, 2), (0, 2)])
     path = tmp_path / "k3.txt"
@@ -354,8 +368,8 @@ def argsort_csr(g: Graph) -> tuple[np.ndarray, np.ndarray]:
 
 def _assert_csr_matches_argsort(g: Graph) -> None:
     indptr, indices = argsort_csr(g)
-    assert np.array_equal(g._indptr, indptr)
-    assert np.array_equal(g._indices, indices)
+    assert np.array_equal(g._adjacency()[0], indptr)
+    assert np.array_equal(g._adjacency()[1], indices)
     assert np.array_equal(g.degrees, np.diff(indptr))
 
 
@@ -363,6 +377,37 @@ def _assert_csr_matches_argsort(g: Graph) -> None:
 def test_csr_matches_argsort_build(stream, isolated):
     inferred = max((max(pair) for pair in stream), default=-1) + 1
     g, _ = build_graph(stream, n=inferred + isolated)
+    assert np.array_equal(g.degrees, np.bincount(g.edges.ravel(), minlength=g.n))
+    assert g._csr is None
+    _assert_csr_matches_argsort(g)
+
+
+def _graph_from(source: str, stream, n: int, tmp_path) -> Graph:
+    g, _ = build_graph(stream, n=n)
+    if source == "read_snap_edgelist":
+        write_edgelist(g, tmp_path / "g.txt")
+        g = read_snap_edgelist(tmp_path / "g.txt").graph
+    return g
+
+
+@pytest.mark.parametrize("source", ["build_graph", "read_snap_edgelist"])
+@pytest.mark.parametrize(
+    "access",
+    [
+        lambda g: g.neighbors(0),
+        lambda g: g.has_edge(0, 1),
+        lambda g: g.adjacency_csr(),
+    ],
+    ids=["neighbors", "has_edge", "adjacency_csr"],
+)
+def test_csr_is_built_on_first_neighbour_access(tmp_path, source, access):
+    stream = [(0, 3), (3, 1), (2, 0), (4, 3), (1, 2), (0, 1), (3, 0)]
+    g = _graph_from(source, stream, 7, tmp_path)
+    assert g._csr is None
+    assert np.array_equal(g.degrees, np.bincount(g.edges.ravel(), minlength=g.n))
+    assert g.degree(3) == 3 and g._csr is None
+    access(g)
+    assert g._csr is not None
     _assert_csr_matches_argsort(g)
 
 
