@@ -11,7 +11,9 @@ split into three subphases that damp the high variance of degree-1 nodes:
       endpoints drawn independently in proportion to the weights.
 
 ER, Phase 1 and CL all draw through one exact sampler of constant-probability
-blocks of node pairs. All samplers are deterministic functions of their
+blocks of node pairs, which works a chunk of draws at a time. Every phase
+emits int64 edge keys u * n + v (u < v), and one merge turns all of a run's
+keys into the graph. All samplers are deterministic functions of their
 inputs and seed.
 """
 
@@ -23,7 +25,8 @@ import numpy as np
 
 from .communities import CommunityPartition, ConnectivityFormula, preprocess
 from .degrees import DegreeSequence
-from .graph import EdgeStreamStats, Graph, build_graph
+from .graph import EdgeStreamStats, Graph, loop_free_keys, merge_keys
+from .graph import build_graph  # noqa: F401  (re-exported: bter.generate.build_graph)
 from .rng import substream
 
 _PHASE1, _PHASE2 = 1, 2
@@ -98,6 +101,10 @@ class PhaseTrace:
 
 # Most gaps one sampling round draws, over all of its blocks.
 _ROUND_DRAWS = 4_000_000
+# Gaps the sampler works at once inside a round: enough to spread the
+# per-call numpy overhead, few enough that a chunk's temporaries (0.5 MB
+# per int64 array) stay in cache.
+_CHUNK = 1 << 16
 
 
 def _triangle_pairs(t: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -115,6 +122,26 @@ def _triangle_pairs(t: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return i, i + (r * (r + 1) >> 1) - after
 
 
+def _pair_keys(b, t, row0, col0, rows, cols, tri, width) -> np.ndarray:
+    """Keys u * width + v of the t-th pair of each block b."""
+    square = tri[b]
+    if square.all():
+        i, j = _triangle_pairs(t, rows[b])
+        j += row0[b]
+    elif not square.any():
+        i, j = np.divmod(t, cols[b])
+        j += col0[b]
+    else:
+        keys = np.empty(t.size, dtype=np.int64)
+        for pick in (square, ~square):
+            keys[pick] = _pair_keys(b[pick], t[pick], row0, col0, rows, cols, tri, width)
+        return keys
+    i += row0[b]
+    i *= width
+    i += j
+    return i
+
+
 def _sample_blocks(
     row0: np.ndarray,
     col0: np.ndarray,
@@ -122,65 +149,77 @@ def _sample_blocks(
     cols: np.ndarray,
     p: np.ndarray,
     rng: np.random.Generator,
+    width: int | None = None,
 ) -> np.ndarray:
-    """The pairs an independent Bernoulli(p[k]) draw keeps in every block k.
+    """Keys u * width + v of the pairs an independent Bernoulli(p[k]) draw
+    keeps in every block k; width defaults to one past the largest column.
 
     Block k holds the pairs (u, v), u < v, with u in row0[k] + range(rows[k])
     and v in col0[k] + range(cols[k]): a triangle when the two ranges are one
     (row0 == col0), else a rectangle whose rows all lie below its columns.
 
     Every block is sampled by geometric skipping over its pairs in
-    lexicographic order. Each round, all live blocks draw their gaps in one
-    call, about as many as they have hits left to find; a block stays live
-    until a gap carries it past its last pair. A one-block draw reads the
-    same gaps whatever the round sizes, as the stream is read in order.
+    lexicographic order. Each round, all live blocks draw their gaps, about
+    as many as they have hits left to find; a block stays live until a gap
+    carries it past its last pair. A round's gaps are drawn and summed
+    _CHUNK at a time, each block carrying its position from chunk to chunk,
+    and a chunk's hits become keys before the next chunk is drawn: besides
+    its keys, the sampler holds one chunk's temporaries and a few arrays per
+    block. The stream is read in order, so the chunk size changes no gap
+    and no key, and a one-block draw is the same whatever the round size.
     """
     tri = row0 == col0
-    total = np.where(tri, rows * (rows - 1) // 2, rows * cols)
-    live = np.flatnonzero((total > 0) & (p > 0.0))
-    last = np.full(live.size, -1, dtype=np.int64)  # each live block's last hit
-    hit_block, hit_local = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    end = np.where(tri, rows * (rows - 1) // 2, rows * cols)
+    live = np.flatnonzero((end > 0) & (p > 0.0))
+    end = end[live]  # each live block's pair count
+    last = np.full(live.size, -1, dtype=np.int64)  # and its last hit
+    width = np.int64((col0 + cols).max(initial=1) if width is None else width)
+    keys = []
     while live.size:
-        end, q = total[live], p[live]
+        q = p[live]
         lam = (end - 1 - last) * q  # expected hits left
-        want = np.minimum(lam + 2.0 * np.sqrt(lam) + 1.0, _ROUND_DRAWS).astype(np.int64)
-        cut = np.cumsum(want)
+        cut = np.minimum(lam + 2.0 * np.sqrt(lam) + 1.0, _ROUND_DRAWS).astype(np.int64)
+        del lam
+        np.cumsum(cut, out=cut)  # each block's draws end here
         # the blocks whose draws fit in this round; the first always does
         take = int(np.searchsorted(cut, _ROUND_DRAWS, side="right"))
-        end, cut = end[:take], cut[:take] - 1  # cut: each block's last draw
-        seg = np.repeat(np.arange(take, dtype=np.int32), want[:take])
-        gaps = rng.geometric(q[seg])
+        blocks, ends, q, cut = live[:take], end[:take], q[:take], cut[:take]
+        reached = last[:take].copy()  # each block's position so far
         # a gap past its block's end overshoots whatever its length: clipped
-        # at the span left, a block's running sum stays below its draws times
+        # at the span left, a block's position stays below its draws times
         # its span, so within int64 for any block of under 2e12 pairs
-        np.minimum(gaps, (end - last[:take])[seg], out=gaps)
-        np.cumsum(gaps, out=gaps)
-        # to each block's local pair indices; the sums of the blocks before it
-        # may wrap around int64, and this subtraction undoes that exactly
-        shift = np.concatenate(([0], gaps[cut[:-1]])) - last[:take]
-        gaps -= shift[seg]
-        inside = gaps < end[seg]
-        hit_block.append(live[seg[inside]])
-        hit_local.append(gaps[inside])
-        reached = gaps[cut]
-        del seg, gaps, inside
-        more = np.flatnonzero(reached < end)
+        span = ends - reached
+        draws = int(cut[-1])
+        for lo in range(0, draws, _CHUNK):
+            if draws <= _CHUNK:
+                first, stop, stops = 0, take, cut
+            else:  # the blocks with draws in [lo, hi), and where each stops
+                hi = min(lo + _CHUNK, draws)
+                first = int(np.searchsorted(cut, lo, side="right"))
+                stop = int(np.searchsorted(cut, hi - 1, side="right")) + 1
+                stops = np.minimum(cut[first:stop], hi) - lo
+            at = slice(first, stop)
+            seg = np.repeat(np.arange(stop - first), np.diff(stops, prepend=0))
+            gaps = rng.geometric(q[at][seg])
+            np.minimum(gaps, span[at][seg], out=gaps)
+            np.cumsum(gaps, out=gaps)
+            # to each block's pair positions; the sums of the blocks before
+            # it may wrap around int64, and this subtraction undoes that
+            stops = stops - 1  # each block's last draw in the chunk
+            shift = np.concatenate(([0], gaps[stops[:-1]])) - reached[at]
+            gaps -= shift[seg]
+            reached[at] = gaps[stops]
+            inside = gaps < ends[at][seg]
+            keys.append(_pair_keys(blocks[at][seg[inside]], gaps[inside],
+                                   row0, col0, rows, cols, tri, width))
+            del seg, gaps, inside
+        more = np.flatnonzero(reached < ends)
         live = np.concatenate((live[more], live[take:]))
+        end = np.concatenate((ends[more], end[take:]))
         last = np.concatenate((reached[more], last[take:]))
-    block, local = np.concatenate(hit_block), np.concatenate(hit_local)
-    del hit_block, hit_local
-    out = np.empty((block.size, 2), dtype=np.int64)
-    at = np.flatnonzero(tri[block])
-    b = block[at]
-    i, j = _triangle_pairs(local[at], rows[b])
-    start = row0[b]
-    out[at, 0], out[at, 1] = start + i, start + j
-    at = np.flatnonzero(~tri[block])
-    b, t = block[at], local[at]
-    del block, local, i, j, start
-    i, j = np.divmod(t, cols[b])
-    out[at, 0], out[at, 1] = row0[b] + i, col0[b] + j
-    return out
+    if len(keys) == 1:
+        return keys[0]
+    return np.concatenate(keys) if keys else np.empty(0, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +234,8 @@ def generate_er(n: int, p: float, seed: int) -> Graph:
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be in [0, 1]")
     start, size = np.array([0]), np.array([n])
-    pairs = _sample_blocks(start, start, size, size, np.array([p]), substream(seed))
-    return build_graph(pairs, n=n)[0]
+    keys = _sample_blocks(start, start, size, size, np.array([p]), substream(seed), n)
+    return merge_keys([keys], n)[0]
 
 
 def _degree_class_blocks(degrees: DegreeSequence) -> tuple[np.ndarray, ...]:
@@ -206,7 +245,11 @@ def _degree_class_blocks(degrees: DegreeSequence) -> tuple[np.ndarray, ...]:
     first = np.flatnonzero(np.concatenate(([True], deg[1:] != deg[:-1])))
     count = np.diff(np.append(first, deg.size))
     weight = deg[first].astype(np.float64)
-    a, b = np.triu_indices(len(first))
+    # class pairs a <= b in row-major order: row a holds k - a of them
+    k = len(first)
+    row = np.arange(k, 0, -1)
+    a = np.repeat(np.arange(k), row)
+    b = np.arange(a.size) - np.repeat(np.cumsum(row) - row - np.arange(k), row)
     p = np.minimum(1.0, weight[a] * weight[b] / degrees.total)
     return first[a], first[b], count[a], count[b], p
 
@@ -221,8 +264,8 @@ def generate_cl(degrees: DegreeSequence, seed: int) -> Graph:
     """
     if degrees.total < 2:
         raise ValueError("degree sequence must sum to at least 2")
-    pairs = _sample_blocks(*_degree_class_blocks(degrees), substream(seed))
-    return build_graph(pairs, n=degrees.n)[0]
+    keys = _sample_blocks(*_degree_class_blocks(degrees), substream(seed), degrees.n)
+    return merge_keys([keys], degrees.n)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -230,10 +273,11 @@ def generate_cl(degrees: DegreeSequence, seed: int) -> Graph:
 # ---------------------------------------------------------------------------
 
 
-def _phase1_pairs(part: CommunityPartition, seed: int) -> np.ndarray:
-    """ER edges inside every block: one triangle per block, all on one stream."""
+def _phase1_keys(part: CommunityPartition, seed: int, n: int) -> np.ndarray:
+    """Keys of the ER edges inside every block (width n): one triangle per
+    block, all on one stream."""
     start, size = part.block_start, part.block_size
-    return _sample_blocks(start, start, size, size, part.rho, substream(seed, _PHASE1))
+    return _sample_blocks(start, start, size, size, part.rho, substream(seed, _PHASE1), n)
 
 
 def degree1_split(degrees: DegreeSequence, cfg: GenerationConfig) -> tuple[int, int, int]:
@@ -263,14 +307,16 @@ def generate_bter(
     """Sample the two-phase block model for a target degree sequence.
 
     Runs preprocessing, Phase 1 ER blocks, the degree-1 adjustment, and
-    Phase 2a/2b/2c, then merges all pairs into a simple graph (self-loops
-    and duplicates discarded). Deterministic for fixed (degrees, cfg).
+    Phase 2a/2b/2c, then merges the edge keys of all phases into a simple
+    graph (self-loops and duplicates discarded). Deterministic for fixed
+    (degrees, cfg).
     """
     r, p, q = degree1_split(degrees, cfg)
     part = preprocess(degrees, cfg.connectivity)
     n = degrees.n
 
-    pairs1 = _phase1_pairs(part, cfg.seed)
+    width = np.int64(max(n, 1))
+    keys1 = _phase1_keys(part, cfg.seed, n)
 
     # Degree-1 adjustment: the first p degree-1 nodes are wired manually;
     # the rest get a raised CL weight.
@@ -281,34 +327,33 @@ def generate_bter(
     # Phase 2a: random pairing among q of the set-aside nodes.
     if q > 0:
         chosen = substream(cfg.seed, _PHASE2, _SUB_A).choice(p, size=q, replace=False)
-        a = np.minimum(chosen[0::2], chosen[1::2])
-        b = np.maximum(chosen[0::2], chosen[1::2])
-        pairs2a = np.column_stack([a, b]).astype(np.int64)
+        keys2a = np.minimum(chosen[0::2], chosen[1::2]) * width
+        keys2a += np.maximum(chosen[0::2], chosen[1::2])
         paired = np.zeros(p, dtype=bool)
         paired[chosen] = True
         manual_rest = np.nonzero(~paired)[0].astype(np.int64)
     else:
-        pairs2a = np.empty((0, 2), dtype=np.int64)
+        keys2a = np.empty(0, dtype=np.int64)
         manual_rest = np.arange(p, dtype=np.int64)
 
     # Phase 2b: one edge per remaining set-aside node, far endpoint drawn
     # in proportion to excess. Set-aside nodes have excess 0, so they are
-    # never drawn (no self-loops, no manual-manual edges).
+    # never drawn (no self-loops, no manual-manual edges), and every far
+    # endpoint lies above the set-aside ids.
     sum_e = float(e.sum())
     if manual_rest.size and sum_e > 0.0:
-        ends = substream(cfg.seed, _PHASE2, _SUB_B).choice(
+        keys2b = substream(cfg.seed, _PHASE2, _SUB_B).choice(
             n, size=manual_rest.size, p=e / sum_e
         )
-        pairs2b = np.column_stack(
-            [np.minimum(manual_rest, ends), np.maximum(manual_rest, ends)]
-        ).astype(np.int64)
+        keys2b += manual_rest * width
     else:
-        pairs2b = np.empty((0, 2), dtype=np.int64)
+        keys2b = np.empty(0, dtype=np.int64)
 
     # Phase 2c: rescale weights for the edges Phase 2b already used and the
     # duplicates the merge will discard, then sample endpoint pairs i.i.d.
     # The formula can go negative when degree-1 nodes dominate the weight
-    # pool, so the scale is floored at 0.
+    # pool, so the scale is floored at 0. Self-loops are counted and dropped
+    # here; the merge drops the duplicates.
     pool = (p - q) + sum_e
     eta_scale = 1.0 - 2.0 * (p - q) / pool + cfg.beta if pool > 0.0 else 0.0
     eta_scale = max(0.0, eta_scale)
@@ -316,16 +361,18 @@ def generate_bter(
     sum_e_scaled = float(e_scaled.sum())
     edges_2c = nint(sum_e_scaled / 2.0) if sum_e_scaled > 0.0 else 0
     if edges_2c > 0:
-        pairs2c = substream(cfg.seed, _PHASE2, _SUB_C).choice(
+        ends = substream(cfg.seed, _PHASE2, _SUB_C).choice(
             n, size=(edges_2c, 2), p=e_scaled / sum_e_scaled
         )
+        keys2c, self_loops = loop_free_keys(ends[:, 0], ends[:, 1], n)
+        del ends
     else:
-        pairs2c = np.empty((0, 2), dtype=np.int64)
+        keys2c, self_loops = np.empty(0, dtype=np.int64), 0
 
-    raw = dict(zip(PHASE_NAMES, map(len, (pairs1, pairs2a, pairs2b, pairs2c))))
-    all_pairs = np.concatenate([pairs1, pairs2a, pairs2b, pairs2c])
-    del pairs1, pairs2a, pairs2b, pairs2c  # not alive during the merge
-    graph, stats = build_graph(all_pairs, n=n)
+    raw = dict(zip(PHASE_NAMES, (len(keys1), len(keys2a), len(keys2b), edges_2c)))
+    parts = [keys1, keys2a, keys2b, keys2c]
+    del keys1, keys2a, keys2b, keys2c  # the merge frees them
+    graph, stats = merge_keys(parts, n, self_loops)
 
     kept = dict(raw)  # only Phase 2c can lose pairs (see PhaseTrace)
     kept["phase2c"] = graph.edge_count - raw["phase1"] - raw["phase2a"] - raw["phase2b"]

@@ -99,11 +99,13 @@ class Graph:
 
     def _adopt(self, n: int, edges: np.ndarray) -> None:
         self.n = int(n)
+        # both endpoints in one count. bincount copies an input that is
+        # strided or read-only, so it counts the raveled array before the
+        # graph marks it read-only
+        self._degrees = np.bincount(edges.ravel(), minlength=self.n)
+        self._degrees.setflags(write=False)
         self.edges = edges
         self.edges.setflags(write=False)
-        self._degrees = np.bincount(edges[:, 0], minlength=self.n)
-        self._degrees += np.bincount(edges[:, 1], minlength=self.n)
-        self._degrees.setflags(write=False)
         self._csr = None
 
     def _adjacency(self) -> tuple[np.ndarray, np.ndarray]:
@@ -222,25 +224,50 @@ def build_graph(
 
     width = np.int64(max(n, 1))
     u, v = arr[:, 0], arr[:, 1]
+    self_loops = 0
     if (u < v).all():
         keys = u * width + v
         if (keys[1:] > keys[:-1]).all():
             # already canonical, as every file write_edgelist writes is
             return Graph._canonical(n, arr), EdgeStreamStats(raw, 0, 0)
-        del keys
+    else:
+        keys, self_loops = loop_free_keys(u, v, n)
+    parts = [keys]
+    del keys  # the merge frees them once sorted
+    return merge_keys(parts, n, self_loops)
+
+
+def loop_free_keys(u: np.ndarray, v: np.ndarray, n: int) -> tuple[np.ndarray, int]:
+    """Keys ``min * max(n, 1) + max`` of the pairs (u[i], v[i]) that are not
+    self-loops, in stream order, and the number of self-loops left out."""
+    width = np.int64(max(n, 1))
+    keys = np.minimum(u, v) * width
+    keys += np.maximum(u, v)
     loops = u == v
     self_loops = int(loops.sum())
-    kept = arr[~loops] if self_loops else arr
-    keys = np.minimum(kept[:, 0], kept[:, 1]) * width
-    keys += np.maximum(kept[:, 0], kept[:, 1])
-    del kept
+    return (keys[~loops] if self_loops else keys), self_loops
+
+
+def merge_keys(
+    parts: list[np.ndarray], n: int, self_loops: int = 0
+) -> tuple[Graph, EdgeStreamStats]:
+    """The simple graph on n nodes whose edges are the distinct keys in parts.
+
+    Every key is an int64 ``u * max(n, 1) + v`` of a pair u < v < n.
+    ``self_loops`` counts the loop pairs the caller dropped before keying,
+    so the stats account for the whole stream. The list is emptied, and its
+    keys are sorted in place and dropped before the edge array is built:
+    arrays that nothing else holds are freed by then.
+    """
+    keys = parts.pop() if len(parts) == 1 else np.concatenate(parts)
+    parts.clear()
     # sort plus a neighbour mask: np.unique may take a slower hash path
     keys.sort()
     unique = keys[_run_starts(keys)]
-    stats = EdgeStreamStats(raw, self_loops, len(keys) - len(unique))
+    stats = EdgeStreamStats(len(keys) + self_loops, self_loops, len(keys) - len(unique))
     del keys
     edges = np.empty((len(unique), 2), dtype=np.int64)
-    np.divmod(unique, width, out=(edges[:, 0], edges[:, 1]))
+    np.divmod(unique, np.int64(max(n, 1)), out=(edges[:, 0], edges[:, 1]))
     del unique
     return Graph._canonical(n, edges), stats
 

@@ -154,6 +154,21 @@ def test_generate_bytes_pinned(tmp_path, model):
     assert digests == _GENERATE_SHA256[model]
 
 
+def test_generate_trace_counts_phase2c_self_loops(tmp_path):
+    # a hub-heavy sequence whose Phase 2c draws self-loops: they are
+    # dropped before the merge and still counted, as 0.5.0 counted them
+    assert run("generate", "--model", "bter", "--powerlaw", "2000,1.5,1500", "--seed", 1,
+               "--out", tmp_path / "g.txt") == EXIT_OK
+    rows = (tmp_path / "g.txt.trace.csv").read_text().splitlines()[1:]
+    counts = {k: int(v) for k, v in (row.split(",") for row in rows)
+              if k.startswith(("raw_", "kept_", "self_loops", "duplicates"))}
+    assert counts == {
+        "raw_phase1": 6664, "raw_phase2a": 6, "raw_phase2b": 574, "raw_phase2c": 8310,
+        "kept_phase1": 6664, "kept_phase2a": 6, "kept_phase2b": 574, "kept_phase2c": 5216,
+        "raw_edges": 15554, "self_loops_dropped": 84, "duplicates_dropped": 3010,
+    }
+
+
 def test_generate_determinism_across_runs_and_threads(tmp_path):
     args = ("generate", "--model", "bter", "--powerlaw", "400,2,20",
             "--seed", 11, "--out", tmp_path / "g.txt")
@@ -426,6 +441,21 @@ def test_version_flag(capsys):
     assert capsys.readouterr().out.startswith("bter ")
 
 
+def test_metrics_help_lists_every_metric():
+    # the help text spells the list out, so building the parser loads no
+    # module of the library
+    import argparse
+
+    from bter.cli import build_parser
+    from bter.reports import ALL_METRICS
+
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    (metrics,) = [a for a in sub.choices["analyze"]._actions if a.dest == "metrics"]
+    listed = re.fullmatch(r"comma list from \{(.*)\}", metrics.help).group(1)
+    assert tuple(listed.split(",")) == ALL_METRICS
+
+
 def test_package_and_project_versions_agree():
     # a regex, not tomllib: Python 3.10 has no TOML reader
     text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
@@ -585,6 +615,7 @@ def test_scipy_is_loaded_only_for_the_spectrum(tmp_path):
 def test_version_and_compare_over_reports_run_without_numpy(k4_file, tmp_path):
     code, modules = _modules_after("--version")
     assert code == EXIT_OK and "numpy" not in modules
+    assert _bter_modules(modules) == set()  # no library module, bter.reports included
     for metrics in ("degree,cc,triangles", "degree,spectrum"):
         rep = tmp_path / metrics
         assert run("analyze", "--graph", k4_file, "--metrics", metrics, "--top-k", 2,
@@ -601,8 +632,7 @@ def test_each_command_loads_only_its_own_modules(tmp_path):
     code, modules = _modules_after("generate", "--model", "bter", "--powerlaw", "300,2,20",
                                    "--seed", 1, "--out", graph)
     assert code == EXIT_OK
-    assert _bter_modules(modules) == {"communities", "degrees", "generate", "graph",
-                                      "reports", "rng"}
+    assert _bter_modules(modules) == {"communities", "degrees", "generate", "graph", "rng"}
     code, modules = _modules_after("analyze", "--graph", graph, "--out-dir", tmp_path / "a")
     assert code == EXIT_OK
     assert _bter_modules(modules) == {"graph", "metrics", "reports", "rng"}

@@ -15,13 +15,14 @@ from bter.generate import (
     generate_cl,
     generate_er,
     nint,
-    _phase1_pairs,
+    _phase1_keys,
+    _CHUNK,
     _ROUND_DRAWS,
     _degree_class_blocks,
     _sample_blocks,
     _triangle_pairs,
 )
-from bter.graph import build_graph, write_edgelist
+from bter.graph import merge_keys, write_edgelist
 from bter.rng import substream
 
 
@@ -167,9 +168,10 @@ def test_block_sampler_law_on_mixed_blocks(cap):
         owner[np.triu(cell, 1)] = k
     with mock.patch.object(bter.generate, "_ROUND_DRAWS", cap):
         for seed in range(runs):
-            pairs = _sample_blocks(row0, col0, rows, cols, p, substream(seed, 9))
-            np.add.at(counts, (pairs[:, 0], pairs[:, 1]), 1)
-            per_block[seed] = np.bincount(owner[pairs[:, 0], pairs[:, 1]], minlength=len(_MIXED))
+            keys = _sample_blocks(row0, col0, rows, cols, p, substream(seed, 9), n)
+            u, v = np.divmod(keys, n)
+            np.add.at(counts, (u, v), 1)
+            per_block[seed] = np.bincount(owner[u, v], minlength=len(_MIXED))
     assert not counts[owner < 0].any()
     for k, (_, _, _, _, pk) in enumerate(_MIXED):
         cells = counts[owner == k]
@@ -223,6 +225,47 @@ def test_block_sampler_rounds_stay_capped():
         assert max(rng.sizes) <= 100 and len(rng.sizes) > 1
     assert len(np.unique(mixed, axis=0)) == len(mixed)
     assert _ROUND_DRAWS == 4_000_000
+
+
+def _cl_class_blocks():
+    return _degree_class_blocks(synthesize_powerlaw(300, 2.0, 30))
+
+
+@pytest.mark.parametrize("blocks", [_mixed_blocks, _cl_class_blocks], ids=["mixed", "cl"])
+def test_block_sampler_chunks_read_the_same_stream(blocks):
+    # chunk boundaries fall inside blocks, between them and on a block's
+    # last draw; under either round plan, every chunk size reads the same
+    # gaps as the default one, so it returns the same keys
+    for cap in (_ROUND_DRAWS, 100):
+        with mock.patch.object(bter.generate, "_ROUND_DRAWS", cap):
+            default = _sample_blocks(*blocks(), substream(4), 190)
+            assert default.size > 100
+            for chunk in (1, 7, 100):
+                with mock.patch.object(bter.generate, "_CHUNK", chunk):
+                    keys = _sample_blocks(*blocks(), substream(4), 190)
+                assert np.array_equal(keys, default), (chunk, cap)
+    assert _CHUNK == 1 << 16
+
+
+def test_block_sampler_memory_is_its_keys_and_a_chunk():
+    # Phase 1 of --powerlaw 30000,2,300 draws ~40k gaps in one round: with
+    # small chunks the sampler's peak is its keys (the chunks' and their
+    # concatenation) plus a bounded number of chunk-sized int64 temporaries
+    import tracemalloc
+
+    seq = synthesize_powerlaw(30_000, 2.0, 300)
+    part = preprocess(seq, ConnectivityFormula())
+    default = _phase1_keys(part, 1, seq.n)
+    chunk = 4096
+    with mock.patch.object(bter.generate, "_CHUNK", chunk):
+        tracemalloc.start()
+        try:
+            keys = _phase1_keys(part, 1, seq.n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert np.array_equal(keys, default)
+    assert peak <= 2 * keys.nbytes + 16 * 8 * chunk, (peak, keys.nbytes)
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +346,7 @@ def test_cl_fast_matches_exact_inclusion_law():
     total = float(deg.sum())
     runs = 100_000
     blocks = _degree_class_blocks(seq)
-    keys = [_sample_blocks(*blocks, substream(seed, 77)) @ [30, 1] for seed in range(runs)]
+    keys = [_sample_blocks(*blocks, substream(seed, 77), 30) for seed in range(runs)]
     freq = np.bincount(np.concatenate(keys), minlength=900).reshape(30, 30) / runs
     for u in range(29):
         for v in range(u + 1, 30):
@@ -406,11 +449,11 @@ def test_bter_phase1_edges_stay_in_block():
     seq = synthesize_powerlaw(500, 2.0, 22)
     cfg = GenerationConfig(seed=11)
     part = preprocess(seq, cfg.connectivity)
-    pairs = _phase1_pairs(part, cfg.seed)
-    assert len(pairs) > 0
+    u, v = np.divmod(_phase1_keys(part, cfg.seed, seq.n), seq.n)
+    assert len(u) > 0
     a = part.assignment
-    assert (a[pairs[:, 0]] == a[pairs[:, 1]]).all()
-    assert (a[pairs[:, 0]] >= 0).all()
+    assert (a[u] == a[v]).all()
+    assert (a[u] >= 0).all()
 
 
 def test_bter_determinism():
@@ -498,7 +541,7 @@ def test_phase1_and_cl_take_one_substream_each():
     part = preprocess(_LAW_SEQ, _LAW_FORMULA)
     assert [len(g) for g in _affinity_groups(part)] == [10, 10, 6, 1]
     with mock.patch.object(bter.generate, "substream", wraps=substream) as spy:
-        _phase1_pairs(part, 5)
+        _phase1_keys(part, 5, _LAW_SEQ.n)
         generate_cl(_LAW_SEQ, 5)
     assert [c.args for c in spy.call_args_list] == [(5, 1), (5,)]
 
@@ -514,9 +557,9 @@ def test_phase1_pair_law_per_affinity_group():
     counts = np.zeros((n, n))
     per_block = np.zeros((runs, part.block_count))
     for seed in range(runs):
-        pairs = _phase1_pairs(part, seed)
-        np.add.at(counts, (pairs[:, 0], pairs[:, 1]), 1)
-        per_block[seed] = np.bincount(part.assignment[pairs[:, 0]], minlength=part.block_count)
+        u, v = np.divmod(_phase1_keys(part, seed, n), n)
+        np.add.at(counts, (u, v), 1)
+        per_block[seed] = np.bincount(part.assignment[u], minlength=part.block_count)
     inside = np.zeros((n, n), dtype=bool)
     for groups in _affinity_groups(part):
         rho = float(part.rho[groups[0]])
@@ -618,13 +661,17 @@ def test_bter_kept_matches_first_occurrence(values, manual_fraction, variant, se
     )
     merged = []
 
-    def capture(pairs, n):
-        merged.append(np.array(pairs))
-        return build_graph(pairs, n=n)
+    def capture(parts, n, self_loops):
+        merged.append((np.concatenate(parts), self_loops))
+        return merge_keys(parts, n, self_loops)
 
-    with mock.patch.object(bter.generate, "build_graph", side_effect=capture):
+    with mock.patch.object(bter.generate, "merge_keys", side_effect=capture):
         trace = generate_bter(seq, cfg)[1]
-    (pairs,) = merged
+    ((keys, self_loops),) = merged
+    # Phase 2c's self-loops are dropped before the merge and counted
+    assert len(keys) + self_loops == trace.stats.raw_edges == sum(trace.raw.values())
+    assert self_loops == trace.stats.self_loops_dropped
+    pairs = np.column_stack(np.divmod(keys, max(seq.n, 1)))
     bounds = np.cumsum([trace.raw[name] for name in PHASE_NAMES])[:-1]
     phase_pairs = np.split(pairs, bounds)
     assert list(trace.kept.values()) == _first_occurrence_kept(phase_pairs, seq.n)
