@@ -6,7 +6,7 @@ package loads no submodule, and so no numpy, until one of its names is used.
 
 import importlib
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 # public name -> the submodule that defines it
 _EXPORTS = {
@@ -19,7 +19,6 @@ _EXPORTS = {
     "DegreeDistribution": "degrees",
     "DegreeSequence": "degrees",
     "extract_degrees": "degrees",
-    "histogram": "degrees",
     "synthesize_powerlaw": "degrees",
     "GenerationConfig": "generate",
     "PhaseTrace": "generate",
@@ -42,8 +41,10 @@ _EXPORTS = {
     "compare_reports": "reports",
     "CommunityAudit": "theory",
     "audit_community": "theory",
+    "block_size_histogram": "theory",
     "cl_expected_triangles": "theory",
     "kruskal_katona_check": "theory",
+    "loglog_slope": "theory",
     "predict_community_profile": "theory",
 }
 

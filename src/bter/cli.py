@@ -12,7 +12,6 @@ import argparse
 import hashlib
 import importlib
 import json
-import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -128,29 +127,12 @@ def _load_graph_file(path_str: str):
         raise InputError(str(exc)) from exc
 
 
-def _strip_threads(argv: list[str]) -> list[str]:
-    """Drop --threads from a recorded argv: results never depend on it."""
-    out = []
-    skip = False
-    for token in argv:
-        if skip:
-            skip = False
-            continue
-        if token == "--threads":
-            skip = True
-            continue
-        if token.startswith("--threads="):
-            continue
-        out.append(token)
-    return out
-
-
 def _manifest(command: str, argv: list[str], config: dict, inputs: dict[str, Path]):
     return {
         "tool": "bter",
         "version": __version__,
         "command": command,
-        "argv": _strip_threads(argv),
+        "argv": argv,
         "config": config,
         "inputs": {str(p): _sha256(p) for p in inputs.values()},
         "outputs": {},
@@ -187,8 +169,8 @@ def _resolve_generate_params(args) -> dict:
 
     params = {
         "seed": pick(args.seed, "seed", int, None),
-        "rho": pick(args.rho, "rho", float, 0.95),
-        "eta": pick(args.eta, "eta", float, 0.05),
+        "rho": pick(args.rho, "rho", float, None),
+        "eta": pick(args.eta, "eta", float, None),
         "variant": pick(args.variant, "variant", str, "standard"),
         "manual_fraction": pick(args.manual_fraction, "manual_fraction", float, 0.75),
         "d1_weight": pick(args.d1_weight, "d1_weight", float, 1.10),
@@ -197,6 +179,16 @@ def _resolve_generate_params(args) -> dict:
     }
     if params["seed"] is None:
         raise UsageError("--seed is required (flag or config file); no silent entropy")
+    defaults = {"rho": 0.95, "eta": 0.05}
+    cubic = params["variant"] == "cubic"
+    if cubic:  # the cubic formula fixes rho and eta: record its values, refuse others
+        fixed = _cli.ConnectivityFormula(variant="cubic")
+        defaults = {"rho": fixed.rho, "eta": fixed.eta}
+    for key, value in defaults.items():
+        if params[key] is None:
+            params[key] = value
+        elif cubic and params[key] != value:
+            raise UsageError(f"--variant cubic fixes {key}={value}, got {params[key]}")
     return params
 
 
@@ -648,13 +640,11 @@ def cmd_audit(args, argv: list[str]) -> int:
         print(f"blocks passing kappa={args.kappa}: {passed}/{total} ({frac:.3f})")
 
         # realized block-size histogram, the counterpart of --predict
-        ids, block_sizes = np.unique(assignment[assignment >= 0], return_counts=True)
-        sizes, size_counts = np.unique(block_sizes, return_counts=True)
+        _, block_sizes = np.unique(assignment[assignment >= 0], return_counts=True)
+        realized = _cli.block_size_histogram(block_sizes)
         realized_path = out_dir / "realized_sizes.csv"
         _write_rows(
-            realized_path,
-            "size,count",
-            ((str(int(s)), str(int(c))) for s, c in zip(sizes, size_counts)),
+            realized_path, "size,count", ((str(s), str(c)) for s, c in realized.items())
         )
         outputs.append(realized_path)
 
@@ -688,7 +678,7 @@ def cmd_audit(args, argv: list[str]) -> int:
 # replay
 # ---------------------------------------------------------------------------
 
-_OUT_FLAGS = {"generate": "--out", "analyze": "--out-dir", "compare": "--out", "audit": "--out-dir"}
+_OUT_DESTS = {"generate": "out", "analyze": "out_dir", "compare": "out", "audit": "out_dir"}
 
 
 def cmd_replay(args, argv: list[str]) -> int:
@@ -701,30 +691,31 @@ def cmd_replay(args, argv: list[str]) -> int:
         raise InputError(f"{manifest_path}: not a JSON manifest: {exc}") from exc
     command = manifest.get("command")
     recorded_argv = list(manifest.get("argv", []))
-    if command not in _OUT_FLAGS:
+    if command not in _OUT_DESTS:
         raise InputError(f"manifest command {command!r} cannot be replayed")
-
-    flag = _OUT_FLAGS[command]
-    if flag not in recorded_argv:
-        raise InputError(f"manifest argv lacks {flag}")
-    idx = recorded_argv.index(flag) + 1
-    original_out = Path(recorded_argv[idx])
+    # the parser finds the output in any spelling it accepts (--out=X, --ou X)
+    try:
+        recorded = build_parser().parse_args(recorded_argv)
+    except SystemExit as exc:
+        print(f"replay: re-execution failed with exit code {exc.code}")
+        return int(exc.code or EXIT_USAGE)
+    if recorded.command != command:
+        raise InputError(f"manifest argv is not a {command} run")
+    dest = _OUT_DESTS[command]
+    original_out = Path(getattr(recorded, dest))
 
     import tempfile
 
     with tempfile.TemporaryDirectory(prefix="bter-replay-") as tmp:
         tmp_dir = Path(tmp)
-        if flag == "--out":
-            new_out = tmp_dir / original_out.name
-        else:
-            new_out = tmp_dir
-        recorded_argv[idx] = str(new_out)
-        code = main(recorded_argv)
+        new_out = tmp_dir / original_out.name if dest == "out" else tmp_dir
+        # argparse keeps the last value of a repeated option
+        code = main([*recorded_argv, "--" + dest.replace("_", "-"), str(new_out)])
         if code != EXIT_OK:
             print(f"replay: re-execution failed with exit code {code}")
             return code
 
-        base = new_out.parent if flag == "--out" else new_out
+        base = new_out.parent if dest == "out" else new_out
         mismatches = []
         for rel, expected in sorted(manifest.get("outputs", {}).items()):
             produced = base / rel
@@ -743,23 +734,6 @@ def cmd_replay(args, argv: list[str]) -> int:
 # ---------------------------------------------------------------------------
 # parser and entry point
 # ---------------------------------------------------------------------------
-
-
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("BTER_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _add_common(parser):
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=_default_threads(),
-        help="accepted for compatibility and ignored: every command runs "
-        "single-threaded (default: $BTER_THREADS or 1)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -789,7 +763,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--beta", type=float, help="duplicate-compensation proportion (default 0.10)")
     g.add_argument("--config", help="flat KEY=VALUE config file; flags win over file values")
     g.add_argument("--out", required=True, help="output edge-list path")
-    _add_common(g)
     g.set_defaults(func=cmd_generate)
 
     a = sub.add_parser("analyze", help="compute metric CSVs for a graph")
@@ -800,7 +773,6 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--tol", type=float, default=1e-8)
     a.add_argument("--seed", type=int, default=0, help="spectrum starting-vector seed")
     a.add_argument("--out-dir", required=True, dest="out_dir")
-    _add_common(a)
     a.set_defaults(func=cmd_analyze)
 
     c = sub.add_parser("compare", help="divergence summary between two graphs/reports")
@@ -815,7 +787,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--cc-floor", type=int, default=1, dest="cc_floor",
                    help="minimum node count per degree for the cc gap")
     c.add_argument("--out", required=True, help="output CSV path")
-    _add_common(c)
     c.set_defaults(func=cmd_compare)
 
     d = sub.add_parser("audit", help="theory checks: extremal bound, block audits, profile")
@@ -826,7 +797,6 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--exact-threshold", type=int, default=1000, dest="exact_threshold")
     d.add_argument("--predict", metavar="N,GAMMA", help="predicted block-size profile")
     d.add_argument("--out-dir", required=True, dest="out_dir")
-    _add_common(d)
     d.set_defaults(func=cmd_audit)
 
     r = sub.add_parser("replay", help="re-execute a manifest and diff the outputs")

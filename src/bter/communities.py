@@ -145,9 +145,6 @@ class CommunityPartition:
     def block_count(self) -> int:
         return len(self.block_size)
 
-    def block_sizes(self) -> np.ndarray:
-        return self.block_size.copy()
-
 
 def preprocess(seq: DegreeSequence, f: ConnectivityFormula) -> CommunityPartition:
     """Partition, assign rho_k per block, and compute excess degrees.

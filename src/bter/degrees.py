@@ -94,12 +94,6 @@ def extract_degrees(g: Graph, drop_isolated: bool = False) -> DegreeSequence:
     return DegreeSequence(deg)
 
 
-def histogram(seq: DegreeSequence) -> DegreeDistribution:
-    """Exact per-degree node counts of a sequence."""
-    values, counts = np.unique(seq.degrees, return_counts=True)
-    return DegreeDistribution({int(d): int(c) for d, c in zip(values, counts)})
-
-
 def synthesize_powerlaw(
     n: int, gamma: float, d_max: int, d_min: int = 1
 ) -> DegreeSequence:
@@ -148,9 +142,3 @@ def read_degree_file(path) -> DegreeSequence:
         return DegreeDistribution(counts).to_sequence()
     return DegreeSequence.from_degrees(int(ln) for ln in lines)
 
-
-def write_degree_csv(dist: DegreeDistribution, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("degree,count\n")
-        for d in sorted(dist.counts):
-            fh.write(f"{d},{dist.counts[d]}\n")

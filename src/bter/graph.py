@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import io
 import re
+import warnings
 from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING, Iterable
@@ -343,40 +344,36 @@ def read_ascii(path) -> bytes | None:
 def _parse_fast(path) -> tuple[np.ndarray, int | None] | None:
     """One-pass parser for ASCII files; None where _parse_lines must decide.
 
-    Full-line comments are found by scanning for '#' and cut out, and the
-    remaining text is parsed by np.loadtxt, whose int64 fields accept
-    exactly the ASCII integers ``int`` does that fit in int64. Anything else
-    (non-ASCII text, '#' after data on a line, a line that is not two such
-    integers) returns None.
+    A scan for '#' reads the "# nodes N" headers, and np.loadtxt skips the
+    comment lines and parses the rest: its int64 fields accept exactly the
+    ASCII integers ``int`` does that fit in int64. Anything else (non-ASCII
+    text, '#' after data on a line, a line that is not two such integers)
+    returns None.
     """
     data = read_ascii(path)
     if data is None:
         return None
     declared_n: int | None = None
-    view = memoryview(data)
-    pieces = []
-    kept_from = 0
     pos = data.find(b"#")
     while pos >= 0:
         line_start = data.rfind(b"\n", 0, pos) + 1
         line_end = data.find(b"\n", pos)
         if line_end < 0:
             line_end = len(data)
-        if not data[line_start:pos].strip():  # a comment line: cut it out
-            declared = _declared_nodes(data[line_start:line_end].decode().strip())
-            if declared is not None:
-                declared_n = declared
-            pieces.append(view[kept_from:line_start])
-            kept_from = line_end
+        if data[line_start:pos].strip():  # '#' after data on its line
+            return None
+        declared = _declared_nodes(data[line_start:line_end].decode().strip())
+        if declared is not None:
+            declared_n = declared
         pos = data.find(b"#", line_end)
-    pieces.append(view[kept_from:])
-    body = b"".join(pieces)
-    if not body or body.isspace():
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        try:
+            arr = np.loadtxt(io.BytesIO(data), dtype=np.int64, comments="#", ndmin=2)
+        except ValueError:
+            return None
+    if arr.size == 0:
         return np.empty((0, 2), dtype=np.int64), declared_n
-    try:
-        arr = np.loadtxt(io.BytesIO(body), dtype=np.int64, comments=None, ndmin=2)
-    except ValueError:
-        return None
     if arr.shape[1] != 2:
         return None
     return arr, declared_n

@@ -16,11 +16,6 @@ import numpy as np
 
 from .graph import Graph
 from .reports import ALL_METRICS, MetricsReport
-from .reports import (  # noqa: F401  (re-exported with the views they compare)
-    DivergenceSummary,
-    compare_reports,
-    degree_tv_distance,
-)
 from .rng import substream
 
 _SPECTRUM_STREAM = 9

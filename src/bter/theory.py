@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .communities import CommunityPartition
 from .graph import Graph
 
 EXACT_TRIPLE_THRESHOLD = 1000
@@ -187,10 +186,10 @@ def predict_community_profile(n: int, gamma: float) -> CommunityProfile:
     return CommunityProfile(counts=counts, d_bar=d_bar)
 
 
-def block_size_histogram(part: CommunityPartition) -> dict[int, int]:
-    """Realized count of blocks per size."""
-    sizes, counts = np.unique(part.block_sizes(), return_counts=True)
-    return {int(s): int(c) for s, c in zip(sizes, counts)}
+def block_size_histogram(block_size) -> dict[int, int]:
+    """Count of blocks per size, in ascending order of size."""
+    sizes, counts = np.unique(block_size, return_counts=True)
+    return dict(zip(sizes.tolist(), counts.tolist()))
 
 
 def loglog_slope(xs, ys) -> float:

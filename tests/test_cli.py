@@ -169,12 +169,12 @@ def test_generate_trace_counts_phase2c_self_loops(tmp_path):
     }
 
 
-def test_generate_determinism_across_runs_and_threads(tmp_path):
+def test_generate_determinism_across_runs(tmp_path):
     args = ("generate", "--model", "bter", "--powerlaw", "400,2,20",
             "--seed", 11, "--out", tmp_path / "g.txt")
-    assert run(*args, "--threads", 1) == EXIT_OK
+    assert run(*args) == EXIT_OK
     first = all_bytes(tmp_path)
-    assert run(*args, "--threads", 4) == EXIT_OK
+    assert run(*args) == EXIT_OK
     assert all_bytes(tmp_path) == first
 
 
@@ -199,6 +199,64 @@ def test_generate_bad_config_key(tmp_path):
     cfg.write_text("volume = 11\n")
     assert run("generate", "--model", "er", "--n", 4, "--p", 0.5, "--seed", 1,
                "--config", cfg, "--out", tmp_path / "x.txt") == EXIT_INPUT
+
+
+def test_cubic_manifest_records_the_fixed_rho_and_eta(tmp_path):
+    g = tmp_path / "g.txt"
+    assert run("generate", "--model", "bter", "--powerlaw", "200,2,14", "--seed", 5,
+               "--variant", "cubic", "--out", g) == EXIT_OK
+    config = json.loads((tmp_path / "g.txt.manifest.json").read_text())["config"]
+    assert (config["variant"], config["rho"], config["eta"]) == ("cubic", 0.7, 0.6)
+    # the fixed values may be stated, as the dataset fits state them
+    h = tmp_path / "h.txt"
+    assert run("generate", "--model", "bter", "--powerlaw", "200,2,14", "--seed", 5,
+               "--variant", "cubic", "--rho", 0.7, "--eta", 0.6, "--out", h) == EXIT_OK
+    assert h.read_bytes() == g.read_bytes()
+
+
+def test_cubic_refuses_another_rho_from_the_config_file(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("variant = cubic\nrho = 0.9\n")
+    assert run("generate", "--model", "bter", "--powerlaw", "200,2,14", "--seed", 5,
+               "--config", cfg, "--out", tmp_path / "g.txt") == EXIT_USAGE
+    assert "cubic fixes rho" in capsys.readouterr().err
+
+
+def test_cli_defaults_equal_library_defaults():
+    # the parser states its defaults literally, so that building it loads no
+    # module of the library; they must stay the library's own
+    import argparse
+    import inspect
+
+    from bter import metrics, theory
+    from bter.cli import _resolve_generate_params, build_parser
+    from bter.communities import ConnectivityFormula
+    from bter.generate import GenerationConfig
+
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+    def default(command, dest):
+        (action,) = [a for a in sub.choices[command]._actions if a.dest == dest]
+        return action.default
+
+    tol = inspect.signature(metrics.top_eigenvalues).parameters["tol"].default
+    for command in ("analyze", "compare"):
+        assert default(command, "top_k") == metrics.DEFAULT_TOP_K
+        assert default(command, "tol") == tol
+    assert default("audit", "kappa") == theory.DEFAULT_KAPPA
+    core = tuple(float(c) for c in default("audit", "core_constants").split(","))
+    assert core == theory.DEFAULT_CORE_CONSTANTS
+    assert default("audit", "exact_threshold") == theory.EXACT_TRIPLE_THRESHOLD
+
+    params = _resolve_generate_params(
+        parser.parse_args(["generate", "--model", "bter", "--seed", "1", "--out", "x"])
+    )
+    formula, cfg = ConnectivityFormula(), GenerationConfig(seed=1)
+    assert (params["variant"], params["rho"], params["eta"]) == (
+        formula.variant, formula.rho, formula.eta)
+    assert (params["manual_fraction"], params["d1_weight"], params["q"], params["beta"]) == (
+        cfg.manual_fraction, cfg.d1_weight, cfg.q_override, cfg.beta)
 
 
 # ---------------------------------------------------------------------------
@@ -239,16 +297,16 @@ def test_analyze_spectrum_nonconvergence_exit_code(tmp_path):
                "--out-dir", tmp_path / "rep") == EXIT_NO_CONVERGENCE
 
 
-def test_analyze_determinism_across_threads(k4_file, tmp_path):
+def test_analyze_determinism_across_runs(k4_file, tmp_path):
     seq_out = tmp_path / "g.txt"
     assert run("generate", "--model", "bter", "--powerlaw", "300,2,17",
                "--seed", 5, "--out", seq_out) == EXIT_OK
     rep = tmp_path / "rep"
     args = ("analyze", "--graph", seq_out, "--metrics",
             "degree,cc,triangles,spectrum", "--top-k", 6, "--out-dir", rep)
-    assert run(*args, "--threads", 1) == EXIT_OK
+    assert run(*args) == EXIT_OK
     first = all_bytes(rep)
-    assert run(*args, "--threads", 3) == EXIT_OK
+    assert run(*args) == EXIT_OK
     assert all_bytes(rep) == first
 
 
@@ -426,14 +484,39 @@ def test_replay_detects_tampering(tmp_path, capsys):
     assert run("replay", "--manifest", manifest_path) == 1
 
 
-def test_threads_env_default(tmp_path, monkeypatch):
-    monkeypatch.setenv("BTER_THREADS", "3")
-    from bter.cli import build_parser
+@pytest.mark.parametrize(
+    "command, spelling",
+    [
+        ("generate", ("--out", "{out}")),
+        ("generate", ("--out={out}",)),
+        ("generate", ("--ou", "{out}")),
+        ("analyze", ("--out-dir={out}",)),
+    ],
+    ids=["generate --out X", "generate --out=X", "generate --ou X", "analyze --out-dir=D"],
+)
+def test_replay_finds_the_output_in_any_spelling(k4_file, tmp_path, command, spelling):
+    out = tmp_path / "out"
+    if command == "generate":
+        head = ("generate", "--model", "er", "--n", 50, "--p", 0.1, "--seed", 1)
+        manifest = tmp_path / "out.manifest.json"
+    else:
+        head = ("analyze", "--graph", k4_file)
+        manifest = out / "manifest.json"
+    assert run(*head, *(s.replace("{out}", str(out)) for s in spelling)) == EXIT_OK
+    assert run("replay", "--manifest", manifest) == EXIT_OK
 
-    args = build_parser().parse_args(
-        ["analyze", "--graph", "x", "--out-dir", "y"]
-    )
-    assert args.threads == 3
+
+def test_threads_flag_is_gone(tmp_path):
+    g = tmp_path / "g.txt"
+    args = ("generate", "--model", "er", "--n", 30, "--p", 0.2, "--seed", 4, "--out", g)
+    assert run(*args, "--threads", 2) == EXIT_USAGE
+    assert run(*args) == EXIT_OK
+    # a manifest whose argv holds --threads (no release recorded one) exits 2
+    manifest = tmp_path / "g.txt.manifest.json"
+    data = json.loads(manifest.read_text())
+    data["argv"][data["argv"].index("--out"):0] = ["--threads", "1"]
+    manifest.write_text(json.dumps(data))
+    assert run("replay", "--manifest", manifest) == EXIT_USAGE
 
 
 def test_version_flag(capsys):
@@ -495,6 +578,8 @@ def small_bter(tmp_path_factory):
         (*_BTER_GEN, "--q", 10000),
         (*_BTER_GEN, "--rho", 0),
         (*_BTER_GEN, "--eta", -1),
+        (*_BTER_GEN, "--variant", "cubic", "--rho", 0.9),
+        (*_BTER_GEN, "--variant", "cubic", "--eta", 0.1),
         (*_ANALYZE_SPECTRUM, "--top-k", 0),
         (*_ANALYZE_SPECTRUM, "--tol", 0),
         (*_AUDIT, "--kappa", 2),

@@ -183,7 +183,7 @@ def test_preprocess_matches_per_block_loop(values, f):
     blocks, assignment, bar_d, rho, excess = preprocess_by_block(seq, f)
     assert block_lists(part.block_start, part.block_size) == [b.tolist() for b in blocks]
     assert part.block_count == len(blocks)
-    assert part.block_sizes().tolist() == [len(b) for b in blocks]
+    assert part.block_size.tolist() == [len(b) for b in blocks]
     assert np.array_equal(part.assignment, assignment)
     assert np.array_equal(part.bar_d, bar_d)
     # bit-exact: the partition CSV prints these with %.12g

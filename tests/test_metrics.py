@@ -13,13 +13,12 @@ from bter.metrics import (
     MetricsReport,
     SpectrumConvergenceError,
     clustering_profile,
-    compare_reports,
     compute_report,
     count_triangles_wedges,
     degree_histogram,
-    degree_tv_distance,
     top_eigenvalues,
 )
+from bter.reports import compare_reports, degree_tv_distance
 
 
 def k3():

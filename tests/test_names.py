@@ -1,0 +1,50 @@
+"""Every module-level function and class of the package has a caller.
+
+A name counts as used where the program refers to it: as a name, an
+attribute, an import, or a string (the lazy-import tables and the
+benchmark's patch points name functions in strings). Public names, those
+in ``bter.__all__``, need no caller.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import bter
+
+ROOT = Path(__file__).resolve().parents[1]
+PROGRAM_DIRS = ("src", "scripts", "benchmark")
+
+
+def _references(tree: ast.AST) -> Counter:
+    found: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            found[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            found[node.name.rsplit(".", 1)[-1]] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.update(set(node.value.split(".")))
+    return found
+
+
+def test_every_module_level_name_has_a_caller():
+    used: Counter = Counter()
+    for directory in PROGRAM_DIRS:
+        for path in sorted((ROOT / directory).rglob("*.py")):
+            used += _references(ast.parse(path.read_text(encoding="utf-8")))
+    public = set(bter.__all__)
+    dead = []
+    for path in sorted((ROOT / "src" / "bter").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if name in public or (name.startswith("__") and name.endswith("__")):
+                continue
+            # a reference inside the definition itself (recursion) is no caller
+            if used[name] - _references(node)[name] <= 0:
+                dead.append(f"{path.stem}.{name}")
+    assert dead == [], f"defined but never used: {dead}"

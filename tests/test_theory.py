@@ -207,7 +207,7 @@ def test_realized_block_sizes_track_prediction():
     n, gamma = 10_000, 2.0
     seq = synthesize_powerlaw(n, gamma, 100)
     part = preprocess(seq, ConnectivityFormula())
-    hist = block_size_histogram(part)
+    hist = block_size_histogram(part.block_size)
     prof = predict_community_profile(n, gamma)
     checked = 0
     for size in range(3, 13):
