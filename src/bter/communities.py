@@ -167,23 +167,31 @@ def preprocess(seq: DegreeSequence, f: ConnectivityFormula) -> CommunityPartitio
 
 
 _PARTITION_HEADER = "node,block,bar_d,rho,excess"
+# Rows of the partition dump formatted at once. Its two %.12g columns cost a
+# Python bytes object per distinct value, so a chunk of 2^14 rows (at most
+# ~1.6 MB of text) keeps the writer's temporaries to a few MB.
+_PARTITION_CHUNK = 1 << 14
 
 
 def write_partition_csv(part: CommunityPartition, seq: DegreeSequence, path) -> None:
-    """Dump "node,block,bar_d,rho,excess" rows (block -1 for unassigned)."""
-    k = part.assignment
-    assigned = k >= 0
-    bar = np.zeros(seq.n, dtype=np.int64)
-    bar[assigned] = part.bar_d[k[assigned]]
-    rho = np.zeros(seq.n, dtype=np.float64)
-    rho[assigned] = part.rho[k[assigned]]
+    """Dump "node,block,bar_d,rho,excess" rows (block -1 for unassigned).
+
+    The rows go out _PARTITION_CHUNK at a time, each chunk's node, bar_d and
+    rho columns built for it alone, so the writer holds no full-length
+    column of its own.
+    """
     with open(path, "wb") as fh:
         fh.write(_PARTITION_HEADER.encode() + b"\n")
-        write_rows(
-            fh,
-            "%d,%d,%d,%.12g,%.12g\n",
-            (np.arange(seq.n), k, bar, rho, part.excess),
-        )
+        for lo in range(0, seq.n, _PARTITION_CHUNK):
+            hi = min(lo + _PARTITION_CHUNK, seq.n)
+            k = part.assignment[lo:hi]
+            assigned = k >= 0
+            bar = np.zeros(k.size, dtype=np.int64)
+            bar[assigned] = part.bar_d[k[assigned]]
+            rho = np.zeros(k.size, dtype=np.float64)
+            rho[assigned] = part.rho[k[assigned]]
+            columns = (np.arange(lo, hi), k, bar, rho, part.excess[lo:hi])
+            write_rows(fh, "%d,%d,%d,%.12g,%.12g\n", columns)
 
 
 def _partition_rows_by_line(path) -> tuple[list[int], list[int], list[float]]:

@@ -11,10 +11,10 @@ split into three subphases that damp the high variance of degree-1 nodes:
       endpoints drawn independently in proportion to the weights.
 
 ER, Phase 1 and CL all draw through one exact sampler of constant-probability
-blocks of node pairs, which works a chunk of draws at a time. Every phase
-emits int64 edge keys u * n + v (u < v), and one merge turns all of a run's
-keys into the graph. All samplers are deterministic functions of their
-inputs and seed.
+blocks of node pairs, which works a window of blocks and a chunk of draws at
+a time. Every phase emits int64 edge keys u * n + v (u < v), and one merge
+turns all of a run's keys into the graph. All samplers are deterministic
+functions of their inputs and seed.
 """
 
 from __future__ import annotations
@@ -105,6 +105,10 @@ _ROUND_DRAWS = 4_000_000
 # per-call numpy overhead, few enough that a chunk's temporaries (0.5 MB
 # per int64 array) stay in cache.
 _CHUNK = 1 << 16
+# Blocks a round works at once. A window's state and temporaries are about
+# two dozen arrays of 128 KB, so the sampler's memory beside its keys does
+# not grow with the number of blocks.
+_WINDOW = 1 << 14
 
 
 def _triangle_pairs(t: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -142,84 +146,135 @@ def _pair_keys(b, t, row0, col0, rows, cols, tri, width) -> np.ndarray:
     return i
 
 
-def _sample_blocks(
-    row0: np.ndarray,
-    col0: np.ndarray,
-    rows: np.ndarray,
-    cols: np.ndarray,
-    p: np.ndarray,
-    rng: np.random.Generator,
-    width: int | None = None,
-) -> np.ndarray:
+def _sample_windows(blocks, count: int, rng: np.random.Generator, width) -> np.ndarray:
     """Keys u * width + v of the pairs an independent Bernoulli(p[k]) draw
-    keeps in every block k; width defaults to one past the largest column.
+    keeps in every block k < count; blocks(lo, hi) returns the arrays row0,
+    col0, rows, cols and p of the blocks lo..hi-1.
 
     Block k holds the pairs (u, v), u < v, with u in row0[k] + range(rows[k])
     and v in col0[k] + range(cols[k]): a triangle when the two ranges are one
     (row0 == col0), else a rectangle whose rows all lie below its columns.
 
     Every block is sampled by geometric skipping over its pairs in
-    lexicographic order. Each round, all live blocks draw their gaps, about
-    as many as they have hits left to find; a block stays live until a gap
-    carries it past its last pair. A round's gaps are drawn and summed
-    _CHUNK at a time, each block carrying its position from chunk to chunk,
-    and a chunk's hits become keys before the next chunk is drawn: besides
-    its keys, the sampler holds one chunk's temporaries and a few arrays per
-    block. The stream is read in order, so the chunk size changes no gap
-    and no key, and a one-block draw is the same whatever the round size.
+    lexicographic order. Each round, the pending blocks draw their gaps in
+    order, each about as many as it has hits left to find, until the next
+    block's would overrun _ROUND_DRAWS; a block stays pending until a gap
+    carries it past its last pair. The pending list is the blocks the last
+    round left unfinished, then those it did not take, then those no round
+    has reached yet; a round works it _WINDOW blocks at a time, and asks
+    blocks() for the unreached ones only as its windows get to them. A
+    window's gaps are drawn and summed _CHUNK at a time, each block
+    carrying its position from chunk to chunk, and a chunk's hits become
+    keys before the next chunk is drawn. So besides its keys, one array
+    grown in place, the sampler holds one window's and one chunk's
+    temporaries and the blocks a round leaves unfinished. The stream is
+    read in order, so neither the window nor the chunk size changes a gap
+    or a key, and a one-block draw is the same whatever the round size.
     """
-    tri = row0 == col0
-    end = np.where(tri, rows * (rows - 1) // 2, rows * cols)
-    live = np.flatnonzero((end > 0) & (p > 0.0))
-    end = end[live]  # each live block's pair count
-    last = np.full(live.size, -1, dtype=np.int64)  # and its last hit
-    width = np.int64((col0 + cols).max(initial=1) if width is None else width)
-    keys = []
-    while live.size:
-        q = p[live]
-        lam = (end - 1 - last) * q  # expected hits left
-        cut = np.minimum(lam + 2.0 * np.sqrt(lam) + 1.0, _ROUND_DRAWS).astype(np.int64)
-        del lam
-        np.cumsum(cut, out=cut)  # each block's draws end here
-        # the blocks whose draws fit in this round; the first always does
-        take = int(np.searchsorted(cut, _ROUND_DRAWS, side="right"))
-        blocks, ends, q, cut = live[:take], end[:take], q[:take], cut[:take]
-        reached = last[:take].copy()  # each block's position so far
-        # a gap past its block's end overshoots whatever its length: clipped
-        # at the span left, a block's position stays below its draws times
-        # its span, so within int64 for any block of under 2e12 pairs
-        span = ends - reached
-        draws = int(cut[-1])
-        for lo in range(0, draws, _CHUNK):
-            if draws <= _CHUNK:
-                first, stop, stops = 0, take, cut
-            else:  # the blocks with draws in [lo, hi), and where each stops
-                hi = min(lo + _CHUNK, draws)
-                first = int(np.searchsorted(cut, lo, side="right"))
-                stop = int(np.searchsorted(cut, hi - 1, side="right")) + 1
-                stops = np.minimum(cut[first:stop], hi) - lo
-            at = slice(first, stop)
-            seg = np.repeat(np.arange(stop - first), np.diff(stops, prepend=0))
-            gaps = rng.geometric(q[at][seg])
-            np.minimum(gaps, span[at][seg], out=gaps)
-            np.cumsum(gaps, out=gaps)
-            # to each block's pair positions; the sums of the blocks before
-            # it may wrap around int64, and this subtraction undoes that
-            stops = stops - 1  # each block's last draw in the chunk
-            shift = np.concatenate(([0], gaps[stops[:-1]])) - reached[at]
-            gaps -= shift[seg]
-            reached[at] = gaps[stops]
-            inside = gaps < ends[at][seg]
-            keys.append(_pair_keys(blocks[at][seg[inside]], gaps[inside],
-                                   row0, col0, rows, cols, tri, width))
-            del seg, gaps, inside
-        more = np.flatnonzero(reached < ends)
-        live = np.concatenate((live[more], live[take:]))
-        end = np.concatenate((ends[more], end[take:]))
-        last = np.concatenate((reached[more], last[take:]))
-    if len(keys) == 1:
-        return keys[0]
-    return np.concatenate(keys) if keys else np.empty(0, dtype=np.int64)
+    width = np.int64(width)
+    # the pending blocks a round has reached, as arrays: row0, col0, rows,
+    # cols, p, pair count and last hit of each; [] when there are none
+    held = []
+    reach = 0  # blocks reach.. are pending after them, with no hit yet
+    # the keys so far are keys[:size]: the array grows by half when full,
+    # in place where realloc can, and is cut to size at the end, so no
+    # second copy of the keys is ever made
+    keys, size = np.empty(0, dtype=np.int64), 0
+    while held or reach < count:
+        room, left = _ROUND_DRAWS, []  # the round's draws to go; its unfinished blocks
+        done, pending = 0, held[0].size if held else 0  # held blocks taken, of pending
+        while room:
+            if done < pending:
+                window = [a[done : done + _WINDOW] for a in held]
+            elif reach < count:
+                upto = min(reach + _WINDOW, count)
+                row0, col0, rows, cols, p = blocks(reach, upto)
+                end = np.where(row0 == col0, rows * (rows - 1) // 2, rows * cols)
+                live = np.flatnonzero((end > 0) & (p > 0.0))
+                if not live.size:
+                    reach = upto
+                    continue
+                window = [row0, col0, rows, cols, p, end]
+                if live.size < end.size:
+                    window = [a[live] for a in window]
+                window.append(np.full(live.size, -1, dtype=np.int64))
+            else:
+                break
+            row0, col0, rows, cols, q, end, last = window
+            lam = (end - 1 - last) * q  # expected hits left
+            cut = np.minimum(lam + 2.0 * np.sqrt(lam) + 1.0, _ROUND_DRAWS).astype(np.int64)
+            del lam
+            np.cumsum(cut, out=cut)  # each block's draws end here
+            # the blocks whose draws fit in the round; its first block's do
+            take = int(np.searchsorted(cut, room, side="right"))
+            if take:
+                ends, q, cut = end[:take], q[:take], cut[:take]
+                reached = last[:take].copy()  # each block's position so far
+                tri = row0 == col0
+                # a gap past its block's end overshoots whatever its length:
+                # clipped at the span left, a block's position stays below
+                # its draws times its span, so within int64 for any block of
+                # under 2e12 pairs
+                span = ends - reached
+                draws = int(cut[-1])
+                for lo in range(0, draws, _CHUNK):
+                    if draws <= _CHUNK:
+                        first, stop, stops = 0, take, cut
+                    else:  # the blocks with draws in [lo, hi), and where each stops
+                        hi = min(lo + _CHUNK, draws)
+                        first = int(np.searchsorted(cut, lo, side="right"))
+                        stop = int(np.searchsorted(cut, hi - 1, side="right")) + 1
+                        stops = np.minimum(cut[first:stop], hi) - lo
+                    at = slice(first, stop)
+                    draws_of = stops.copy()  # each block's draws in the chunk
+                    draws_of[1:] -= stops[:-1]
+                    seg = np.repeat(np.arange(stop - first), draws_of)
+                    gaps = rng.geometric(q[at][seg])
+                    np.minimum(gaps, span[at][seg], out=gaps)
+                    np.cumsum(gaps, out=gaps)
+                    # to each block's pair positions; the sums of the blocks
+                    # before it may wrap around int64, and this subtraction
+                    # undoes that
+                    stops = stops - 1  # each block's last draw in the chunk
+                    shift = np.concatenate(([0], gaps[stops[:-1]])) - reached[at]
+                    gaps -= shift[seg]
+                    reached[at] = gaps[stops]
+                    inside = gaps < ends[at][seg]
+                    hit = seg[inside]
+                    hit += first
+                    new = _pair_keys(hit, gaps[inside], row0, col0, rows, cols, tri, width)
+                    if size + new.size > keys.size:
+                        keys.resize(max(size + new.size, keys.size * 3 // 2), refcheck=False)
+                    keys[size : size + new.size] = new
+                    size += new.size
+                    del seg, gaps, inside, hit, new
+                more = np.flatnonzero(reached < ends)
+                if more.size:
+                    left.append([a[more] for a in window[:6]] + [reached[more]])
+            if done < pending:
+                done += take
+            else:  # the window's untaken blocks are unreached again
+                reach = upto if take == live.size else reach + int(live[take])
+            if take < end.size:
+                break
+            room -= draws
+        if done < pending:
+            left.append([a[done:] for a in held])
+        held = left[0] if len(left) == 1 else [np.concatenate(c) for c in zip(*left)]
+    keys.resize(size, refcheck=False)
+    return keys
+
+
+def _sample_blocks(row0, col0, rows, cols, p, rng, width=None) -> np.ndarray:
+    """_sample_windows over the blocks of five arrays, block k being
+    (row0[k], col0[k], rows[k], cols[k], p[k]); width defaults to one past
+    the largest column. Windows are views of the arrays."""
+    if width is None:
+        width = (col0 + cols).max(initial=1)
+    return _sample_windows(
+        lambda lo, hi: (row0[lo:hi], col0[lo:hi], rows[lo:hi], cols[lo:hi], p[lo:hi]),
+        len(p), rng, width,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -238,20 +293,27 @@ def generate_er(n: int, p: float, seed: int) -> Graph:
     return merge_keys([keys], n)[0]
 
 
-def _degree_class_blocks(degrees: DegreeSequence) -> tuple[np.ndarray, ...]:
-    """The CL pair blocks, as _sample_blocks takes them: one per pair of
-    degree classes a <= b, a class being the run of nodes of one degree."""
+def _degree_class_blocks(degrees: DegreeSequence):
+    """The CL pair blocks, as _sample_windows takes them: a function of
+    (lo, hi) and the block count. There is one block per pair of degree
+    classes a <= b in row-major order, a class being the run of nodes of
+    one degree. Only arrays over the k classes are held; a window's blocks
+    are decoded when the sampler asks for them."""
     deg = degrees.degrees
     first = np.flatnonzero(np.concatenate(([True], deg[1:] != deg[:-1])))
     count = np.diff(np.append(first, deg.size))
     weight = deg[first].astype(np.float64)
-    # class pairs a <= b in row-major order: row a holds k - a of them
-    k = len(first)
-    row = np.arange(k, 0, -1)
-    a = np.repeat(np.arange(k), row)
-    b = np.arange(a.size) - np.repeat(np.cumsum(row) - row - np.arange(k), row)
-    p = np.minimum(1.0, weight[a] * weight[b] / degrees.total)
-    return first[a], first[b], count[a], count[b], p
+    k, total = len(first), degrees.total
+    row_end = np.cumsum(np.arange(k, 0, -1))  # blocks up to the end of row a
+
+    def window(lo: int, hi: int) -> tuple[np.ndarray, ...]:
+        t = np.arange(lo, hi)
+        a = np.searchsorted(row_end, t, side="right")
+        b = t - row_end[a] + k  # row a ends with b = k - 1
+        p = np.minimum(1.0, weight[a] * weight[b] / total)
+        return first[a], first[b], count[a], count[b], p
+
+    return window, k * (k + 1) // 2
 
 
 def generate_cl(degrees: DegreeSequence, seed: int) -> Graph:
@@ -260,11 +322,14 @@ def generate_cl(degrees: DegreeSequence, seed: int) -> Graph:
     Nodes of equal degree form a class, a contiguous range of the sorted
     sequence, so the pairs between two classes (or inside one) share one
     probability. Each of these blocks is sampled exactly, by the block
-    sampler, on the run's single stream.
+    sampler, on the run's single stream. Besides its keys, the run holds
+    arrays over the classes, one window of blocks and the blocks a round
+    leaves unfinished, never the whole class-pair table (k(k + 1)/2 blocks
+    for k classes).
     """
     if degrees.total < 2:
         raise ValueError("degree sequence must sum to at least 2")
-    keys = _sample_blocks(*_degree_class_blocks(degrees), substream(seed), degrees.n)
+    keys = _sample_windows(*_degree_class_blocks(degrees), substream(seed), degrees.n)
     return merge_keys([keys], degrees.n)[0]
 
 
@@ -371,7 +436,7 @@ def generate_bter(
 
     raw = dict(zip(PHASE_NAMES, (len(keys1), len(keys2a), len(keys2b), edges_2c)))
     parts = [keys1, keys2a, keys2b, keys2c]
-    del keys1, keys2a, keys2b, keys2c  # the merge frees them
+    del keys1, keys2a, keys2b, keys2c, e, e_scaled  # the merge frees the keys
     graph, stats = merge_keys(parts, n, self_loops)
 
     kept = dict(raw)  # only Phase 2c can lose pairs (see PhaseTrace)

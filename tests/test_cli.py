@@ -154,6 +154,19 @@ def test_generate_bytes_pinned(tmp_path, model):
     assert digests == _GENERATE_SHA256[model]
 
 
+def test_generate_cl_bytes_pinned_over_many_windows(tmp_path):
+    # 714 degree classes, 255,255 class-pair blocks: the sampler works them
+    # over many windows, and must write what 0.6.0 wrote from the full table
+    from bter.degrees import synthesize_powerlaw
+    from bter.generate import _WINDOW, _degree_class_blocks
+
+    assert _degree_class_blocks(synthesize_powerlaw(300_000, 2.0, 2000))[1] > 8 * _WINDOW
+    assert run("generate", "--model", "cl", "--powerlaw", "300000,2,2000", "--seed", 1,
+               "--out", tmp_path / "g.txt") == EXIT_OK
+    digest = hashlib.sha256((tmp_path / "g.txt").read_bytes()).hexdigest()
+    assert digest == "8c70677b1b41bb8a00b1f5a6db7ce908710530de863c6419323663645b47da79"
+
+
 def test_generate_trace_counts_phase2c_self_loops(tmp_path):
     # a hub-heavy sequence whose Phase 2c draws self-loops: they are
     # dropped before the merge and still counted, as 0.5.0 counted them

@@ -309,12 +309,29 @@ def write_partition_csv_by_row(part, seq, path) -> None:
 @pytest.mark.parametrize("chunk", [None, 7])
 def test_write_partition_csv_matches_row_writer(tmp_path, monkeypatch, chunk):
     if chunk is not None:
-        monkeypatch.setattr(bter.graph, "_WRITE_CHUNK", chunk)
+        monkeypatch.setattr(bter.communities, "_PARTITION_CHUNK", chunk)
     for seq in (synthesize_powerlaw(3000, 2.0, 60), seq_of(1, 1), seq_of(1, 3, 3, 3)):
         part = preprocess(seq, ConnectivityFormula(rho=0.9, eta=0.7))
         write_partition_csv(part, seq, tmp_path / "new.csv")
         write_partition_csv_by_row(part, seq, tmp_path / "old.csv")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_write_partition_csv_memory_is_a_chunk(tmp_path):
+    # at n=3e5 the dump is ~13 MB; the writer builds no full-length column
+    # and formats one chunk of rows at a time
+    import tracemalloc
+
+    seq = synthesize_powerlaw(300_000, 2.0, 2000)
+    part = preprocess(seq, ConnectivityFormula())
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        write_partition_csv(part, seq, tmp_path / "part.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - live <= 4 << 20, peak - live
 
 
 def test_write_partition_csv_matches_row_writer_at_scale(tmp_path):

@@ -18,8 +18,10 @@ from bter.generate import (
     _phase1_keys,
     _CHUNK,
     _ROUND_DRAWS,
+    _WINDOW,
     _degree_class_blocks,
     _sample_blocks,
+    _sample_windows,
     _triangle_pairs,
 )
 from bter.graph import merge_keys, write_edgelist
@@ -228,7 +230,8 @@ def test_block_sampler_rounds_stay_capped():
 
 
 def _cl_class_blocks():
-    return _degree_class_blocks(synthesize_powerlaw(300, 2.0, 30))
+    window, count = _degree_class_blocks(synthesize_powerlaw(300, 2.0, 30))
+    return window(0, count)
 
 
 @pytest.mark.parametrize("blocks", [_mixed_blocks, _cl_class_blocks], ids=["mixed", "cl"])
@@ -245,6 +248,31 @@ def test_block_sampler_chunks_read_the_same_stream(blocks):
                     keys = _sample_blocks(*blocks(), substream(4), 190)
                 assert np.array_equal(keys, default), (chunk, cap)
     assert _CHUNK == 1 << 16
+
+
+def _draw_mixed(rng):
+    return _sample_blocks(*_mixed_blocks(), rng, 190)
+
+
+def _draw_cl(rng):
+    # 20 degree classes: 210 class-pair blocks, decoded a window at a time
+    return _sample_windows(*_degree_class_blocks(synthesize_powerlaw(300, 2.0, 30)), rng, 190)
+
+
+@pytest.mark.parametrize("draw", [_draw_mixed, _draw_cl], ids=["mixed", "cl"])
+def test_block_sampler_windows_read_the_same_stream(draw):
+    # window boundaries fall between blocks, inside a round and at its end;
+    # under either round plan, every window size reads the same gaps as the
+    # default one, so it returns the same keys
+    for cap in (_ROUND_DRAWS, 100):
+        with mock.patch.object(bter.generate, "_ROUND_DRAWS", cap):
+            default = draw(substream(4))
+            assert default.size > 100
+            for window in (1, 7, 100):
+                with mock.patch.object(bter.generate, "_WINDOW", window):
+                    keys = draw(substream(4))
+                assert np.array_equal(keys, default), (window, cap)
+    assert _WINDOW == 1 << 14
 
 
 def test_block_sampler_memory_is_its_keys_and_a_chunk():
@@ -271,6 +299,31 @@ def test_block_sampler_memory_is_its_keys_and_a_chunk():
 # ---------------------------------------------------------------------------
 # CL
 # ---------------------------------------------------------------------------
+
+
+def test_cl_memory_is_its_graph_and_a_window():
+    # --powerlaw 30000,2,300 has 204 degree classes, 20,910 class-pair
+    # blocks; generate_cl never holds them all. With small windows and
+    # chunks its peak is the graph it returns (edges and degrees), two
+    # copies of its keys (the merge's sorted and distinct keys, or the
+    # sampler's array, which grows by half when full) and a bounded number
+    # of window- and chunk-sized temporaries
+    import tracemalloc
+
+    seq = synthesize_powerlaw(30_000, 2.0, 300)
+    default = generate_cl(seq, 1)
+    window, chunk = 64, 1024
+    with mock.patch.object(bter.generate, "_WINDOW", window), \
+            mock.patch.object(bter.generate, "_CHUNK", chunk):
+        tracemalloc.start()
+        try:
+            g = generate_cl(seq, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert g == default
+    held = 2 * 8 * g.edge_count + g.edges.nbytes + g.degrees.nbytes
+    assert peak <= held + 16 * 8 * (window + chunk), (peak, held)
 
 
 def test_cl_two_nodes_edge_frequency():
@@ -346,7 +399,7 @@ def test_cl_fast_matches_exact_inclusion_law():
     total = float(deg.sum())
     runs = 100_000
     blocks = _degree_class_blocks(seq)
-    keys = [_sample_blocks(*blocks, substream(seed, 77), 30) for seed in range(runs)]
+    keys = [_sample_windows(*blocks, substream(seed, 77), 30) for seed in range(runs)]
     freq = np.bincount(np.concatenate(keys), minlength=900).reshape(30, 30) / runs
     for u in range(29):
         for v in range(u + 1, 30):
