@@ -603,12 +603,12 @@ def cmd_audit(args, argv: list[str]) -> int:
         header = "block,s,expected_triangles,wedge_threshold,passes," + ",".join(
             _core_label(c) for c in core_constants
         )
-        rows = []
-        passed = 0
         # blocks with equal internal-degree multisets (per_block values are
         # sorted) have equal audits, so each distinct one is audited once
+        ids = sorted(per_block)
         audits: dict[bytes, CommunityAudit] = {}
-        for k in sorted(per_block):
+        passed = 0
+        for k in ids:
             key = per_block[k].tobytes()
             if key not in audits:
                 try:
@@ -620,10 +620,12 @@ def cmd_audit(args, argv: list[str]) -> int:
                     )
                 except ValueError as exc:
                     raise UsageError(str(exc)) from exc
-            audit = audits[key]
-            passed += audit.passes
-            rows.append(
-                (
+            passed += audits[key].passes
+
+        def block_rows():
+            for k in ids:
+                audit = audits[per_block[k].tobytes()]
+                yield (
                     str(k),
                     _fmt(audit.s),
                     _fmt(audit.expected_triangles),
@@ -631,16 +633,17 @@ def cmd_audit(args, argv: list[str]) -> int:
                     str(audit.passes).lower(),
                     *(str(audit.er_core[c][0]) for c in core_constants),
                 )
-            )
+
         blocks_path = out_dir / "blocks.csv"
-        _write_rows(blocks_path, header, rows)
+        _write_rows(blocks_path, header, block_rows())
         outputs.append(blocks_path)
         total = len(per_block)
         frac = passed / total if total else 0.0
         print(f"blocks passing kappa={args.kappa}: {passed}/{total} ({frac:.3f})")
 
         # realized block-size histogram, the counterpart of --predict
-        _, block_sizes = np.unique(assignment[assignment >= 0], return_counts=True)
+        block_sizes = np.bincount(assignment[assignment >= 0])
+        block_sizes = block_sizes[block_sizes > 0]
         realized = _cli.block_size_histogram(block_sizes)
         realized_path = out_dir / "realized_sizes.csv"
         _write_rows(

@@ -2,10 +2,12 @@
 
 Triangle counts are exact, via degree-ordered compact-forward counting in
 numpy array passes (each triangle found once, at its lowest-ranked
-corner). The leading adjacency eigenvalues come from ARPACK's implicitly
-restarted Lanczos (scipy.sparse.linalg.eigsh), using only sparse
-matrix-vector products, with every reported pair's residual checked
-explicitly.
+corner). Besides the graph, the count holds two int64 arrays of length m
+(the sorted oriented edge keys and their target column), a few of length n
+and one cache-sized pass; per-node counts are int64 sums. The leading
+adjacency eigenvalues come from ARPACK's implicitly restarted Lanczos
+(scipy.sparse.linalg.eigsh), using only sparse matrix-vector products, with
+every reported pair's residual checked explicitly.
 """
 
 from __future__ import annotations
@@ -81,7 +83,12 @@ class SpectrumConvergenceError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-_WEDGE_CHUNK = 1 << 20  # wedges closed per array pass; bounds the kernel's memory
+# Wedges closed, and edges oriented, per array pass. Cache-sized, like the
+# block sampler's _CHUNK: a pass holds about a dozen arrays of this length.
+# Besides the graph the kernel then holds only the sorted keys and their
+# target column (int64, length m), a few node-length arrays, among them the
+# int64 per-node triangle sums, and one pass.
+_WEDGE_CHUNK = 1 << 16
 
 
 def count_triangles_wedges(g: Graph) -> TriangleWedgeCounts:
@@ -91,53 +98,56 @@ def count_triangles_wedges(g: Graph) -> TriangleWedgeCounts:
     higher rank, so each triangle is the closed out-wedge of exactly one
     node, its lowest-ranked corner, and out-degrees stay O(sqrt(m)). Out-wedges
     are enumerated per out-degree class and closed by binary search in the
-    sorted oriented edge keys, at most about _WEDGE_CHUNK wedges per pass, so
-    memory stays bounded. Counts are exact.
+    sorted oriented edge keys, at most about _WEDGE_CHUNK wedges per pass.
+    Each closed wedge adds one to each of its three corners in an int64
+    table, so per-node counts are exact at any size.
     """
-    n = g.n
-    degrees = g.degrees.astype(np.int64)
+    n, m = g.n, g.edge_count
+    degrees = np.asarray(g.degrees, dtype=np.int64)
     wedge_at = degrees * (degrees - 1) // 2
 
-    order = np.argsort(degrees, kind="stable")  # rank -> node id
     rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n)
-    ru, rv = rank[g.edges[:, 0]], rank[g.edges[:, 1]]
-    keys = np.sort(np.minimum(ru, rv) * n + np.maximum(ru, rv))
-    src, dst = np.divmod(keys, n)  # oriented CSR in rank space: dst sorted per src
-    out_deg = np.bincount(src, minlength=n)
-    start = np.cumsum(out_deg) - out_deg
-
-    # slot_tri[e]: triangles whose lowest corner is src[e] and that use edge e
-    slot_tri = np.zeros(len(keys), dtype=np.int64)
+    rank[np.argsort(degrees, kind="stable")] = np.arange(n)
+    keys = np.empty(m, dtype=np.int64)  # oriented edge u -> v in rank space: u*n + v
+    for c in range(0, m, _WEDGE_CHUNK):
+        ru = rank[g.edges[c : c + _WEDGE_CHUNK, 0]]
+        rv = rank[g.edges[c : c + _WEDGE_CHUNK, 1]]
+        keys[c : c + len(ru)] = np.minimum(ru, rv) * n + np.maximum(ru, rv)
+    keys.sort()
+    dst = keys % n  # sorted within each row
+    start = np.searchsorted(keys, np.arange(n + 1) * n)  # row u is keys[start[u]:start[u+1]]
+    out_deg = np.diff(start)
     by_out = np.argsort(out_deg, kind="stable")  # nodes grouped by out-degree
-    classes, firsts = np.unique(out_deg[by_out], return_index=True)
-    for k, nodes in zip(classes.tolist(), np.split(by_out, firsts[1:])):
-        if k < 2:
+    class_start = np.concatenate([[0], np.cumsum(np.bincount(out_deg))])
+    del out_deg
+
+    tri_rank = np.zeros(n, dtype=np.int64)  # triangles at each node, by rank
+    triangles = 0
+    for k in range(2, len(class_start) - 1):
+        nodes = by_out[class_start[k] : class_start[k + 1]]
+        if not len(nodes):
             continue
         ti, tj = np.triu_indices(k, 1)
         step = max(1, _WEDGE_CHUNK // len(ti))
         for c in range(0, len(nodes), step):
-            base = start[nodes[c : c + step], None]
-            wedge_keys = dst[base + ti] * n + dst[base + tj]  # dst[.. ti] < dst[.. tj]
+            u = nodes[c : c + step]
+            base = start[u, None]
+            v, w = dst[base + ti], dst[base + tj]  # out-wedge v <- u -> w, v < w
+            wedge_keys = v * n
+            wedge_keys += w
             pos = np.searchsorted(keys, wedge_keys)
-            closed = keys[np.minimum(pos, len(keys) - 1)] == wedge_keys
-            row, pair = np.nonzero(closed)
-            slots = np.concatenate([row * k + ti[pair], row * k + tj[pair]])
-            slot_tri[base + np.arange(k)] = np.bincount(
-                slots, minlength=len(base) * k
-            ).reshape(-1, k)
+            np.minimum(pos, m - 1, out=pos)
+            closed = keys[pos] == wedge_keys
+            tri_rank[u] += closed.sum(axis=1)  # u is each one's lowest corner
+            hit = np.flatnonzero(closed)
+            triangles += len(hit)
+            np.add.at(tri_rank, v.ravel()[hit], 1)
+            np.add.at(tri_rank, w.ravel()[hit], 1)
 
-    # a triangle fills two slots of its lowest corner, and at each other
-    # corner one slot that points to it (float64 sums, exact below 2**53)
-    tri_rank = np.bincount(src, weights=slot_tri, minlength=n) // 2 + np.bincount(
-        dst, weights=slot_tri, minlength=n
-    )
-    tri_at = np.empty(n, dtype=np.int64)
-    tri_at[order] = tri_rank.astype(np.int64)
     return TriangleWedgeCounts(
-        triangles=int(slot_tri.sum()) // 2,
+        triangles=triangles,
         wedges=int(wedge_at.sum()),
-        per_node_triangles=tri_at,
+        per_node_triangles=tri_rank[rank],
         per_node_wedges=wedge_at,
     )
 
@@ -174,8 +184,9 @@ def clustering_profile(
 
 def degree_histogram(g: Graph) -> dict[int, int]:
     """Realized degree counts, including a degree-0 entry for isolated nodes."""
-    values, counts = np.unique(g.degrees, return_counts=True)
-    return {int(d): int(c) for d, c in zip(values, counts)}
+    counts = np.bincount(g.degrees)
+    values = np.flatnonzero(counts)
+    return dict(zip(values.tolist(), counts[values].tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -436,6 +436,33 @@ def test_audit_blocks_match_direct_per_block_audits(tmp_path):
         ])
 
 
+# sha256 of each output of `audit --partition --predict 1e6,2` on the
+# `generate --model bter --powerlaw 50000,2,300 --seed 1` graph (4,417
+# blocks) as 0.6.0 writes it; how the audit is computed and written must not
+# move a byte
+_AUDIT_SHA256 = {
+    "kk.csv": "8bb9ef62fa119b68cd115ab531c0237f4aaa9515d1e9e170d81cd787be95cb9d",
+    "blocks.csv": "0a62622aaee7918e59d947b294c6d51e5bfbaeaa30479ab82e35581c843b1a98",
+    "realized_sizes.csv": "147c0ab1e1250ae8e5742a9b62fb4ce84a473afaa7ac35f851edd24eec86c425",
+    "predicted_profile.csv": "45def1b6fa8c9e73c96a51e289427612171a35d05a3da2d8270b7bcff1064f80",
+}
+
+
+def test_audit_bytes_pinned(tmp_path):
+    g = tmp_path / "g.txt"
+    assert run("generate", "--model", "bter", "--powerlaw", "50000,2,300",
+               "--seed", 1, "--out", g) == EXIT_OK
+    out = tmp_path / "audit"
+    assert run("audit", "--graph", g, "--partition", f"{g}.partition.csv",
+               "--predict", "1e6,2", "--out-dir", out) == EXIT_OK
+    assert len((out / "blocks.csv").read_text().splitlines()) - 1 == 4417
+    digests = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in _AUDIT_SHA256
+    }
+    assert digests == _AUDIT_SHA256
+
+
 def test_audit_partition_node_mismatch(tmp_path, k4_file):
     part = tmp_path / "part.csv"
     part.write_text("node,block,bar_d,rho,excess\n0,0,2,0.9,0\n1,0,2,0.9,0\n")

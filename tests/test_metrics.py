@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -78,11 +79,12 @@ def test_counts_match_brute_force():
         assert c.wedges == int((g.degrees * (g.degrees - 1) // 2).sum())
 
 
-@pytest.mark.parametrize("chunk", [None, 7])
+@pytest.mark.parametrize("chunk", [None, 7, 1])
 def test_counts_match_sparse_oracle_midsize(chunk, monkeypatch):
     if chunk is not None:
-        # out-degree classes 2-4 then span several passes, and larger
-        # classes get one node per pass
+        # at 7, out-degree classes 2-4 span several passes, and larger
+        # classes get one node per pass; at 1, every pass holds one node
+        # and every edge is oriented in a pass of its own
         monkeypatch.setattr(metrics, "_WEDGE_CHUNK", chunk)
     # n = 3000 with hubs: many out-degree classes and closing searches
     seq = synthesize_powerlaw(3000, 2.0, 120)
@@ -92,6 +94,44 @@ def test_counts_match_sparse_oracle_midsize(chunk, monkeypatch):
         assert total > 0
         assert c.triangles == total
         assert np.array_equal(c.per_node_triangles, per_node)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, metrics._WEDGE_CHUNK])
+@given(st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=50))
+@settings(max_examples=60)
+def test_per_node_counts_match_brute_force_any_chunk(chunk, stream):
+    g, _ = build_graph(stream, n=12)
+    total, per_node = brute_force_triangles(g)
+    with mock.patch.object(metrics, "_WEDGE_CHUNK", chunk):
+        c = count_triangles_wedges(g)
+    assert c.triangles == total
+    assert np.array_equal(c.per_node_triangles, per_node)
+    assert c.per_node_triangles.dtype == np.int64
+
+
+@pytest.mark.parametrize("model", ["bter", "cl"])
+def test_kernel_memory_bounded(model, monkeypatch):
+    # besides the graph: two int64 edge-length arrays (the sorted keys and
+    # their target column), at most eight node-length ones, and one pass of
+    # at most sixteen chunk-length ones
+    import tracemalloc
+
+    monkeypatch.setattr(metrics, "_WEDGE_CHUNK", 4096)
+    seq = synthesize_powerlaw(30000, 2.0, 300)
+    if model == "bter":
+        g = generate_bter(seq, GenerationConfig(seed=1))[0]
+    else:
+        g = generate_cl(seq, 1)
+    bound = 2 * 8 * g.edge_count + 8 * 8 * g.n + 16 * 8 * metrics._WEDGE_CHUNK
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        c = count_triangles_wedges(g)
+        peak = tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
+    assert c.triangles > 0
+    assert peak <= bound
 
 
 @given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=35))
