@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,6 +168,7 @@ def preprocess(seq: DegreeSequence, f: ConnectivityFormula) -> CommunityPartitio
 
 
 _PARTITION_HEADER = "node,block,bar_d,rho,excess"
+_NON_SPACE = re.compile(rb"\S")
 # Rows of the partition dump formatted at once. Its two %.12g columns cost a
 # Python bytes object per distinct value, so a chunk of 2^14 rows (at most
 # ~1.6 MB of text) keeps the writer's temporaries to a few MB.
@@ -223,26 +225,33 @@ def _partition_rows_fast(path) -> tuple[np.ndarray, np.ndarray, np.ndarray] | No
     """One np.loadtxt pass over an ASCII partition dump; None where the line
     parser must decide (non-ASCII text, whitespace-only lines, a row that is
     not five fields with integer node and block and a float excess).
+
+    The parse reads the file's bytes as they are: np.loadtxt skips the
+    header line itself, and the comma count starts after it, so no copy of
+    the body is made.
     """
     data = read_ascii(path)
     if data is None:
         return None
-    header, _, body = data.partition(b"\n")
-    if header.decode().strip() != _PARTITION_HEADER or not body or body.isspace():
+    end = data.find(b"\n")
+    if end < 0 or data[:end].decode().strip() != _PARTITION_HEADER:
+        return None
+    if _NON_SPACE.search(data, end + 1) is None:  # no row at all
         return None
     try:
         rows = np.loadtxt(
-            io.BytesIO(body),
+            io.BytesIO(data),
             dtype=[("node", np.int64), ("block", np.int64), ("excess", np.float64)],
             delimiter=",",
             usecols=(0, 1, 4),
             comments=None,
+            skiprows=1,
             ndmin=1,
         )
     except ValueError:
         return None
     # every row has at least five fields, so this many commas means exactly five
-    if body.count(b",") != 4 * len(rows):
+    if data.count(b",", end + 1) != 4 * len(rows):
         return None
     return rows["node"], rows["block"], rows["excess"]
 
@@ -259,10 +268,16 @@ def read_partition_csv(path) -> tuple[np.ndarray, np.ndarray]:
         parsed if parsed is not None else _partition_rows_by_line(path)
     )
     n = len(nodes)
-    # np.sort of a list holding ids beyond int64 sorts Python ints (object dtype)
-    if not np.array_equal(np.sort(nodes), np.arange(n)):
+    # n ids, each in 0..n-1, that mark every node once: a permutation. The
+    # line parser's ids may lie beyond int64 (object dtype); such an id
+    # fails the range check before the int64 view is taken
+    nodes = np.asarray(nodes)
+    seen = np.zeros(n, dtype=bool)
+    if n and nodes.min() >= 0 and nodes.max() < n:
+        nodes = nodes.astype(np.int64, copy=False)
+        seen[nodes] = True
+    if not seen.all():
         raise ValueError(f"{path}: node column must cover 0..{n - 1} exactly once")
-    nodes = np.asarray(nodes, dtype=np.int64)
     assignment = np.empty(n, dtype=np.int64)
     exc = np.empty(n, dtype=np.float64)
     assignment[nodes] = blocks

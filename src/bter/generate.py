@@ -290,7 +290,9 @@ def generate_er(n: int, p: float, seed: int) -> Graph:
         raise ValueError("p must be in [0, 1]")
     start, size = np.array([0]), np.array([n])
     keys = _sample_blocks(start, start, size, size, np.array([p]), substream(seed), n)
-    return merge_keys([keys], n)[0]
+    parts = [keys]
+    del keys  # the merge works in this buffer
+    return merge_keys(parts, n)[0]
 
 
 def _degree_class_blocks(degrees: DegreeSequence):
@@ -330,7 +332,9 @@ def generate_cl(degrees: DegreeSequence, seed: int) -> Graph:
     if degrees.total < 2:
         raise ValueError("degree sequence must sum to at least 2")
     keys = _sample_windows(*_degree_class_blocks(degrees), substream(seed), degrees.n)
-    return merge_keys([keys], degrees.n)[0]
+    parts = [keys]
+    del keys  # the merge works in this buffer
+    return merge_keys(parts, degrees.n)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +370,40 @@ def degree1_split(degrees: DegreeSequence, cfg: GenerationConfig) -> tuple[int, 
     return r, p, q
 
 
+def _weighted_draws(rng: np.random.Generator, p: np.ndarray, size) -> np.ndarray:
+    """The indices ``rng.choice(len(p), size, p=p)`` returns, read from the
+    same stream, for probabilities p (non-negative, summing to about 1).
+
+    It repeats the steps of choice's draw with replacement in numpy >= 2.4:
+    the cumulative sum of p, divided by its last entry, searched
+    (``side="right"``) for ``rng.random(size)`` in C order. It overwrites p
+    with that cdf, and draws the uniforms _CHUNK at a time, each chunk
+    searched in sorted order and scattered back: a query's index does not
+    depend on the order of the search, so the indices and the stream are
+    choice's, while the draw holds the cdf and its output, not choice's p,
+    cdf, full uniform array and index array. A numpy whose choice takes
+    other steps would move the block model's bytes, and its sha256 pins
+    would fail.
+    """
+    cdf = np.cumsum(p, out=p)
+    cdf /= cdf[-1]
+    out = np.empty(size, dtype=np.int64)
+    flat = out.reshape(-1)
+    for lo in range(0, flat.size, _CHUNK):
+        uniform = rng.random(min(_CHUNK, flat.size - lo))
+        order = np.argsort(uniform)
+        flat[lo : lo + order.size][order] = cdf.searchsorted(uniform[order], side="right")
+    return out
+
+
+def _append(keys: np.ndarray, new: np.ndarray) -> None:
+    """Grow keys, an array nothing else references, in place (a realloc) by
+    the entries of new."""
+    size = keys.size
+    keys.resize(size + new.size, refcheck=False)
+    keys[size:] = new
+
+
 def generate_bter(
     degrees: DegreeSequence, cfg: GenerationConfig
 ) -> tuple[Graph, PhaseTrace]:
@@ -375,13 +413,21 @@ def generate_bter(
     Phase 2a/2b/2c, then merges the edge keys of all phases into a simple
     graph (self-loops and duplicates discarded). Deterministic for fixed
     (degrees, cfg).
+
+    The keys live in one array: Phase 1's, grown in place as each Phase 2
+    subphase appends its keys, and handed to the merge, which turns that
+    buffer into the graph's edge array.
     """
     r, p, q = degree1_split(degrees, cfg)
     part = preprocess(degrees, cfg.connectivity)
     n = degrees.n
 
     width = np.int64(max(n, 1))
-    keys1 = _phase1_keys(part, cfg.seed, n)
+    keys = _phase1_keys(part, cfg.seed, n)
+    raw1 = keys.size
+
+    # Each subphase appends its keys and frees its temporaries before the
+    # next one, so the merge's buffer can grow into the memory they held.
 
     # Degree-1 adjustment: the first p degree-1 nodes are wired manually;
     # the rest get a raised CL weight.
@@ -392,13 +438,13 @@ def generate_bter(
     # Phase 2a: random pairing among q of the set-aside nodes.
     if q > 0:
         chosen = substream(cfg.seed, _PHASE2, _SUB_A).choice(p, size=q, replace=False)
-        keys2a = np.minimum(chosen[0::2], chosen[1::2]) * width
-        keys2a += np.maximum(chosen[0::2], chosen[1::2])
+        pairs = chosen.reshape(-1, 2)
+        _append(keys, pairs.min(axis=1) * width + pairs.max(axis=1))
         paired = np.zeros(p, dtype=bool)
         paired[chosen] = True
         manual_rest = np.nonzero(~paired)[0].astype(np.int64)
+        del chosen, pairs, paired
     else:
-        keys2a = np.empty(0, dtype=np.int64)
         manual_rest = np.arange(p, dtype=np.int64)
 
     # Phase 2b: one edge per remaining set-aside node, far endpoint drawn
@@ -406,13 +452,14 @@ def generate_bter(
     # never drawn (no self-loops, no manual-manual edges), and every far
     # endpoint lies above the set-aside ids.
     sum_e = float(e.sum())
+    raw2b = 0
     if manual_rest.size and sum_e > 0.0:
-        keys2b = substream(cfg.seed, _PHASE2, _SUB_B).choice(
-            n, size=manual_rest.size, p=e / sum_e
-        )
-        keys2b += manual_rest * width
-    else:
-        keys2b = np.empty(0, dtype=np.int64)
+        far = _weighted_draws(substream(cfg.seed, _PHASE2, _SUB_B), e / sum_e, manual_rest.size)
+        far += manual_rest * width
+        _append(keys, far)
+        raw2b = far.size
+        del far
+    del manual_rest
 
     # Phase 2c: rescale weights for the edges Phase 2b already used and the
     # duplicates the merge will discard, then sample endpoint pairs i.i.d.
@@ -423,20 +470,23 @@ def generate_bter(
     eta_scale = 1.0 - 2.0 * (p - q) / pool + cfg.beta if pool > 0.0 else 0.0
     eta_scale = max(0.0, eta_scale)
     e_scaled = eta_scale * e
+    del e
     sum_e_scaled = float(e_scaled.sum())
     edges_2c = nint(sum_e_scaled / 2.0) if sum_e_scaled > 0.0 else 0
+    self_loops = 0
     if edges_2c > 0:
-        ends = substream(cfg.seed, _PHASE2, _SUB_C).choice(
-            n, size=(edges_2c, 2), p=e_scaled / sum_e_scaled
+        ends = _weighted_draws(
+            substream(cfg.seed, _PHASE2, _SUB_C), e_scaled / sum_e_scaled, (edges_2c, 2)
         )
-        keys2c, self_loops = loop_free_keys(ends[:, 0], ends[:, 1], n)
+        del e_scaled
+        new, self_loops = loop_free_keys(ends[:, 0], ends[:, 1], n)
         del ends
-    else:
-        keys2c, self_loops = np.empty(0, dtype=np.int64), 0
+        _append(keys, new)
+        del new
 
-    raw = dict(zip(PHASE_NAMES, (len(keys1), len(keys2a), len(keys2b), edges_2c)))
-    parts = [keys1, keys2a, keys2b, keys2c]
-    del keys1, keys2a, keys2b, keys2c, e, e_scaled  # the merge frees the keys
+    raw = dict(zip(PHASE_NAMES, (raw1, q // 2, raw2b, edges_2c)))
+    parts = [keys]
+    del keys  # the merge works in this buffer
     graph, stats = merge_keys(parts, n, self_loops)
 
     kept = dict(raw)  # only Phase 2c can lose pairs (see PhaseTrace)

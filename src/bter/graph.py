@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import io
 import re
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import partial
@@ -234,7 +235,7 @@ def build_graph(
     else:
         keys, self_loops = loop_free_keys(u, v, n)
     parts = [keys]
-    del keys  # the merge frees them once sorted
+    del keys  # the merge works in this buffer
     return merge_keys(parts, n, self_loops)
 
 
@@ -249,27 +250,62 @@ def loop_free_keys(u: np.ndarray, v: np.ndarray, n: int) -> tuple[np.ndarray, in
     return (keys[~loops] if self_loops else keys), self_loops
 
 
+def _sole_refs() -> int:
+    """What sys.getrefcount reports for an object that only one local name
+    holds (the count of getrefcount's own argument differs by version)."""
+    probe = np.empty(0)
+    return sys.getrefcount(probe)
+
+
+_SOLE_REFS = _sole_refs()
+
+
 def merge_keys(
     parts: list[np.ndarray], n: int, self_loops: int = 0
 ) -> tuple[Graph, EdgeStreamStats]:
     """The simple graph on n nodes whose edges are the distinct keys in parts.
 
-    Every key is an int64 ``u * max(n, 1) + v`` of a pair u < v < n.
-    ``self_loops`` counts the loop pairs the caller dropped before keying,
-    so the stats account for the whole stream. The list is emptied, and its
-    keys are sorted in place and dropped before the edge array is built:
-    arrays that nothing else holds are freed by then.
+    ``parts`` is a list of one 1-d array of int64 keys ``u * max(n, 1) + v``,
+    each of a pair u < v < n. ``self_loops`` counts the loop pairs the caller
+    dropped before keying, so the stats account for the whole stream.
+
+    The merge takes ownership of the array: it empties the list, and when
+    nothing else then references the array (the caller dropped its own
+    names for it, and it is not a view), it works in that one buffer. It
+    sorts the keys in place, moves the distinct ones to the front
+    _WRITE_CHUNK at a time, grows the array to two entries a distinct key
+    (``ndarray.resize``, a realloc) and fills it with the (u, v) rows from
+    the back, each chunk's keys read before its slots are written. The
+    graph's edge array is a view of that buffer, so the merge holds 16 B a
+    key where a sorted copy, the distinct keys and a new edge array took 24.
+    An array anything else still references is copied first and left as
+    it was.
     """
-    keys = parts.pop() if len(parts) == 1 else np.concatenate(parts)
+    (keys,) = parts
     parts.clear()
+    if sys.getrefcount(keys) > _SOLE_REFS or keys.base is not None:
+        keys = keys.copy()  # the caller's array stays as it was
     # sort plus a neighbour mask: np.unique may take a slower hash path
     keys.sort()
-    unique = keys[_run_starts(keys)]
-    stats = EdgeStreamStats(len(keys) + self_loops, self_loops, len(keys) - len(unique))
-    del keys
-    edges = np.empty((len(unique), 2), dtype=np.int64)
-    np.divmod(unique, np.int64(max(n, 1)), out=(edges[:, 0], edges[:, 1]))
-    del unique
+    raw, size = len(keys), 0
+    for lo in range(0, raw, _WRITE_CHUNK):
+        chunk = keys[lo : lo + _WRITE_CHUNK]
+        first = _run_starts(chunk)
+        if lo:  # the chunk's first key against the one before it
+            first[0] = chunk[0] != keys[size - 1]
+        distinct = chunk[first]  # a copy: its slots may be written below
+        keys[size : size + len(distinct)] = distinct
+        size += len(distinct)
+    stats = EdgeStreamStats(raw + self_loops, self_loops, raw - size)
+    keys.resize(2 * size, refcheck=False)
+    edges = keys.reshape(size, 2)
+    width = np.int64(max(n, 1))
+    # row i lies in slots 2i and 2i + 1, at or after key i: from the back,
+    # a chunk's rows overwrite only keys already turned into rows, or its own
+    for lo in reversed(range(0, size, _WRITE_CHUNK)):
+        hi = min(lo + _WRITE_CHUNK, size)
+        chunk = keys[lo:hi].copy()
+        np.divmod(chunk, width, out=(edges[lo:hi, 0], edges[lo:hi, 1]))
     return Graph._canonical(n, edges), stats
 
 

@@ -167,6 +167,23 @@ def test_generate_cl_bytes_pinned_over_many_windows(tmp_path):
     assert digest == "8c70677b1b41bb8a00b1f5a6db7ce908710530de863c6419323663645b47da79"
 
 
+def test_generate_bter_bytes_pinned_over_many_chunks(tmp_path):
+    # Phase 2b draws 123,296 endpoints and Phase 2c 84,033 pairs, and the
+    # merge takes 682,699 keys: every chunked path of the block model works
+    # several chunks, and must write what 0.6.0 wrote
+    assert run("generate", "--model", "bter", "--powerlaw", "300000,2,2000", "--seed", 1,
+               "--out", tmp_path / "g.txt") == EXIT_OK
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("g.txt", "g.txt.trace.csv", "g.txt.partition.csv")
+    }
+    assert digests == {
+        "g.txt": "27f4f550195019c04eb522081086795b4646a4ff67b50bb5a9ae33e45920f7d0",
+        "g.txt.trace.csv": "c1b60ae9078f41669971a2fe6e17999419af6f199e3731ae10a7f59c173515e7",
+        "g.txt.partition.csv": "432d25be51e050cba48c38d1fcde59ae9d717312bc63909b383b6e67ffbd4b2f",
+    }
+
+
 def test_generate_trace_counts_phase2c_self_loops(tmp_path):
     # a hub-heavy sequence whose Phase 2c draws self-loops: they are
     # dropped before the merge and still counted, as 0.5.0 counted them

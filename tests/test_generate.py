@@ -23,6 +23,7 @@ from bter.generate import (
     _sample_blocks,
     _sample_windows,
     _triangle_pairs,
+    _weighted_draws,
 )
 from bter.graph import merge_keys, write_edgelist
 from bter.rng import substream
@@ -431,6 +432,38 @@ def test_cl_edge_count_moments_match_exact_oracle():
 # ---------------------------------------------------------------------------
 # BTER
 # ---------------------------------------------------------------------------
+
+
+def _phase2_weights(kind: str) -> np.ndarray:
+    rng = np.random.default_rng(8)
+    if kind == "spread":
+        return rng.random(50) * 4.0
+    if kind == "zero prefix":  # Phase 2b: the set-aside nodes weigh 0
+        return np.concatenate((np.zeros(20), rng.random(30) + 0.5, [0.0, 3.0]))
+    weights = np.zeros(40)  # a single positive weight
+    weights[17] = 2.5
+    return weights
+
+
+@pytest.mark.parametrize("kind", ["spread", "zero prefix", "single"])
+@pytest.mark.parametrize(
+    "chunk, size",
+    [(7, 1), (7, 7), (7, 8), (7, (1, 2)), (7, (4, 2)), (None, 1000), (None, (500, 2))],
+)
+def test_weighted_draws_match_choice(kind, chunk, size):
+    # the helper returns choice's indices for p = w / total, whatever its
+    # chunk size, and leaves the stream where choice leaves it
+    weights = _phase2_weights(kind)
+    total = float(weights.sum())
+    oracle = np.random.default_rng(21)
+    expected = oracle.choice(len(weights), size=size, p=weights / total)
+    rng = np.random.default_rng(21)
+    with mock.patch.object(bter.generate, "_CHUNK", chunk or _CHUNK):
+        drawn = _weighted_draws(rng, weights / total, size)
+    assert drawn.dtype == expected.dtype and drawn.shape == expected.shape
+    assert np.array_equal(drawn, expected)
+    assert rng.bit_generator.state == oracle.bit_generator.state
+    assert (weights[drawn] > 0).all()
 
 
 def test_bter_forced_pairing():

@@ -12,6 +12,7 @@ from bter.graph import (
     EdgeStreamStats,
     Graph,
     build_graph,
+    merge_keys,
     read_snap_edgelist,
     write_edgelist,
     write_rows,
@@ -259,6 +260,101 @@ def test_build_graph_keeps_a_canonical_array():
     g, stats = build_graph(arr, n=5)
     assert np.shares_memory(g.edges, arr)  # no copy of a clean stream
     assert stats == EdgeStreamStats(3, 0, 0)
+
+
+def merge_by_unique(keys: np.ndarray, n: int, self_loops: int):
+    """merge_keys by np.unique: the graph and stats it must return."""
+    distinct = np.unique(keys)
+    edges = np.column_stack(np.divmod(distinct, np.int64(max(n, 1)))).reshape(-1, 2)
+    stats = EdgeStreamStats(len(keys) + self_loops, self_loops, len(keys) - len(distinct))
+    return Graph(n, edges), stats
+
+
+@given(
+    st.integers(2, 40).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                 .filter(lambda p: p[0] != p[1]), max_size=120),
+    )),
+    st.integers(0, 5),
+    st.sampled_from([1, 2, 7, None]),
+)
+def test_merge_keys_matches_unique(stream, self_loops, chunk):
+    n, pairs = stream
+    keys = np.array([min(p) * n + max(p) for p in pairs], dtype=np.int64)
+    expected = merge_by_unique(keys, n, self_loops)
+    parts = [keys]
+    del keys  # handed over: the merge sorts and grows this array in place
+    with mock.patch.object(bter.graph, "_WRITE_CHUNK", chunk or bter.graph._WRITE_CHUNK):
+        assert merge_keys(parts, n, self_loops) == expected
+    assert parts == []
+
+
+@pytest.mark.parametrize(
+    "n, keys, self_loops",
+    [
+        (0, [], 0),  # empty
+        (5, [], 3),  # only loops
+        (1, [], 2),  # one node: every pair is a loop
+        (6, [8] * 9, 0),  # all duplicates
+        (6, [1, 1, 8, 8, 8, 29, 2, 2], 1),
+    ],
+)
+@pytest.mark.parametrize("chunk", [1, 2, None])
+def test_merge_keys_cases(n, keys, self_loops, chunk):
+    keys = np.array(keys, dtype=np.int64)
+    expected = merge_by_unique(keys, n, self_loops)
+    with mock.patch.object(bter.graph, "_WRITE_CHUNK", chunk or bter.graph._WRITE_CHUNK):
+        assert merge_keys([keys.copy()], n, self_loops) == expected
+
+
+def test_merge_keys_copies_an_array_it_does_not_own():
+    # a view, or an array the caller still holds, is left as it was: the
+    # merge sorts and grows only an array nothing else references
+    rng = np.random.default_rng(5)
+    base = rng.integers(0, 30, size=(2, 200)).sum(axis=0).astype(np.int64) + 1
+    n = 64  # keys 1..59: the pairs (0, v)
+    expected = merge_by_unique(base, n, 0)
+    for keys in (base, base[:], base[::1], base.reshape(20, 10).ravel()):
+        before = base.copy()
+        with mock.patch.object(bter.graph, "_WRITE_CHUNK", 7):
+            assert merge_keys([keys], n) == expected
+        assert np.array_equal(base, before) and base.shape == (200,)
+        assert np.array_equal(keys, before.reshape(keys.shape))
+    held = base.copy()
+    graph, _ = merge_keys([held], n)
+    assert not np.shares_memory(graph.edges, held) and held.shape == (200,)
+
+
+def test_merge_keys_memory_is_sixteen_bytes_a_key():
+    # the merge sorts the keys it owns in place, compacts the distinct ones
+    # to the front and grows the same buffer into the (m, 2) edge array: its
+    # own peak is that buffer at 16 B a key, the graph's degrees at 8 B a
+    # node and a few _WRITE_CHUNK-sized temporaries
+    import tracemalloc
+
+    n, count = 300_000, 700_000
+    rng = np.random.default_rng(11)
+    u = rng.integers(0, n - 1, size=count)
+    v = u + rng.integers(1, n - u)
+    keys = u * np.int64(n) + v
+    keys = np.concatenate([keys, keys[: count // 10]])  # some duplicates
+    rng.shuffle(keys)
+    del u, v
+    expected = merge_by_unique(keys, n, 0)
+    chunk = 4096
+    parts = [keys]
+    del keys
+    with mock.patch.object(bter.graph, "_WRITE_CHUNK", chunk):
+        tracemalloc.start()
+        try:
+            graph, stats = merge_keys(parts, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert (graph, stats) == expected
+    raw = stats.raw_edges
+    assert peak <= 16 * raw + 8 * n + 16 * 8 * chunk, (peak / raw, peak)
 
 
 @given(
