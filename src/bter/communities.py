@@ -9,7 +9,6 @@ interconnect phase as per-node excess.
 
 from __future__ import annotations
 
-import io
 import math
 import re
 from dataclasses import dataclass
@@ -17,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .degrees import DegreeSequence
-from .graph import read_ascii, write_rows
+from .graph import loadtxt_by_name, text_blocks, write_rows
 
 VARIANTS = ("standard", "cubic")
 
@@ -119,11 +118,28 @@ def excess_degrees(
     """
     block_start = np.asarray(block_start, dtype=np.int64)
     block_size = np.asarray(block_size, dtype=np.int64)
+    return _member_excess(seq, *_members(block_start, block_size), block_size, rho_values)
+
+
+# Block members whose excess is worked out at once.
+_MEMBER_CHUNK = 1 << 16
+
+
+def _member_excess(
+    seq: DegreeSequence,
+    node: np.ndarray,
+    block: np.ndarray,
+    block_size: np.ndarray,
+    rho_values: np.ndarray,
+) -> np.ndarray:
+    """excess_degrees from the (node, block) member arrays of _members,
+    _MEMBER_CHUNK members at a time, so it holds no member-long temporary."""
     e = np.zeros(seq.n, dtype=np.float64)
     e[seq.degrees == 1] = 1.0
-    node, block = _members(block_start, block_size)
     expected_internal = np.asarray(rho_values, dtype=np.float64) * (block_size - 1)
-    e[node] = np.maximum(0.0, seq.degrees[node] - expected_internal[block])
+    for lo in range(0, len(node), _MEMBER_CHUNK):
+        at, k = node[lo : lo + _MEMBER_CHUNK], block[lo : lo + _MEMBER_CHUNK]
+        e[at] = np.maximum(0.0, seq.degrees[at] - expected_internal[k])
     return e
 
 
@@ -163,7 +179,7 @@ def preprocess(seq: DegreeSequence, f: ConnectivityFormula) -> CommunityPartitio
     assignment = np.full(seq.n, -1, dtype=np.int64)
     node, block = _members(block_start, block_size)
     assignment[node] = block
-    excess = excess_degrees(seq, block_start, block_size, rho)
+    excess = _member_excess(seq, node, block, block_size, rho)
     return CommunityPartition(block_start, block_size, assignment, bar_d, rho, excess)
 
 
@@ -222,36 +238,40 @@ def _partition_rows_by_line(path) -> tuple[list[int], list[int], list[float]]:
 
 
 def _partition_rows_fast(path) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """One np.loadtxt pass over an ASCII partition dump; None where the line
-    parser must decide (non-ASCII text, whitespace-only lines, a row that is
-    not five fields with integer node and block and a float excess).
+    """One np.loadtxt pass over an ASCII partition dump, by file name; None
+    where the line parser must decide (non-ASCII text, whitespace-only
+    lines, a row that is not five fields with integer node and block and a
+    float excess).
 
-    The parse reads the file's bytes as they are: np.loadtxt skips the
-    header line itself, and the comma count starts after it, so no copy of
-    the body is made.
+    A pre-scan of the file's text blocks checks that it is ASCII, reads the
+    header line and counts the commas after it; np.loadtxt skips the header
+    itself and parses the rows.
     """
-    data = read_ascii(path)
-    if data is None:
+    started, commas, has_rows = False, 0, False
+    for data in text_blocks(path):
+        if not data.isascii():
+            return None
+        body = 0
+        if not started:  # the first block holds the whole first line
+            body = data.find(b"\n") + 1
+            if not body or data[:body].decode().strip() != _PARTITION_HEADER:
+                return None
+            started = True
+        has_rows = has_rows or _NON_SPACE.search(data, body) is not None
+        commas += data.count(b",", body)
+    if not has_rows:  # an empty file, or no row at all
         return None
-    end = data.find(b"\n")
-    if end < 0 or data[:end].decode().strip() != _PARTITION_HEADER:
-        return None
-    if _NON_SPACE.search(data, end + 1) is None:  # no row at all
-        return None
-    try:
-        rows = np.loadtxt(
-            io.BytesIO(data),
-            dtype=[("node", np.int64), ("block", np.int64), ("excess", np.float64)],
-            delimiter=",",
-            usecols=(0, 1, 4),
-            comments=None,
-            skiprows=1,
-            ndmin=1,
-        )
-    except ValueError:
-        return None
+    rows = loadtxt_by_name(
+        path,
+        dtype=[("node", np.int64), ("block", np.int64), ("excess", np.float64)],
+        delimiter=",",
+        usecols=(0, 1, 4),
+        comments=None,
+        skiprows=1,
+        ndmin=1,
+    )
     # every row has at least five fields, so this many commas means exactly five
-    if data.count(b",", end + 1) != 4 * len(rows):
+    if rows is None or commas != 4 * len(rows):
         return None
     return rows["node"], rows["block"], rows["excess"]
 

@@ -415,8 +415,8 @@ def generate_bter(
     (degrees, cfg).
 
     The keys live in one array: Phase 1's, grown in place as each Phase 2
-    subphase appends its keys, and handed to the merge, which turns that
-    buffer into the graph's edge array.
+    subphase appends its keys, and handed to the merge, which sorts and
+    deduplicates them in that buffer: it becomes the graph's keys.
     """
     r, p, q = degree1_split(degrees, cfg)
     part = preprocess(degrees, cfg.connectivity)

@@ -1,23 +1,26 @@
 """Core graph container, edge-stream cleaning, and edge-list file I/O.
 
 Graphs are simple and undirected: no self-loops, no duplicate edges.
-Edges are stored canonically as an (m, 2) int64 array with u < v per row,
-sorted lexicographically, which makes edge-list output byte-stable.
-A graph is immutable after construction and safe for concurrent reads. It
-holds its edges and degrees; the neighbour lists (a CSR) are built on the
-first neighbour or adjacency access, so a graph that is only written,
-counted or measured by degree never builds them.
+A graph holds its edges as sorted int64 keys ``u * max(n, 1) + v`` with
+u < v, 8 B an edge, in lexicographic (u, v) order, which makes edge-list
+output byte-stable. The samplers emit such keys, the merge sorts and
+deduplicates them in place, and the reader turns its parsed rows into them
+in their own buffer; the (m, 2) rows exist only when ``Graph.edges`` is
+read. A graph is immutable after construction and safe for concurrent
+reads. Its degrees are counted on first use and its neighbour lists (a
+CSR) are built on the first neighbour or adjacency access, so a graph that
+is only written builds neither, and one measured by degree builds no CSR.
 """
 
 from __future__ import annotations
 
-import io
+import os
 import re
 import sys
 import warnings
 from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
@@ -70,17 +73,22 @@ class Graph:
         Canonical edge array: u < v in every row, rows unique and sorted
         lexicographically. Use :func:`build_graph` to clean arbitrary input.
 
-    Degrees are counted on construction. The CSR of sorted neighbour lists
-    is built on the first call to :meth:`neighbors`, :meth:`has_edge` or
-    :meth:`adjacency_csr`, and kept.
+    The graph holds its edges as ``keys``: the int64 ``u * max(n, 1) + v``
+    of each edge, strictly increasing, 8 B an edge. :attr:`edges` builds
+    the (m, 2) rows from them on each access; the package's own passes read
+    the keys :meth:`edge_chunks` at a time instead. Degrees are counted on
+    first use, and the CSR of sorted neighbour lists on the first call to
+    :meth:`neighbors`, :meth:`has_edge` or :meth:`adjacency_csr`; both are
+    kept.
     """
 
-    __slots__ = ("n", "edges", "_degrees", "_csr")
+    __slots__ = ("n", "keys", "_degrees", "_csr")
 
     def __init__(self, n: int, edges: np.ndarray):
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         if n < 0:
             raise ValueError("node count must be non-negative")
+        keys = np.empty(0, dtype=np.int64)
         if edges.size:
             if edges.min() < 0 or edges.max() >= n:
                 raise ValueError("edge endpoint outside 0..n-1")
@@ -89,55 +97,81 @@ class Graph:
             keys = edges[:, 0] * np.int64(n) + edges[:, 1]
             if not (np.diff(keys) > 0).all():
                 raise ValueError("edges must be unique and lexicographically sorted")
-        self._adopt(n, edges)
+        self._adopt(n, keys)
 
     @classmethod
-    def _canonical(cls, n: int, edges: np.ndarray) -> Graph:
-        """A graph on an (m, 2) int64 array build_graph has made or checked
-        canonical, taken without a second check."""
+    def _canonical(cls, n: int, keys: np.ndarray) -> Graph:
+        """A graph on strictly increasing int64 keys that build_graph or
+        merge_keys has made or checked, taken without a second check."""
         graph = cls.__new__(cls)
-        graph._adopt(n, edges)
+        graph._adopt(n, keys)
         return graph
 
-    def _adopt(self, n: int, edges: np.ndarray) -> None:
+    def _adopt(self, n: int, keys: np.ndarray) -> None:
         self.n = int(n)
-        # both endpoints in one count. bincount copies an input that is
-        # strided or read-only, so it counts the raveled array before the
-        # graph marks it read-only
-        self._degrees = np.bincount(edges.ravel(), minlength=self.n)
-        self._degrees.setflags(write=False)
-        self.edges = edges
-        self.edges.setflags(write=False)
+        self.keys = keys
+        self.keys.setflags(write=False)
+        self._degrees = None
         self._csr = None
+
+    def edge_chunks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """The (u, v) columns of the edges in key order, _WRITE_CHUNK edges
+        at a time: each chunk divmods its slice of the keys, so a pass over
+        them holds no m-long array of its own."""
+        width = np.int64(max(self.n, 1))
+        for lo in range(0, len(self.keys), _WRITE_CHUNK):
+            yield np.divmod(self.keys[lo : lo + _WRITE_CHUNK], width)
+
+    @property
+    def edges(self) -> np.ndarray:
+        """The (m, 2) canonical edge array, built from the keys on each
+        access (16 B an edge, read-only)."""
+        rows = np.empty((len(self.keys), 2), dtype=np.int64)
+        np.divmod(self.keys, np.int64(max(self.n, 1)), out=(rows[:, 0], rows[:, 1]))
+        rows.setflags(write=False)
+        return rows
 
     def _adjacency(self) -> tuple[np.ndarray, np.ndarray]:
         """(indptr, indices) of the sorted neighbour lists, built on first call.
 
         Row x lists its neighbours u < x ascending, then its neighbours
-        v > x ascending. Concatenated over rows, the upper runs are the v
-        column as it stands (edges are sorted by (u, v)) and the lower runs
-        are the u column sorted by (v, u), so each fills its own slots in
-        order: no argsort, no m-long position array. The pair is stored in
-        one assignment, so a concurrent first call at worst builds it twice.
+        v > x ascending. In key order the edges are sorted by (u, v), so
+        edge i is the upper neighbour v of row u at slot i plus the number
+        of lower entries in rows 0..u. The lower entries are the keys
+        turned round, ``v * n + u``, sorted: the j-th of them, of row v, is
+        at slot j plus the number of upper entries in rows 0..v-1. So each
+        fills its own slots in order, a chunk at a time: no argsort, and
+        besides the output only the turned keys are m-long. The pair is
+        stored in one assignment, so a concurrent first call at worst
+        builds it twice.
         """
         if self._csr is not None:
             return self._csr
-        u, v = self.edges[:, 0], self.edges[:, 1]
-        above = np.bincount(u, minlength=self.n)
-        below = self._degrees - above
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(self._degrees, out=indptr[1:])
-        upper = np.repeat(
-            np.tile([False, True], self.n), np.column_stack((below, above)).ravel()
-        )
-        del below, above
-        indices = np.empty(2 * len(self.edges), dtype=np.int64)
-        indices[upper] = v
-        lower = v * np.int64(self.n)
-        lower += u
-        lower.sort()
-        np.remainder(lower, self.n, out=lower)
-        indices[~upper] = lower
+        n, width, m = self.n, np.int64(max(self.n, 1)), len(self.keys)
+        above = np.zeros(n, dtype=np.int64)
+        turned = np.empty(m, dtype=np.int64)
+        lo = 0
+        for u, v in self.edge_chunks():
+            np.add.at(above, u, 1)
+            np.multiply(v, width, out=turned[lo : lo + len(v)])
+            turned[lo : lo + len(v)] += u
+            lo += len(v)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(self.degrees, out=indptr[1:])
+        indices = np.empty(2 * m, dtype=np.int64)
+        upper_shift = np.cumsum(self.degrees - above)  # lower entries in rows 0..u
+        lo = 0
+        for u, v in self.edge_chunks():
+            indices[np.arange(lo, lo + len(u)) + upper_shift[u]] = v
+            lo += len(u)
+        del upper_shift
+        lower_shift = np.cumsum(above)
+        lower_shift -= above  # upper entries in rows 0..v-1
+        del above
+        turned.sort()
+        for lo in range(0, m, _WRITE_CHUNK):
+            v, u = np.divmod(turned[lo : lo + _WRITE_CHUNK], width)
+            indices[np.arange(lo, lo + len(u)) + lower_shift[v]] = u
         indptr.setflags(write=False)
         indices.setflags(write=False)
         self._csr = (indptr, indices)
@@ -145,14 +179,23 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return self.edges.shape[0]
+        return len(self.keys)
 
     @property
     def degrees(self) -> np.ndarray:
+        """Each node's degree (read-only), counted on first use a chunk of
+        edges at a time: no m-long or per-chunk n-long temporary."""
+        if self._degrees is None:
+            degrees = np.zeros(self.n, dtype=np.int64)
+            for u, v in self.edge_chunks():
+                np.add.at(degrees, u, 1)
+                np.add.at(degrees, v, 1)
+            degrees.setflags(write=False)
+            self._degrees = degrees
         return self._degrees
 
     def degree(self, u: int) -> int:
-        return int(self._degrees[u])
+        return int(self.degrees[u])
 
     def neighbors(self, u: int) -> np.ndarray:
         """Sorted neighbor ids of u (read-only view)."""
@@ -177,10 +220,11 @@ class Graph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and np.array_equal(self.edges, other.edges)
+        # equal n means equal key widths, so equal keys mean equal edges
+        return self.n == other.n and np.array_equal(self.keys, other.keys)
 
     def __hash__(self):
-        return hash((self.n, self.edges.tobytes()))
+        return hash((self.n, self.keys.tobytes()))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count})"
@@ -191,7 +235,9 @@ def _as_pair_array(edge_stream) -> np.ndarray:
         arr = edge_stream.astype(np.int64, copy=False)
     else:
         arr = np.asarray(list(edge_stream), dtype=np.int64)
-    return arr.reshape(-1, 2)
+    # an (m, 2) array stays the same object, so build_graph can tell
+    # whether anything else references it
+    return arr if arr.ndim == 2 and arr.shape[1] == 2 else arr.reshape(-1, 2)
 
 
 def _run_starts(ordered: np.ndarray) -> np.ndarray:
@@ -210,11 +256,19 @@ def build_graph(
     the returned stats account for every input pair. Node ids must be
     non-negative. When ``n`` is not given it is inferred as max id + 1 over
     every id referenced in the stream, including endpoints of dropped
-    self-loops. A stream that is already canonical (u < v, rows unique and
-    sorted) becomes the graph's edge array without a copy, when it is an
-    int64 array: the graph then shares it and marks it read-only.
+    self-loops.
+
+    The pairs become keys ``min * max(n, 1) + max`` _WRITE_CHUNK rows at a
+    time. A stream already canonical (u < v, rows unique and sorted), as
+    every file write_edgelist writes is, is then the graph's keys; any
+    other goes through merge_keys. A C-contiguous int64 (m, 2) array that
+    nothing else references (the reader hands its parsed array over so)
+    holds its own keys: each chunk's keys are written over the rows already
+    read, and the buffer is then shrunk to them, so the build peaks at the
+    array's 16 B a pair. The caller's array is otherwise left as it was.
     """
     arr = _as_pair_array(edge_stream)
+    del edge_stream  # so the reference count below sees only arr
     raw = arr.shape[0]
     if raw and arr.min() < 0:
         raise ValueError("node ids must be non-negative")
@@ -224,19 +278,46 @@ def build_graph(
     elif n < inferred:
         raise ValueError(f"n={n} too small for max node id {inferred - 1}")
 
-    width = np.int64(max(n, 1))
-    u, v = arr[:, 0], arr[:, 1]
-    self_loops = 0
-    if (u < v).all():
-        keys = u * width + v
-        if (keys[1:] > keys[:-1]).all():
-            # already canonical, as every file write_edgelist writes is
-            return Graph._canonical(n, arr), EdgeStreamStats(raw, 0, 0)
-    else:
-        keys, self_loops = loop_free_keys(u, v, n)
+    owned = (
+        sys.getrefcount(arr) <= _SOLE_REFS
+        and arr.flags.owndata
+        and arr.flags.c_contiguous
+        and arr.flags.writeable
+    )
+    keys = arr.reshape(-1) if owned else np.empty(raw, dtype=np.int64)
+    size, self_loops, canonical = _write_pair_keys(arr, keys, n)
+    if owned:  # keys is a view of arr's buffer: the buffer itself is resized
+        del keys
+        keys = arr
+    del arr
+    keys.resize(size, refcheck=False)  # nothing else references it
+    if canonical:
+        return Graph._canonical(n, keys), EdgeStreamStats(raw, 0, 0)
     parts = [keys]
     del keys  # the merge works in this buffer
     return merge_keys(parts, n, self_loops)
+
+
+def _write_pair_keys(rows: np.ndarray, out: np.ndarray, n: int) -> tuple[int, int, bool]:
+    """Write the keys of the (m, 2) rows that are not self-loops to the
+    front of out, in stream order, _WRITE_CHUNK rows at a time. Returns how
+    many there are, the self-loops left out, and whether the rows were
+    canonical. out may be the rows' own buffer: a chunk's keys land in
+    slots no later than its rows', and only after those rows are read.
+    """
+    size, self_loops, canonical = 0, 0, True
+    for lo in range(0, len(rows), _WRITE_CHUNK):
+        u, v = rows[lo : lo + _WRITE_CHUNK, 0], rows[lo : lo + _WRITE_CHUNK, 1]
+        keys, loops = loop_free_keys(u, v, n)
+        canonical = canonical and not loops and bool(
+            (u < v).all()
+            and (keys[1:] > keys[:-1]).all()
+            and (size == 0 or keys[0] > out[size - 1])
+        )
+        out[size : size + len(keys)] = keys
+        size += len(keys)
+        self_loops += loops
+    return size, self_loops, canonical
 
 
 def loop_free_keys(u: np.ndarray, v: np.ndarray, n: int) -> tuple[np.ndarray, int]:
@@ -273,13 +354,10 @@ def merge_keys(
     nothing else then references the array (the caller dropped its own
     names for it, and it is not a view), it works in that one buffer. It
     sorts the keys in place, moves the distinct ones to the front
-    _WRITE_CHUNK at a time, grows the array to two entries a distinct key
-    (``ndarray.resize``, a realloc) and fills it with the (u, v) rows from
-    the back, each chunk's keys read before its slots are written. The
-    graph's edge array is a view of that buffer, so the merge holds 16 B a
-    key where a sorted copy, the distinct keys and a new edge array took 24.
-    An array anything else still references is copied first and left as
-    it was.
+    _WRITE_CHUNK at a time and shrinks the array to them
+    (``ndarray.resize``, a realloc): that array is the graph's keys, so the
+    merge holds 8 B a key. An array anything else still references is
+    copied first and left as it was.
     """
     (keys,) = parts
     parts.clear()
@@ -296,17 +374,8 @@ def merge_keys(
         distinct = chunk[first]  # a copy: its slots may be written below
         keys[size : size + len(distinct)] = distinct
         size += len(distinct)
-    stats = EdgeStreamStats(raw + self_loops, self_loops, raw - size)
-    keys.resize(2 * size, refcheck=False)
-    edges = keys.reshape(size, 2)
-    width = np.int64(max(n, 1))
-    # row i lies in slots 2i and 2i + 1, at or after key i: from the back,
-    # a chunk's rows overwrite only keys already turned into rows, or its own
-    for lo in reversed(range(0, size, _WRITE_CHUNK)):
-        hi = min(lo + _WRITE_CHUNK, size)
-        chunk = keys[lo:hi].copy()
-        np.divmod(chunk, width, out=(edges[lo:hi, 0], edges[lo:hi, 1]))
-    return Graph._canonical(n, edges), stats
+    keys.resize(size, refcheck=False)
+    return Graph._canonical(n, keys), EdgeStreamStats(raw + self_loops, self_loops, raw - size)
 
 
 @dataclass(frozen=True)
@@ -364,50 +433,91 @@ def _parse_lines(path) -> tuple[np.ndarray, int | None]:
     return arr, declared_n
 
 
-def read_ascii(path) -> bytes | None:
-    """A file's bytes with text-mode (universal) newlines, or None if it is
-    not all ASCII, in which case only a text-mode line parser may read it.
+# Bytes the readers' pre-scan reads at a time.
+_SCAN_BLOCK = 1 << 20
+
+# File name endings numpy's loadtxt decompresses by itself, where the
+# pre-scan would read the compressed bytes.
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
+
+
+def text_blocks(path) -> Iterator[bytes]:
+    """A file's bytes, about _SCAN_BLOCK at a time, each block cut after a
+    line end, with text-mode (universal) newlines: every '\\r\\n' and lone
+    '\\r' becomes '\\n'. A '\\r\\n' split across two reads stays one line
+    end. Only the last block may end without one.
     """
+    pending: list[bytes] = []  # the start of a line not yet ended
     with open(path, "rb") as fh:
-        data = fh.read()
-    if not data.isascii():
-        return None
+        while block := fh.read(_SCAN_BLOCK):
+            # a '\r' in the last byte may be the first half of a '\r\n'
+            cut = max(block.rfind(b"\n"), block.rfind(b"\r", 0, len(block) - 1)) + 1
+            if not cut:
+                pending.append(block)
+                continue
+            pending.append(block[:cut])
+            yield _universal_newlines(b"".join(pending))
+            pending = [block[cut:]]
+    if any(pending):
+        yield _universal_newlines(b"".join(pending))
+
+
+def _universal_newlines(data: bytes) -> bytes:
     if b"\r" in data:
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     return data
 
 
-def _parse_fast(path) -> tuple[np.ndarray, int | None] | None:
-    """One-pass parser for ASCII files; None where _parse_lines must decide.
+def loadtxt_by_name(path, **kwargs) -> np.ndarray | None:
+    """np.loadtxt of the file at path, or None where it raises or the file's
+    name would have numpy decompress it.
 
-    A scan for '#' reads the "# nodes N" headers, and np.loadtxt skips the
-    comment lines and parses the rest: its int64 fields accept exactly the
-    ASCII integers ``int`` does that fit in int64. Anything else (non-ASCII
-    text, '#' after data on a line, a line that is not two such integers)
-    returns None.
+    Given a name, np.loadtxt parses the file in blocks in C; given an open
+    file, it reads it line by line in Python. The name is made absolute so
+    that numpy never takes it for a URL, and the file is read as ASCII
+    text with universal newlines, which is what the readers' pre-scan
+    (:func:`text_blocks`) sees.
     """
-    data = read_ascii(path)
-    if data is None:
+    name = os.path.abspath(path)
+    if name.endswith(_COMPRESSED):
         return None
-    declared_n: int | None = None
-    pos = data.find(b"#")
-    while pos >= 0:
-        line_start = data.rfind(b"\n", 0, pos) + 1
-        line_end = data.find(b"\n", pos)
-        if line_end < 0:
-            line_end = len(data)
-        if data[line_start:pos].strip():  # '#' after data on its line
-            return None
-        declared = _declared_nodes(data[line_start:line_end].decode().strip())
-        if declared is not None:
-            declared_n = declared
-        pos = data.find(b"#", line_end)
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         try:
-            arr = np.loadtxt(io.BytesIO(data), dtype=np.int64, comments="#", ndmin=2)
-        except ValueError:
+            return np.loadtxt(name, encoding="ascii", **kwargs)
+        except (ValueError, OSError, EOFError):
             return None
+
+
+def _parse_fast(path) -> tuple[np.ndarray, int | None] | None:
+    """Block parser for ASCII files; None where _parse_lines must decide.
+
+    A pre-scan of the file's text blocks checks that it is ASCII, finds
+    each '#' and reads the "# nodes N" headers; np.loadtxt then parses the
+    file by name, skipping the comment lines: its int64 fields accept
+    exactly the ASCII integers ``int`` does that fit in int64. Anything
+    else (non-ASCII text, '#' after data on a line, a line that is not two
+    such integers) returns None.
+    """
+    declared_n: int | None = None
+    for data in text_blocks(path):
+        if not data.isascii():
+            return None
+        pos = data.find(b"#")
+        while pos >= 0:
+            line_start = data.rfind(b"\n", 0, pos) + 1
+            line_end = data.find(b"\n", pos)
+            if line_end < 0:
+                line_end = len(data)
+            if data[line_start:pos].strip():  # '#' after data on its line
+                return None
+            declared = _declared_nodes(data[line_start:line_end].decode().strip())
+            if declared is not None:
+                declared_n = declared
+            pos = data.find(b"#", line_end)
+    arr = loadtxt_by_name(path, dtype=np.int64, comments="#", ndmin=2)
+    if arr is None:
+        return None
     if arr.size == 0:
         return np.empty((0, 2), dtype=np.int64), declared_n
     if arr.shape[1] != 2:
@@ -424,9 +534,9 @@ def _compact_ids(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ranked = flat[order]
     first = _run_starts(ranked)
     original_ids = ranked[first]
-    compact = np.empty_like(flat)
-    compact[order] = np.cumsum(first) - 1
-    return original_ids, compact.reshape(arr.shape)
+    compact = np.empty_like(arr)  # its own buffer, which build_graph may take over
+    compact.reshape(-1)[order] = np.cumsum(first) - 1
+    return original_ids, compact
 
 
 def read_snap_edgelist(path) -> LoadedEdgeList:
@@ -444,14 +554,16 @@ def read_snap_edgelist(path) -> LoadedEdgeList:
     """
     parsed = _parse_fast(path)
     arr, declared_n = parsed if parsed is not None else _parse_lines(path)
+    del parsed
     if declared_n is not None and (arr.size == 0 or int(arr.max()) < declared_n):
         original_ids = np.arange(declared_n, dtype=np.int64)
-        compact = arr
         n = declared_n
     else:
-        original_ids, compact = _compact_ids(arr)
+        original_ids, arr = _compact_ids(arr)
         n = len(original_ids)
-    graph, stats = build_graph(compact, n=n)
+    pairs = [arr]
+    del arr  # handed over: build_graph turns the pairs into keys in their buffer
+    graph, stats = build_graph(pairs.pop(), n=n)
     return LoadedEdgeList(graph, original_ids, stats)
 
 
@@ -554,4 +666,5 @@ def write_edgelist(g: Graph, path) -> None:
     with open(path, "wb") as fh:
         if g.n:
             fh.write(b"# nodes %d\n" % g.n)
-        write_rows(fh, "%d %d\n", (g.edges[:, 0], g.edges[:, 1]))
+        for u, v in g.edge_chunks():
+            write_rows(fh, "%d %d\n", (u, v))

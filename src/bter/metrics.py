@@ -83,8 +83,9 @@ class SpectrumConvergenceError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-# Wedges closed, and edges oriented, per array pass. Cache-sized, like the
-# block sampler's _CHUNK: a pass holds about a dozen arrays of this length.
+# Wedges closed per array pass (edges are oriented a Graph.edge_chunks chunk
+# at a time). Cache-sized, like the block sampler's _CHUNK: a pass holds
+# about a dozen arrays of this length.
 # Besides the graph the kernel then holds only the sorted keys and their
 # target column (int64, length m), a few node-length arrays, among them the
 # int64 per-node triangle sums, and one pass.
@@ -109,10 +110,11 @@ def count_triangles_wedges(g: Graph) -> TriangleWedgeCounts:
     rank = np.empty(n, dtype=np.int64)
     rank[np.argsort(degrees, kind="stable")] = np.arange(n)
     keys = np.empty(m, dtype=np.int64)  # oriented edge u -> v in rank space: u*n + v
-    for c in range(0, m, _WEDGE_CHUNK):
-        ru = rank[g.edges[c : c + _WEDGE_CHUNK, 0]]
-        rv = rank[g.edges[c : c + _WEDGE_CHUNK, 1]]
+    c = 0
+    for u, v in g.edge_chunks():
+        ru, rv = rank[u], rank[v]
         keys[c : c + len(ru)] = np.minimum(ru, rv) * n + np.maximum(ru, rv)
+        c += len(ru)
     keys.sort()
     dst = keys % n  # sorted within each row
     start = np.searchsorted(keys, np.arange(n + 1) * n)  # row u is keys[start[u]:start[u+1]]

@@ -146,9 +146,12 @@ def internal_degrees_by_block(g: Graph, assignment: np.ndarray) -> dict[int, np.
     assignment = np.asarray(assignment, dtype=np.int64)
     if assignment.shape[0] != g.n:
         raise ValueError(f"assignment covers {assignment.shape[0]} nodes, graph has {g.n}")
-    u, v = g.edges[:, 0], g.edges[:, 1]
-    same = (assignment[u] == assignment[v]) & (assignment[u] >= 0)
-    internal = np.bincount(np.concatenate([u[same], v[same]]), minlength=g.n)
+    internal = np.zeros(g.n, dtype=np.int64)
+    for u, v in g.edge_chunks():
+        block = assignment[u]
+        same = (block == assignment[v]) & (block >= 0)
+        np.add.at(internal, u[same], 1)
+        np.add.at(internal, v[same], 1)
     nodes = np.nonzero(internal)[0]  # all assigned, since same excludes -1
     block, deg = assignment[nodes], internal[nodes].astype(np.int64)
     order = np.lexsort((deg, block))

@@ -504,6 +504,32 @@ def test_audit_rejects_kappa_before_reading(k4_file, tmp_path, kappa):
     assert not (out / "manifest.json").exists()
 
 
+def test_commands_never_build_the_edge_rows(tmp_path, monkeypatch):
+    # a graph is its keys: every command reads them a chunk at a time, and
+    # the (m, 2) rows of Graph.edges are for library callers only
+    from bter.graph import Graph
+
+    def no_rows(graph):
+        raise AssertionError("Graph.edges built on a command's path")
+
+    monkeypatch.setattr(Graph, "edges", property(no_rows))
+    gb, gc, ge = tmp_path / "b.txt", tmp_path / "c.txt", tmp_path / "e.txt"
+    assert run("generate", "--model", "bter", "--powerlaw", "600,2,24",
+               "--seed", 3, "--out", gb) == EXIT_OK
+    assert run("generate", "--model", "cl", "--from-graph", gb,
+               "--seed", 3, "--out", gc) == EXIT_OK
+    assert run("generate", "--model", "er", "--n", 200, "--p", 0.05,
+               "--seed", 3, "--out", ge) == EXIT_OK
+    assert run("analyze", "--graph", gb, "--metrics", "degree,cc,triangles,spectrum",
+               "--top-k", 5, "--out-dir", tmp_path / "report") == EXIT_OK
+    assert run("audit", "--graph", gb, "--partition", f"{gb}.partition.csv",
+               "--predict", "1e6,2", "--out-dir", tmp_path / "audit") == EXIT_OK
+    assert run("compare", "--graph-a", gb, "--graph-b", gc,
+               "--out", tmp_path / "compare.csv") == EXIT_OK
+    for graph in (gb, gc, ge):
+        assert run("replay", "--manifest", f"{graph}.manifest.json") == EXIT_OK
+
+
 # ---------------------------------------------------------------------------
 # replay
 # ---------------------------------------------------------------------------

@@ -285,14 +285,39 @@ def _partition_outcome(path):
         "node,block,bar_d,rho,excess\n99999999999999999999,0,2,0.9,0.5\n",
         "node,block,bar_d,rho,excess\n0,99999999999999999999,2,0.9,0.5\n",
         "node,block,bar_d,rho,excess\n0,0,2,0.9,\n",
+        "node,block,bar_d,rho,excess\r0,-1,0,0,1\r1,0,2,0.9,0.5",
+        "node,block,bar_d,rho,excess\n  \n0,-1,0,0,1\n\t\n",
+        "node,block,bar_d,rho,excess\n0,-1,0,0,1\n1,0,2,0.9,0.5 # \u00e9\n",
+        "node,block,bar_d,rho,excess",
     ],
 )
-def test_partition_reader_matches_line_parser(tmp_path, text):
-    path = tmp_path / "part.csv"
+@pytest.mark.parametrize("block", [1, 3, None])
+@pytest.mark.parametrize("name", ["part.csv", "part.gz"])
+def test_partition_reader_matches_line_parser(tmp_path, monkeypatch, text, block, name):
+    # the pre-scan reads blocks of a few bytes too: a header, a comma or a
+    # line end then meets a block boundary
+    if block is not None:
+        monkeypatch.setattr(bter.graph, "_SCAN_BLOCK", block)
+    path = tmp_path / name
     path.write_bytes(text.encode("utf-8"))
     fast = _partition_outcome(path)
     with mock.patch.object(bter.communities, "_partition_rows_fast", return_value=None):
         assert fast == _partition_outcome(path)
+
+
+@pytest.mark.parametrize("block", [1, 2, 5, None])
+def test_fast_partition_reader_takes_clean_files(tmp_path, monkeypatch, block):
+    # the oracle above would pass vacuously if the fast parser declined everything
+    if block is not None:
+        monkeypatch.setattr(bter.graph, "_SCAN_BLOCK", block)
+    path = tmp_path / "part.csv"
+    path.write_bytes(b"node,block,bar_d,rho,excess\r\n1,0,2,0.9,0.5\r\n0,-1,0,0,1")
+    nodes, blocks, excess = bter.communities._partition_rows_fast(path)
+    assert nodes.tolist() == [1, 0] and blocks.tolist() == [0, -1]
+    assert excess.tolist() == [0.5, 1.0]
+    gz = tmp_path / "part.gz"  # numpy would decompress it: the line parser reads it
+    gz.write_bytes(path.read_bytes())
+    assert bter.communities._partition_rows_fast(gz) is None
 
 
 def write_partition_csv_by_row(part, seq, path) -> None:

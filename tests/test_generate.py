@@ -305,10 +305,11 @@ def test_block_sampler_memory_is_its_keys_and_a_chunk():
 def test_cl_memory_is_its_graph_and_a_window():
     # --powerlaw 30000,2,300 has 204 degree classes, 20,910 class-pair
     # blocks; generate_cl never holds them all. With small windows and
-    # chunks its peak is the graph it returns (edges and degrees), two
-    # copies of its keys (the merge's sorted and distinct keys, or the
-    # sampler's array, which grows by half when full) and a bounded number
-    # of window- and chunk-sized temporaries
+    # chunks its peak is the graph it returns (its keys; the degrees are
+    # counted only when asked for, after the peak is read, and are in the
+    # bound all the same), two copies of its keys (the sampler's array,
+    # which grows by half when full) and a bounded number of window- and
+    # chunk-sized temporaries
     import tracemalloc
 
     seq = synthesize_powerlaw(30_000, 2.0, 300)
@@ -323,7 +324,7 @@ def test_cl_memory_is_its_graph_and_a_window():
         finally:
             tracemalloc.stop()
     assert g == default
-    held = 2 * 8 * g.edge_count + g.edges.nbytes + g.degrees.nbytes
+    held = 2 * 8 * g.edge_count + g.keys.nbytes + g.degrees.nbytes
     assert peak <= held + 16 * 8 * (window + chunk), (peak, held)
 
 

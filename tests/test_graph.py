@@ -53,6 +53,27 @@ def test_build_graph_rejects_small_n():
         build_graph([(0, 5)], n=3)
 
 
+@given(
+    st.integers(0, 30).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.sets(st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0))))
+        .map(lambda s: sorted((u, v) for u, v in s if u < v)),
+    )),
+)
+def test_graph_keys_are_canonical_and_edges_round_trip(case):
+    n, rows = case
+    arr = np.array(rows, dtype=np.int64).reshape(-1, 2)
+    g = Graph(n, arr)
+    width = max(n, 1)
+    assert g.keys.dtype == np.int64 and g.keys.ndim == 1 and not g.keys.flags.writeable
+    assert g.keys.tolist() == [u * width + v for u, v in rows]
+    assert (np.diff(g.keys) > 0).all()
+    assert g.edges.shape == (len(rows), 2) and not g.edges.flags.writeable
+    assert g.edges.tolist() == arr.tolist()
+    assert Graph(n, g.edges) == g
+    assert g.degrees.tolist() == np.bincount(arr.ravel(), minlength=n).tolist()
+
+
 def test_graph_constructor_validates_canonical_form():
     with pytest.raises(ValueError):
         Graph(3, np.array([[1, 0]]))  # u >= v
@@ -237,8 +258,9 @@ def build_graph_by_unique(arr: np.ndarray, n: int):
     st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15)), max_size=80),
     st.sampled_from(["canonical", "shuffled", "flipped", "duplicated", "looped"]),
     st.randoms(use_true_random=False),
+    st.sampled_from([1, 2, 7, None]),
 )
-def test_build_graph_matches_unique_path(pairs, shape, rnd):
+def test_build_graph_matches_unique_path(pairs, shape, rnd, chunk):
     canonical = sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v})
     stream = list(canonical)
     if shape == "shuffled":
@@ -250,16 +272,48 @@ def test_build_graph_matches_unique_path(pairs, shape, rnd):
     elif shape == "looped":
         stream = list(pairs)  # raw: loops, duplicates, any order
     arr = np.array(stream, dtype=np.int64).reshape(-1, 2)
-    g, stats = build_graph(arr, n=16)
     ref_g, ref_stats = build_graph_by_unique(arr, 16)
-    assert g == ref_g and stats == ref_stats
+    with mock.patch.object(bter.graph, "_WRITE_CHUNK", chunk or bter.graph._WRITE_CHUNK):
+        assert build_graph(arr, n=16) == (ref_g, ref_stats)
+        # handed over (and outside an assert, which keeps its operands), the
+        # rows' own buffer takes the keys
+        handed = build_graph([arr.copy()].pop(), n=16)
+        assert handed == (ref_g, ref_stats)
 
 
-def test_build_graph_keeps_a_canonical_array():
+def test_build_graph_holds_only_keys_and_leaves_the_callers_array():
     arr = np.array([[0, 1], [0, 3], [2, 3]], dtype=np.int64)
+    before = arr.copy()
     g, stats = build_graph(arr, n=5)
-    assert np.shares_memory(g.edges, arr)  # no copy of a clean stream
     assert stats == EdgeStreamStats(3, 0, 0)
+    assert set(Graph.__slots__) == {"n", "keys", "_degrees", "_csr"}
+    assert g.keys.tolist() == [1, 3, 13] and g.keys.dtype == np.int64
+    assert g._degrees is None and g._csr is None  # neither is counted yet
+    assert not np.shares_memory(g.keys, arr)
+    assert np.array_equal(arr, before) and arr.flags.writeable
+    assert g.edges.tolist() == before.tolist()
+
+
+def test_build_graph_keys_a_handed_over_array_in_its_own_buffer(tmp_path, monkeypatch):
+    # an array the caller still holds gets a new key buffer; one handed
+    # over, as the reader hands over its parsed rows, takes its keys in place
+    write_pair_keys = bter.graph._write_pair_keys
+    in_place = []
+
+    def spy(rows, out, n):
+        in_place.append(np.shares_memory(rows, out))
+        return write_pair_keys(rows, out, n)
+
+    monkeypatch.setattr(bter.graph, "_write_pair_keys", spy)
+    rows = np.array([[0, 1], [0, 3], [2, 3]], dtype=np.int64)
+    held = build_graph(rows, n=5)
+    pairs = [rows.copy()]
+    handed = build_graph(pairs.pop(), n=5)  # not inside an assert, which keeps its operands
+    assert handed == held
+    path = tmp_path / "g.txt"
+    path.write_text("# nodes 5\n0 1\n0 3\n2 3\n")
+    assert read_snap_edgelist(path).graph == held[0]
+    assert in_place == [False, True, True]
 
 
 def merge_by_unique(keys: np.ndarray, n: int, self_loops: int):
@@ -326,11 +380,11 @@ def test_merge_keys_copies_an_array_it_does_not_own():
     assert not np.shares_memory(graph.edges, held) and held.shape == (200,)
 
 
-def test_merge_keys_memory_is_sixteen_bytes_a_key():
+def test_merge_keys_memory_is_eight_bytes_a_key():
     # the merge sorts the keys it owns in place, compacts the distinct ones
-    # to the front and grows the same buffer into the (m, 2) edge array: its
-    # own peak is that buffer at 16 B a key, the graph's degrees at 8 B a
-    # node and a few _WRITE_CHUNK-sized temporaries
+    # to the front and shrinks the same buffer to them, the graph's keys:
+    # its own peak is that buffer at 8 B a key and a few _WRITE_CHUNK-sized
+    # temporaries (the graph counts no degrees until they are asked for)
     import tracemalloc
 
     n, count = 300_000, 700_000
@@ -354,7 +408,7 @@ def test_merge_keys_memory_is_sixteen_bytes_a_key():
             tracemalloc.stop()
     assert (graph, stats) == expected
     raw = stats.raw_edges
-    assert peak <= 16 * raw + 8 * n + 16 * 8 * chunk, (peak / raw, peak)
+    assert peak <= 8 * raw + 16 * 8 * chunk, (peak / raw, peak)
 
 
 @given(
@@ -408,17 +462,72 @@ def _read_outcome(path):
 @given(
     st.lists(st.tuples(_LINES, st.sampled_from(["\n", "\r\n", "\r"])), max_size=12),
     st.booleans(),
+    st.sampled_from([1, 2, 3, 7, None]),
 )
-def test_reader_matches_line_parser(tmp_path_factory, lines, final_newline):
+def test_reader_matches_line_parser(tmp_path_factory, lines, final_newline, block):
     text = "".join(line + end for line, end in lines)
     if not final_newline:
         text = text.rstrip("\r\n")
     path = tmp_path_factory.mktemp("oracle") / "g.txt"
     path.write_bytes(text.encode("utf-8"))
-    fast = _read_outcome(path)
+    with mock.patch.object(bter.graph, "_SCAN_BLOCK", block or bter.graph._SCAN_BLOCK):
+        fast = _read_outcome(path)
     with mock.patch.object(bter.graph, "_parse_fast", return_value=None):
         slow = _read_outcome(path)
     assert fast == slow
+
+
+@given(
+    st.lists(st.sampled_from([b"a", b"#", b" ", b"\r", b"\n", b"\r\n"]), max_size=30),
+    st.integers(1, 6),
+)
+def test_text_blocks_are_universal_newline_lines(tmp_path_factory, pieces, block):
+    data = b"".join(pieces)
+    path = tmp_path_factory.mktemp("blocks") / "t.txt"
+    path.write_bytes(data)
+    with mock.patch.object(bter.graph, "_SCAN_BLOCK", block):
+        blocks = list(bter.graph.text_blocks(path))
+    with open(path, encoding="ascii") as fh:  # text mode: universal newlines
+        assert b"".join(blocks).decode() == fh.read()
+    assert all(b.endswith(b"\n") for b in blocks[:-1]) and all(blocks)
+
+
+def _read_outcome_by_lines(path):
+    with mock.patch.object(bter.graph, "_parse_fast", return_value=None):
+        return _read_outcome(path)
+
+
+# Files for the block pre-scan: each line end, '#' and non-ASCII byte meets
+# a block boundary at some block size from 1 to 5.
+_SCAN_CASES = {
+    "comment and crlf": b"# nodes 6\r\n0 1\r\n# note\r\n2 5\r\n",
+    "lone cr": b"# nodes 6\r0 1\r2 5\r",
+    "cr then lf line": b"0 1\r\n\r\n\r3 4\n",
+    "hash after data": b"# nodes 6\n0 1 # inline\n",
+    "non-ascii comment": "# n\u00f6des 6\n0 1\n".encode("utf-8"),
+    "whitespace lines": b"# nodes 6\n   \n\t\n0 1\n \n2 5\n",
+    "no final newline": b"# nodes 6\n0 1\n2 5",
+    "empty": b"",
+    "header only": b"# nodes 6\n",
+    "header without newline": b"# nodes 6",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SCAN_CASES))
+@pytest.mark.parametrize("block", [1, 2, 3, 5])
+def test_fast_reader_scans_in_blocks(tmp_path, monkeypatch, name, block):
+    monkeypatch.setattr(bter.graph, "_SCAN_BLOCK", block)
+    for file_name in ("g.txt", "x.gz"):
+        path = tmp_path / file_name
+        path.write_bytes(_SCAN_CASES[name])
+        fast = bter.graph._parse_fast(path)
+        if file_name == "x.gz" or name in ("hash after data", "non-ascii comment"):
+            assert fast is None  # the line parser decides
+        else:
+            arr, declared_n = fast
+            ref_arr, ref_declared = bter.graph._parse_lines(path)
+            assert arr.tolist() == ref_arr.tolist() and declared_n == ref_declared
+        assert _read_outcome(path) == _read_outcome_by_lines(path)
 
 
 def test_fast_reader_takes_clean_files(tmp_path):

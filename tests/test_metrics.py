@@ -112,11 +112,15 @@ def test_per_node_counts_match_brute_force_any_chunk(chunk, stream):
 @pytest.mark.parametrize("model", ["bter", "cl"])
 def test_kernel_memory_bounded(model, monkeypatch):
     # besides the graph: two int64 edge-length arrays (the sorted keys and
-    # their target column), at most eight node-length ones, and one pass of
-    # at most sixteen chunk-length ones
+    # their target column), at most eight node-length ones (the graph's
+    # degrees, counted on first use, among them), and one pass of at most
+    # sixteen chunk-length ones (a wedge pass, or a chunk of edges)
     import tracemalloc
 
+    import bter.graph
+
     monkeypatch.setattr(metrics, "_WEDGE_CHUNK", 4096)
+    monkeypatch.setattr(bter.graph, "_WRITE_CHUNK", 4096)
     seq = synthesize_powerlaw(30000, 2.0, 300)
     if model == "bter":
         g = generate_bter(seq, GenerationConfig(seed=1))[0]
