@@ -472,12 +472,14 @@ def _report_from_dir(path: Path) -> MetricsReport:
     return _cli.MetricsReport(
         n_nodes=int(fields["nodes"]),
         n_edges=int(fields["edges"]),
-        degree_hist={int(d): int(c) for d, c in degree} if degree else None,
+        degree_hist={int(d): int(c) for d, c in degree} if degree is not None else None,
         triangles=int(triangles[0][0]) if triangles else None,
         wedges=int(triangles[0][1]) if triangles else None,
         global_c=float(cc_summary[0][0]) if cc_summary else None,
         by_degree_cc=(
-            {int(d): (float(mean), int(cnt)) for d, mean, cnt in cc} if cc else None
+            {int(d): (float(mean), int(cnt)) for d, mean, cnt in cc}
+            if cc is not None
+            else None
         ),
         eigenvalues=eigenvalues,
         spectrum_residuals=residuals,

@@ -290,9 +290,7 @@ def generate_er(n: int, p: float, seed: int) -> Graph:
         raise ValueError("p must be in [0, 1]")
     start, size = np.array([0]), np.array([n])
     keys = _sample_blocks(start, start, size, size, np.array([p]), substream(seed), n)
-    parts = [keys]
-    del keys  # the merge works in this buffer
-    return merge_keys(parts, n)[0]
+    return merge_keys(keys, n)[0]
 
 
 def _degree_class_blocks(degrees: DegreeSequence):
@@ -332,9 +330,7 @@ def generate_cl(degrees: DegreeSequence, seed: int) -> Graph:
     if degrees.total < 2:
         raise ValueError("degree sequence must sum to at least 2")
     keys = _sample_windows(*_degree_class_blocks(degrees), substream(seed), degrees.n)
-    parts = [keys]
-    del keys  # the merge works in this buffer
-    return merge_keys(parts, degrees.n)[0]
+    return merge_keys(keys, degrees.n)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +393,8 @@ def _weighted_draws(rng: np.random.Generator, p: np.ndarray, size) -> np.ndarray
 
 
 def _append(keys: np.ndarray, new: np.ndarray) -> None:
-    """Grow keys, an array nothing else references, in place (a realloc) by
-    the entries of new."""
+    """Grow keys in place (a realloc) by the entries of new. keys is taken
+    over as the graph module's docstring on ownership says."""
     size = keys.size
     keys.resize(size + new.size, refcheck=False)
     keys[size:] = new
@@ -485,9 +481,7 @@ def generate_bter(
         del new
 
     raw = dict(zip(PHASE_NAMES, (raw1, q // 2, raw2b, edges_2c)))
-    parts = [keys]
-    del keys  # the merge works in this buffer
-    graph, stats = merge_keys(parts, n, self_loops)
+    graph, stats = merge_keys(keys, n, self_loops)
 
     kept = dict(raw)  # only Phase 2c can lose pairs (see PhaseTrace)
     kept["phase2c"] = graph.edge_count - raw["phase1"] - raw["phase2a"] - raw["phase2b"]

@@ -10,13 +10,21 @@ read. A graph is immutable after construction and safe for concurrent
 reads. Its degrees are counted on first use and its neighbour lists (a
 CSR) are built on the first neighbour or adjacency access, so a graph that
 is only written builds neither, and one measured by degree builds no CSR.
+
+Ownership: a function said to take an array over (:func:`merge_keys`,
+``_graph_of_pairs`` and ``generate._append``) works in that array's own
+buffer. It may sort, overwrite and resize it in place
+(``ndarray.resize(refcheck=False)``), and the graph it returns may hold
+that very buffer. So the array must own its data (:func:`merge_keys`
+raises ValueError on a view), the caller holds no view of it, and what it
+held before the call is not kept. Functions that take a caller's pairs
+(:class:`Graph`, :func:`build_graph`) never write to them.
 """
 
 from __future__ import annotations
 
 import os
 import re
-import sys
 import warnings
 from dataclasses import dataclass
 from functools import partial
@@ -230,16 +238,6 @@ class Graph:
         return f"Graph(n={self.n}, m={self.edge_count})"
 
 
-def _as_pair_array(edge_stream) -> np.ndarray:
-    if isinstance(edge_stream, np.ndarray):
-        arr = edge_stream.astype(np.int64, copy=False)
-    else:
-        arr = np.asarray(list(edge_stream), dtype=np.int64)
-    # an (m, 2) array stays the same object, so build_graph can tell
-    # whether anything else references it
-    return arr if arr.ndim == 2 and arr.shape[1] == 2 else arr.reshape(-1, 2)
-
-
 def _run_starts(ordered: np.ndarray) -> np.ndarray:
     """Mask of the entries of a sorted array that differ from the one before."""
     first = np.ones(len(ordered), dtype=bool)
@@ -258,44 +256,43 @@ def build_graph(
     every id referenced in the stream, including endpoints of dropped
     self-loops.
 
-    The pairs become keys ``min * max(n, 1) + max`` _WRITE_CHUNK rows at a
-    time. A stream already canonical (u < v, rows unique and sorted), as
-    every file write_edgelist writes is, is then the graph's keys; any
-    other goes through merge_keys. A C-contiguous int64 (m, 2) array that
-    nothing else references (the reader hands its parsed array over so)
-    holds its own keys: each chunk's keys are written over the rows already
-    read, and the buffer is then shrunk to them, so the build peaks at the
-    array's 16 B a pair. The caller's array is otherwise left as it was.
+    The pairs become keys ``min * max(n, 1) + max``, _WRITE_CHUNK rows at
+    a time, in a new buffer of 8 B a pair: the caller's pairs are never
+    written (see the module docstring on ownership). A stream already
+    canonical (u < v, rows unique and sorted), as every file write_edgelist
+    writes is, is then the graph's keys; any other goes through merge_keys.
     """
-    arr = _as_pair_array(edge_stream)
-    del edge_stream  # so the reference count below sees only arr
-    raw = arr.shape[0]
-    if raw and arr.min() < 0:
+    if not isinstance(edge_stream, np.ndarray):
+        edge_stream = list(edge_stream)
+    rows = np.asarray(edge_stream, dtype=np.int64).reshape(-1, 2)
+    return _graph_of_pairs(rows, np.empty(len(rows), dtype=np.int64), n)
+
+
+def _graph_of_pairs(
+    rows: np.ndarray, buf: np.ndarray, n: int | None
+) -> tuple[Graph, EdgeStreamStats]:
+    """build_graph on the int64 (m, 2) rows, keyed into buf, which it takes
+    over (see the module docstring on ownership).
+
+    buf is a C-contiguous array of at least m int64 entries that owns its
+    data, and may be the rows themselves: the reader passes its parsed
+    array so, and the keys then land in the rows' own buffer, so the read
+    peaks at their 16 B a pair. buf is shrunk to the keys and becomes the
+    graph's keys, directly or through merge_keys.
+    """
+    raw = len(rows)
+    if raw and rows.min() < 0:
         raise ValueError("node ids must be non-negative")
-    inferred = int(arr.max()) + 1 if raw else 0
+    inferred = int(rows.max()) + 1 if raw else 0
     if n is None:
         n = inferred
     elif n < inferred:
         raise ValueError(f"n={n} too small for max node id {inferred - 1}")
-
-    owned = (
-        sys.getrefcount(arr) <= _SOLE_REFS
-        and arr.flags.owndata
-        and arr.flags.c_contiguous
-        and arr.flags.writeable
-    )
-    keys = arr.reshape(-1) if owned else np.empty(raw, dtype=np.int64)
-    size, self_loops, canonical = _write_pair_keys(arr, keys, n)
-    if owned:  # keys is a view of arr's buffer: the buffer itself is resized
-        del keys
-        keys = arr
-    del arr
-    keys.resize(size, refcheck=False)  # nothing else references it
+    size, self_loops, canonical = _write_pair_keys(rows, buf.reshape(-1), n)
+    buf.resize(size, refcheck=False)
     if canonical:
-        return Graph._canonical(n, keys), EdgeStreamStats(raw, 0, 0)
-    parts = [keys]
-    del keys  # the merge works in this buffer
-    return merge_keys(parts, n, self_loops)
+        return Graph._canonical(n, buf), EdgeStreamStats(raw, 0, 0)
+    return merge_keys(buf, n, self_loops)
 
 
 def _write_pair_keys(rows: np.ndarray, out: np.ndarray, n: int) -> tuple[int, int, bool]:
@@ -331,38 +328,24 @@ def loop_free_keys(u: np.ndarray, v: np.ndarray, n: int) -> tuple[np.ndarray, in
     return (keys[~loops] if self_loops else keys), self_loops
 
 
-def _sole_refs() -> int:
-    """What sys.getrefcount reports for an object that only one local name
-    holds (the count of getrefcount's own argument differs by version)."""
-    probe = np.empty(0)
-    return sys.getrefcount(probe)
-
-
-_SOLE_REFS = _sole_refs()
-
-
 def merge_keys(
-    parts: list[np.ndarray], n: int, self_loops: int = 0
+    keys: np.ndarray, n: int, self_loops: int = 0
 ) -> tuple[Graph, EdgeStreamStats]:
-    """The simple graph on n nodes whose edges are the distinct keys in parts.
+    """The simple graph on n nodes whose edges are the distinct keys.
 
-    ``parts`` is a list of one 1-d array of int64 keys ``u * max(n, 1) + v``,
-    each of a pair u < v < n. ``self_loops`` counts the loop pairs the caller
-    dropped before keying, so the stats account for the whole stream.
+    ``keys`` is a 1-d array of int64 keys ``u * max(n, 1) + v``, each of a
+    pair u < v < n. ``self_loops`` counts the loop pairs the caller dropped
+    before keying, so the stats account for the whole stream.
 
-    The merge takes ownership of the array: it empties the list, and when
-    nothing else then references the array (the caller dropped its own
-    names for it, and it is not a view), it works in that one buffer. It
-    sorts the keys in place, moves the distinct ones to the front
-    _WRITE_CHUNK at a time and shrinks the array to them
-    (``ndarray.resize``, a realloc): that array is the graph's keys, so the
-    merge holds 8 B a key. An array anything else still references is
-    copied first and left as it was.
+    The merge takes the array over (see the module docstring on ownership)
+    and works in that one buffer: it sorts the keys in place, moves the
+    distinct ones to the front _WRITE_CHUNK at a time and shrinks the array
+    to them (``ndarray.resize``, a realloc). That array is the graph's
+    keys, so the merge holds 8 B a key. An array that does not own its data
+    (a view) raises ValueError before it is touched.
     """
-    (keys,) = parts
-    parts.clear()
-    if sys.getrefcount(keys) > _SOLE_REFS or keys.base is not None:
-        keys = keys.copy()  # the caller's array stays as it was
+    if not keys.flags.owndata:
+        raise ValueError("merge_keys takes over an array that owns its data, not a view")
     # sort plus a neighbour mask: np.unique may take a slower hash path
     keys.sort()
     raw, size = len(keys), 0
@@ -534,7 +517,7 @@ def _compact_ids(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ranked = flat[order]
     first = _run_starts(ranked)
     original_ids = ranked[first]
-    compact = np.empty_like(arr)  # its own buffer, which build_graph may take over
+    compact = np.empty_like(arr)  # its own buffer, which the reader's keys take over
     compact.reshape(-1)[order] = np.cumsum(first) - 1
     return original_ids, compact
 
@@ -561,9 +544,7 @@ def read_snap_edgelist(path) -> LoadedEdgeList:
     else:
         original_ids, arr = _compact_ids(arr)
         n = len(original_ids)
-    pairs = [arr]
-    del arr  # handed over: build_graph turns the pairs into keys in their buffer
-    graph, stats = build_graph(pairs.pop(), n=n)
+    graph, stats = _graph_of_pairs(arr, arr, n)  # the keys take the rows' buffer
     return LoadedEdgeList(graph, original_ids, stats)
 
 

@@ -379,6 +379,41 @@ def test_compare_from_report_dirs(k4_file, tmp_path):
     assert rows["degree_tv"] == "0"
 
 
+@pytest.mark.parametrize("metrics", ["degree,cc,triangles", "degree,cc,triangles,spectrum"])
+def test_compare_paths_agree_on_a_wedge_free_graph(tmp_path, metrics):
+    # a wedge-free graph writes a header-only cc.csv: an empty view, not
+    # an absent one
+    graph, rep = tmp_path / "er.txt", tmp_path / "rep"
+    assert run("generate", "--model", "er", "--n", 10, "--p", 0, "--seed", 1,
+               "--out", graph) == EXIT_OK
+    assert run("analyze", "--graph", graph, "--metrics", metrics,
+               "--out-dir", rep) == EXIT_OK
+    assert (rep / "cc.csv").read_text().splitlines() == ["degree,mean_cc,node_count"]
+    by_graph, by_report = tmp_path / "g.csv", tmp_path / "r.csv"
+    assert run("compare", "--graph-a", graph, "--graph-b", graph, "--metrics", metrics,
+               "--out", by_graph) == EXIT_OK
+    assert run("compare", "--report-a", rep, "--report-b", rep,
+               "--out", by_report) == EXIT_OK
+    assert by_report.read_bytes() == by_graph.read_bytes()
+
+
+def test_compare_paths_agree_on_an_empty_graph(tmp_path, capsys):
+    # n = 0: a header-only degree.csv is an empty histogram on both paths
+    graph, rep = tmp_path / "er.txt", tmp_path / "rep"
+    metrics = "degree,cc,triangles"
+    assert run("generate", "--model", "er", "--n", 0, "--p", 0, "--seed", 1,
+               "--out", graph) == EXIT_OK
+    assert run("analyze", "--graph", graph, "--metrics", metrics,
+               "--out-dir", rep) == EXIT_OK
+    capsys.readouterr()
+    assert run("compare", "--graph-a", graph, "--graph-b", graph, "--metrics", metrics,
+               "--out", tmp_path / "g.csv") == EXIT_INPUT
+    by_graph = capsys.readouterr().err
+    assert run("compare", "--report-a", rep, "--report-b", rep,
+               "--out", tmp_path / "r.csv") == EXIT_INPUT
+    assert capsys.readouterr().err == by_graph != ""
+
+
 def test_compare_bter_vs_cl_clustering_dominates(tmp_path):
     deg_args = ("--powerlaw", "1500,2,38")
     gb, gc = tmp_path / "b.txt", tmp_path / "c.txt"

@@ -748,9 +748,9 @@ def test_bter_kept_matches_first_occurrence(values, manual_fraction, variant, se
     )
     merged = []
 
-    def capture(parts, n, self_loops):
-        merged.append((np.concatenate(parts), self_loops))
-        return merge_keys(parts, n, self_loops)
+    def capture(keys, n, self_loops):
+        merged.append((keys.copy(), self_loops))  # before the merge sorts them
+        return merge_keys(keys, n, self_loops)
 
     with mock.patch.object(bter.generate, "merge_keys", side_effect=capture):
         trace = generate_bter(seq, cfg)[1]

@@ -275,10 +275,6 @@ def test_build_graph_matches_unique_path(pairs, shape, rnd, chunk):
     ref_g, ref_stats = build_graph_by_unique(arr, 16)
     with mock.patch.object(bter.graph, "_WRITE_CHUNK", chunk or bter.graph._WRITE_CHUNK):
         assert build_graph(arr, n=16) == (ref_g, ref_stats)
-        # handed over (and outside an assert, which keeps its operands), the
-        # rows' own buffer takes the keys
-        handed = build_graph([arr.copy()].pop(), n=16)
-        assert handed == (ref_g, ref_stats)
 
 
 def test_build_graph_holds_only_keys_and_leaves_the_callers_array():
@@ -295,8 +291,8 @@ def test_build_graph_holds_only_keys_and_leaves_the_callers_array():
 
 
 def test_build_graph_keys_a_handed_over_array_in_its_own_buffer(tmp_path, monkeypatch):
-    # an array the caller still holds gets a new key buffer; one handed
-    # over, as the reader hands over its parsed rows, takes its keys in place
+    # build_graph always keys into a new buffer; the reader hands its
+    # parsed rows over, and they take their keys in place
     write_pair_keys = bter.graph._write_pair_keys
     in_place = []
 
@@ -307,13 +303,33 @@ def test_build_graph_keys_a_handed_over_array_in_its_own_buffer(tmp_path, monkey
     monkeypatch.setattr(bter.graph, "_write_pair_keys", spy)
     rows = np.array([[0, 1], [0, 3], [2, 3]], dtype=np.int64)
     held = build_graph(rows, n=5)
-    pairs = [rows.copy()]
-    handed = build_graph(pairs.pop(), n=5)  # not inside an assert, which keeps its operands
-    assert handed == held
     path = tmp_path / "g.txt"
     path.write_text("# nodes 5\n0 1\n0 3\n2 3\n")
     assert read_snap_edgelist(path).graph == held[0]
-    assert in_place == [False, True, True]
+    assert in_place == [False, True]
+
+
+@pytest.mark.parametrize("kind", ["list", "int64", "int32"])
+@pytest.mark.parametrize("shape", ["canonical", "shuffled", "looped"])
+def test_build_graph_never_writes_or_shares_its_input(kind, shape):
+    pairs = {
+        "canonical": [(0, 1), (0, 3), (2, 3), (3, 4)],
+        "shuffled": [(3, 4), (1, 0), (2, 3), (0, 1), (3, 0)],
+        "looped": [(2, 2), (3, 4), (4, 3), (0, 1), (1, 1)],
+    }[shape]
+    expected = build_graph_by_unique(np.array(pairs, dtype=np.int64), 6)
+    if kind == "list":
+        stream = list(pairs)
+        assert build_graph(stream, n=6) == expected
+        assert stream == pairs
+        return
+    stream = np.array(pairs, dtype=np.int64 if kind == "int64" else np.int32)
+    before = stream.copy()
+    g, stats = build_graph(stream, n=6)
+    assert (g, stats) == expected
+    assert not np.shares_memory(g.keys, stream)
+    assert np.array_equal(stream, before) and stream.dtype == before.dtype
+    assert stream.flags.writeable
 
 
 def merge_by_unique(keys: np.ndarray, n: int, self_loops: int):
@@ -337,11 +353,8 @@ def test_merge_keys_matches_unique(stream, self_loops, chunk):
     n, pairs = stream
     keys = np.array([min(p) * n + max(p) for p in pairs], dtype=np.int64)
     expected = merge_by_unique(keys, n, self_loops)
-    parts = [keys]
-    del keys  # handed over: the merge sorts and grows this array in place
     with mock.patch.object(bter.graph, "_WRITE_CHUNK", chunk or bter.graph._WRITE_CHUNK):
-        assert merge_keys(parts, n, self_loops) == expected
-    assert parts == []
+        assert merge_keys(keys, n, self_loops) == expected
 
 
 @pytest.mark.parametrize(
@@ -359,25 +372,20 @@ def test_merge_keys_cases(n, keys, self_loops, chunk):
     keys = np.array(keys, dtype=np.int64)
     expected = merge_by_unique(keys, n, self_loops)
     with mock.patch.object(bter.graph, "_WRITE_CHUNK", chunk or bter.graph._WRITE_CHUNK):
-        assert merge_keys([keys.copy()], n, self_loops) == expected
+        assert merge_keys(keys, n, self_loops) == expected
 
 
-def test_merge_keys_copies_an_array_it_does_not_own():
-    # a view, or an array the caller still holds, is left as it was: the
-    # merge sorts and grows only an array nothing else references
+def test_merge_keys_rejects_a_view():
+    # the merge sorts and shrinks the array it takes over in place, so a
+    # view, whose buffer belongs to another array, is refused untouched
     rng = np.random.default_rng(5)
     base = rng.integers(0, 30, size=(2, 200)).sum(axis=0).astype(np.int64) + 1
-    n = 64  # keys 1..59: the pairs (0, v)
-    expected = merge_by_unique(base, n, 0)
-    for keys in (base, base[:], base[::1], base.reshape(20, 10).ravel()):
-        before = base.copy()
-        with mock.patch.object(bter.graph, "_WRITE_CHUNK", 7):
-            assert merge_keys([keys], n) == expected
+    before = base.copy()
+    for keys in (base[:], base[::1], base[::2], base.reshape(20, 10).ravel()):
+        with pytest.raises(ValueError, match="view"):
+            merge_keys(keys, 64)
         assert np.array_equal(base, before) and base.shape == (200,)
-        assert np.array_equal(keys, before.reshape(keys.shape))
-    held = base.copy()
-    graph, _ = merge_keys([held], n)
-    assert not np.shares_memory(graph.edges, held) and held.shape == (200,)
+        assert base.flags.writeable
 
 
 def test_merge_keys_memory_is_eight_bytes_a_key():
@@ -397,12 +405,10 @@ def test_merge_keys_memory_is_eight_bytes_a_key():
     del u, v
     expected = merge_by_unique(keys, n, 0)
     chunk = 4096
-    parts = [keys]
-    del keys
     with mock.patch.object(bter.graph, "_WRITE_CHUNK", chunk):
         tracemalloc.start()
         try:
-            graph, stats = merge_keys(parts, n)
+            graph, stats = merge_keys(keys, n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
