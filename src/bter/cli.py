@@ -556,20 +556,28 @@ def _core_label(c: float) -> str:
 
 
 def cmd_audit(args, argv: list[str]) -> int:
-    # checked before any file is read: without a partition kappa is never used
+    # the values are checked before any file is read: without a partition
+    # kappa and the core constants are never used
     if not 0.0 < args.kappa < 1.0:
         raise UsageError(f"--kappa must be in (0, 1), got {args.kappa}")
+    try:
+        core_constants = tuple(float(c) for c in args.core_constants.split(","))
+    except ValueError as exc:
+        raise UsageError(f"bad --core-constants: {exc}") from exc
+    profile = None
+    if args.predict:
+        try:
+            n_str, gamma_str = args.predict.split(",")
+            profile = _cli.predict_community_profile(int(float(n_str)), float(gamma_str))
+        except (ValueError, OverflowError) as exc:  # int(float("inf")) overflows
+            raise UsageError(f"bad --predict value {args.predict!r}: {exc}") from exc
+
     loaded = _load_graph_file(args.graph)
     graph = loaded.graph
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs: list[Path] = []
     inputs: dict[str, Path] = {"graph": Path(args.graph)}
-
-    try:
-        core_constants = tuple(float(c) for c in args.core_constants.split(","))
-    except ValueError as exc:
-        raise UsageError(f"bad --core-constants: {exc}") from exc
 
     import numpy as np
 
@@ -653,12 +661,7 @@ def cmd_audit(args, argv: list[str]) -> int:
         )
         outputs.append(realized_path)
 
-    if args.predict:
-        try:
-            n_str, gamma_str = args.predict.split(",")
-            profile = _cli.predict_community_profile(int(float(n_str)), float(gamma_str))
-        except ValueError as exc:
-            raise UsageError(f"bad --predict value {args.predict!r}: {exc}") from exc
+    if profile is not None:
         pred_path = out_dir / "predicted_profile.csv"
         _write_rows(
             pred_path,
@@ -694,8 +697,14 @@ def cmd_replay(args, argv: list[str]) -> int:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise InputError(f"{manifest_path}: not a JSON manifest: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise InputError(f"{manifest_path}: a manifest is a JSON object")
+    recorded_argv = manifest.get("argv")
+    if not isinstance(recorded_argv, list) or not all(
+        isinstance(a, str) for a in recorded_argv
+    ):
+        raise InputError(f"{manifest_path}: manifest argv is not a list of strings")
     command = manifest.get("command")
-    recorded_argv = list(manifest.get("argv", []))
     if command not in _OUT_DESTS:
         raise InputError(f"manifest command {command!r} cannot be replayed")
     # the parser finds the output in any spelling it accepts (--out=X, --ou X)

@@ -7,9 +7,9 @@ output byte-stable. The samplers emit such keys, the merge sorts and
 deduplicates them in place, and the reader turns its parsed rows into them
 in their own buffer; the (m, 2) rows exist only when ``Graph.edges`` is
 read. A graph is immutable after construction and safe for concurrent
-reads. Its degrees are counted on first use and its neighbour lists (a
-CSR) are built on the first neighbour or adjacency access, so a graph that
-is only written builds neither, and one measured by degree builds no CSR.
+reads. Its degrees are counted on first use and kept; its adjacency matrix
+is built from the keys by scipy on each call to ``Graph.adjacency_csr``
+and never kept, so a graph that is only written counts nothing.
 
 Ownership: a function said to take an array over (:func:`merge_keys`,
 ``_graph_of_pairs`` and ``generate._append``) works in that array's own
@@ -85,12 +85,11 @@ class Graph:
     of each edge, strictly increasing, 8 B an edge. :attr:`edges` builds
     the (m, 2) rows from them on each access; the package's own passes read
     the keys :meth:`edge_chunks` at a time instead. Degrees are counted on
-    first use, and the CSR of sorted neighbour lists on the first call to
-    :meth:`neighbors`, :meth:`has_edge` or :meth:`adjacency_csr`; both are
-    kept.
+    first use and kept. :meth:`adjacency_csr` builds a new scipy matrix from
+    the keys on each call, and :meth:`has_edge` searches them.
     """
 
-    __slots__ = ("n", "keys", "_degrees", "_csr")
+    __slots__ = ("n", "keys", "_degrees")
 
     def __init__(self, n: int, edges: np.ndarray):
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
@@ -120,7 +119,6 @@ class Graph:
         self.keys = keys
         self.keys.setflags(write=False)
         self._degrees = None
-        self._csr = None
 
     def edge_chunks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """The (u, v) columns of the edges in key order, _WRITE_CHUNK edges
@@ -138,52 +136,6 @@ class Graph:
         np.divmod(self.keys, np.int64(max(self.n, 1)), out=(rows[:, 0], rows[:, 1]))
         rows.setflags(write=False)
         return rows
-
-    def _adjacency(self) -> tuple[np.ndarray, np.ndarray]:
-        """(indptr, indices) of the sorted neighbour lists, built on first call.
-
-        Row x lists its neighbours u < x ascending, then its neighbours
-        v > x ascending. In key order the edges are sorted by (u, v), so
-        edge i is the upper neighbour v of row u at slot i plus the number
-        of lower entries in rows 0..u. The lower entries are the keys
-        turned round, ``v * n + u``, sorted: the j-th of them, of row v, is
-        at slot j plus the number of upper entries in rows 0..v-1. So each
-        fills its own slots in order, a chunk at a time: no argsort, and
-        besides the output only the turned keys are m-long. The pair is
-        stored in one assignment, so a concurrent first call at worst
-        builds it twice.
-        """
-        if self._csr is not None:
-            return self._csr
-        n, width, m = self.n, np.int64(max(self.n, 1)), len(self.keys)
-        above = np.zeros(n, dtype=np.int64)
-        turned = np.empty(m, dtype=np.int64)
-        lo = 0
-        for u, v in self.edge_chunks():
-            np.add.at(above, u, 1)
-            np.multiply(v, width, out=turned[lo : lo + len(v)])
-            turned[lo : lo + len(v)] += u
-            lo += len(v)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(self.degrees, out=indptr[1:])
-        indices = np.empty(2 * m, dtype=np.int64)
-        upper_shift = np.cumsum(self.degrees - above)  # lower entries in rows 0..u
-        lo = 0
-        for u, v in self.edge_chunks():
-            indices[np.arange(lo, lo + len(u)) + upper_shift[u]] = v
-            lo += len(u)
-        del upper_shift
-        lower_shift = np.cumsum(above)
-        lower_shift -= above  # upper entries in rows 0..v-1
-        del above
-        turned.sort()
-        for lo in range(0, m, _WRITE_CHUNK):
-            v, u = np.divmod(turned[lo : lo + _WRITE_CHUNK], width)
-            indices[np.arange(lo, lo + len(u)) + lower_shift[v]] = u
-        indptr.setflags(write=False)
-        indices.setflags(write=False)
-        self._csr = (indptr, indices)
-        return self._csr
 
     @property
     def edge_count(self) -> int:
@@ -205,25 +157,28 @@ class Graph:
     def degree(self, u: int) -> int:
         return int(self.degrees[u])
 
-    def neighbors(self, u: int) -> np.ndarray:
-        """Sorted neighbor ids of u (read-only view)."""
-        indptr, indices = self._adjacency()
-        return indices[indptr[u] : indptr[u + 1]]
-
     def has_edge(self, u: int, v: int) -> bool:
-        nbrs = self.neighbors(u)
-        i = np.searchsorted(nbrs, v)
-        return bool(i < len(nbrs) and nbrs[i] == v)
+        """Whether u and v are joined: a search of the keys, which builds nothing."""
+        u, v = min(u, v), max(u, v)
+        # a pair out of range may share an edge's key: (-1, 8) on 7 nodes keys as (0, 1)
+        if not 0 <= u < v < self.n:
+            return False
+        key = u * self.n + v
+        i = np.searchsorted(self.keys, key)
+        return bool(i < len(self.keys) and self.keys[i] == key)
 
     def adjacency_csr(self) -> sp.csr_matrix:
-        """Adjacency matrix as a scipy CSR matrix (0/1, float64)."""
+        """Adjacency matrix as a scipy CSR matrix (0/1, float64, sorted
+        indices), new on each call. The keys are its upper triangle in CSR
+        order already: row u's entries are the keys in [u * n, (u + 1) * n)."""
         import scipy.sparse as sp
 
-        indptr, indices = self._adjacency()
-        data = np.ones(len(indices), dtype=np.float64)
-        return sp.csr_matrix(
-            (data, indices.copy(), indptr.copy()), shape=(self.n, self.n)
+        width = np.int64(max(self.n, 1))
+        indptr = np.searchsorted(self.keys, np.arange(self.n + 1) * width)
+        upper = sp.csr_matrix(
+            (np.ones(len(self.keys)), self.keys % width, indptr), shape=(self.n, self.n)
         )
+        return (upper + upper.T).tocsr()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):

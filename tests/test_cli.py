@@ -354,6 +354,44 @@ def test_analyze_reports_raw_and_nonisolated_counts(tmp_path):
     assert summary["edges"] == "1"
 
 
+# sha256 of each output of `analyze --metrics degree,cc,triangles,spectrum
+# --top-k 10` on the `generate --powerlaw 2000,2,40 --seed 1` graphs as 0.6.0
+# writes it; the spectrum's last digits move if the adjacency's entry order
+# does, so how the matrix is built must not move a byte
+_ANALYZE_SHA256 = {
+    "bter": {
+        "degree.csv": "a7847713f607986343719a41c36f26e7b49daa1de40adefbd4d26f23b9b06d30",
+        "summary.csv": "8227be610d5aed26cd7fd2673ee6b93984b4cba96923402dbfab7d6911464285",
+        "cc.csv": "b8eede48249591cb41cc4cbc81e19a6f399a10fc489cc92913e1719fc86a8ace",
+        "cc_summary.csv": "836fad4b3f402157594dd4f681d51f1b5a70d104f421a6cf14bd1f33f3cde6cd",
+        "triangles.csv": "9682bbb474d8421a5c7deca0dd4a234e1cc279fe4a86916eb4e99635b3f162e8",
+        "spectrum.csv": "93a1ead3408e73e2607fc6a071f2ed5c538526500129fb6ca0186b88b3ccf931",
+    },
+    "cl": {
+        "degree.csv": "a58c48821bf3a9349308f080b4edf7a46c2bcbd4f637c91459e618d369df6b86",
+        "summary.csv": "919e6b4323e44d0346e13f0d9c9cb73bbb7d1d4054b239c5ce17eb5ad0b33195",
+        "cc.csv": "ec0dc49f0b97e2462387f2cd7803e9d55872b817f8d728398b700d97e2984a31",
+        "cc_summary.csv": "e4a548fb346b85f5dfba41b9e33bdf59c1f96d5247ae95db7f925a3eba0ce98c",
+        "triangles.csv": "a255fb834edc5b60b68ceccb897a45f65e2d9a3984d5943c34b5fab412c8ef7f",
+        "spectrum.csv": "42f1838f41e983a7ee0f82e98127ab5880436c197b4af63c5ce6bf284e35628d",
+    },
+}
+
+
+@pytest.mark.parametrize("model", sorted(_ANALYZE_SHA256))
+def test_analyze_bytes_pinned(tmp_path, model):
+    g, out = tmp_path / "g.txt", tmp_path / "rep"
+    assert run("generate", "--model", model, "--powerlaw", "2000,2,40", "--seed", 1,
+               "--out", g) == EXIT_OK
+    assert run("analyze", "--graph", g, "--metrics", "degree,cc,triangles,spectrum",
+               "--top-k", 10, "--out-dir", out) == EXIT_OK
+    digests = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in _ANALYZE_SHA256[model]
+    }
+    assert digests == _ANALYZE_SHA256[model]
+
+
 # ---------------------------------------------------------------------------
 # compare
 # ---------------------------------------------------------------------------
@@ -624,6 +662,22 @@ def test_replay_finds_the_output_in_any_spelling(k4_file, tmp_path, command, spe
     assert run("replay", "--manifest", manifest) == EXIT_OK
 
 
+@pytest.mark.parametrize(
+    "manifest",
+    [
+        ["generate"],
+        {"command": "generate", "argv": ["generate", "--seed", 1]},
+        {"command": "generate", "argv": "generate --model er"},
+    ],
+    ids=["array", "int in argv", "string argv"],
+)
+def test_replay_rejects_a_malformed_manifest(tmp_path, capsys, manifest):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    assert run("replay", "--manifest", path) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_threads_flag_is_gone(tmp_path):
     g = tmp_path / "g.txt"
     args = ("generate", "--model", "er", "--n", 30, "--p", 0.2, "--seed", 4, "--out", g)
@@ -703,6 +757,8 @@ def small_bter(tmp_path_factory):
         (*_AUDIT, "--kappa", 2),
         (*_AUDIT, "--core-constants", "a"),
         (*_AUDIT, "--predict", "0,2"),
+        (*_AUDIT, "--predict", "abc"),
+        (*_AUDIT, "--predict", "inf,2"),
     ],
     ids=lambda argv: " ".join(str(a) for a in argv if "{" not in str(a)),
 )
@@ -712,6 +768,8 @@ def test_bad_values_are_usage_errors(argv, small_bter, tmp_path, capsys):
             for a in argv]
     assert main(args) == EXIT_USAGE
     assert capsys.readouterr().err.startswith("error: ")
+    # a bad value is refused before any output is written
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
 
 
 def test_internal_value_error_is_not_a_usage_error(small_bter, tmp_path, monkeypatch):

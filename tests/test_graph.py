@@ -117,10 +117,24 @@ def test_adjacency_symmetry(stream):
     g, _ = build_graph(stream, n=12)
     for u, v in g.edges:
         assert g.has_edge(u, v) and g.has_edge(v, u)
+    adjacency = g.adjacency_csr()
     for u in range(g.n):
-        nbrs = g.neighbors(u)
+        nbrs = adjacency[u].indices
         assert (np.diff(nbrs) > 0).all()  # sorted, no duplicates
         assert g.degree(u) == len(nbrs)
+
+
+@given(edge_streams, st.integers(0, 3))
+def test_has_edge_matches_a_set_on_every_pair(stream, isolated):
+    # pairs out of range, in either order, are not edges, even where their
+    # key u * n + v is an edge's key
+    inferred = max((max(pair) for pair in stream), default=-1) + 1
+    n = inferred + isolated
+    g, _ = build_graph(stream, n=n)
+    edges = {(u, v) for u, v in stream if u != v} | {(v, u) for u, v in stream if u != v}
+    for u in range(-2, n + 2):
+        for v in range(-2, n + 2):
+            assert g.has_edge(u, v) == ((u, v) in edges), (u, v)
 
 
 def test_read_snap_symmetrizes(tmp_path):
@@ -282,9 +296,9 @@ def test_build_graph_holds_only_keys_and_leaves_the_callers_array():
     before = arr.copy()
     g, stats = build_graph(arr, n=5)
     assert stats == EdgeStreamStats(3, 0, 0)
-    assert set(Graph.__slots__) == {"n", "keys", "_degrees", "_csr"}
+    assert Graph.__slots__ == ("n", "keys", "_degrees")
     assert g.keys.tolist() == [1, 3, 13] and g.keys.dtype == np.int64
-    assert g._degrees is None and g._csr is None  # neither is counted yet
+    assert g._degrees is None  # not counted yet
     assert not np.shares_memory(g.keys, arr)
     assert np.array_equal(arr, before) and arr.flags.writeable
     assert g.edges.tolist() == before.tolist()
@@ -579,8 +593,12 @@ def argsort_csr(g: Graph) -> tuple[np.ndarray, np.ndarray]:
 
 def _assert_csr_matches_argsort(g: Graph) -> None:
     indptr, indices = argsort_csr(g)
-    assert np.array_equal(g._adjacency()[0], indptr)
-    assert np.array_equal(g._adjacency()[1], indices)
+    adjacency = g.adjacency_csr()
+    assert adjacency.shape == (g.n, g.n)
+    assert np.array_equal(adjacency.indptr, indptr)
+    assert np.array_equal(adjacency.indices, indices)
+    assert adjacency.data.dtype == np.float64 and (adjacency.data == 1).all()
+    assert adjacency.has_sorted_indices
     assert np.array_equal(g.degrees, np.diff(indptr))
 
 
@@ -589,7 +607,6 @@ def test_csr_matches_argsort_build(stream, isolated):
     inferred = max((max(pair) for pair in stream), default=-1) + 1
     g, _ = build_graph(stream, n=inferred + isolated)
     assert np.array_equal(g.degrees, np.bincount(g.edges.ravel(), minlength=g.n))
-    assert g._csr is None
     _assert_csr_matches_argsort(g)
 
 
@@ -601,24 +618,33 @@ def _graph_from(source: str, stream, n: int, tmp_path) -> Graph:
     return g
 
 
+def _slots(g: Graph) -> list:
+    return [getattr(g, name) for name in Graph.__slots__]
+
+
+def _same(a: list, b: list) -> bool:
+    return all(x is y for x, y in zip(a, b, strict=True))
+
+
 @pytest.mark.parametrize("source", ["build_graph", "read_snap_edgelist"])
-@pytest.mark.parametrize(
-    "access",
-    [
-        lambda g: g.neighbors(0),
-        lambda g: g.has_edge(0, 1),
-        lambda g: g.adjacency_csr(),
-    ],
-    ids=["neighbors", "has_edge", "adjacency_csr"],
-)
-def test_csr_is_built_on_first_neighbour_access(tmp_path, source, access):
+def test_neighbour_access_keeps_nothing_on_the_graph(tmp_path, source):
+    # has_edge searches the keys and adjacency_csr builds a new matrix on
+    # each call, so neither sets a slot; degree counts the degrees once and
+    # keeps them, and sets no other slot
     stream = [(0, 3), (3, 1), (2, 0), (4, 3), (1, 2), (0, 1), (3, 0)]
     g = _graph_from(source, stream, 7, tmp_path)
-    assert g._csr is None
+    before = _slots(g)
+    assert g._degrees is None
+    assert g.has_edge(0, 1) and not g.has_edge(4, 5)
+    first = g.adjacency_csr()
+    assert g.adjacency_csr() is not first
+    assert _same(_slots(g), before)
+    assert g.degree(3) == 3
+    counted = _slots(g)
+    assert _same(counted[:2], before[:2]) and counted[2] is not None
     assert np.array_equal(g.degrees, np.bincount(g.edges.ravel(), minlength=g.n))
-    assert g.degree(3) == 3 and g._csr is None
-    access(g)
-    assert g._csr is not None
+    assert g.has_edge(3, 4) and g.adjacency_csr().nnz == 2 * g.edge_count
+    assert _same(_slots(g), counted)
     _assert_csr_matches_argsort(g)
 
 
