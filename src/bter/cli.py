@@ -21,7 +21,6 @@ from . import _EXPORTS, __version__
 if TYPE_CHECKING:
     from .degrees import DegreeSequence
     from .reports import MetricsReport
-    from .theory import CommunityAudit
 
 # A command calls each library name as an attribute of this module
 # (``_cli.generate_bter(...)``), which ``__getattr__`` imports on first use.
@@ -557,9 +556,11 @@ def _core_label(c: float) -> str:
 
 def cmd_audit(args, argv: list[str]) -> int:
     # the values are checked before any file is read: without a partition
-    # kappa and the core constants are never used
+    # kappa, the exact threshold and the core constants are never used
     if not 0.0 < args.kappa < 1.0:
         raise UsageError(f"--kappa must be in (0, 1), got {args.kappa}")
+    if args.exact_threshold < 0:
+        raise UsageError(f"--exact-threshold must be >= 0, got {args.exact_threshold}")
     try:
         core_constants = tuple(float(c) for c in args.core_constants.split(","))
     except ValueError as exc:
@@ -614,38 +615,35 @@ def cmd_audit(args, argv: list[str]) -> int:
             _core_label(c) for c in core_constants
         )
         # blocks with equal internal-degree multisets (per_block values are
-        # sorted) have equal audits, so each distinct one is audited once
-        ids = sorted(per_block)
-        audits: dict[bytes, CommunityAudit] = {}
+        # sorted) have equal audits, so each distinct one is audited and its
+        # row text formatted once
+        rows: dict[bytes, tuple[bool, str]] = {}
         passed = 0
-        for k in ids:
-            key = per_block[k].tobytes()
-            if key not in audits:
-                try:
-                    audits[key] = _cli.audit_community(
-                        per_block[k],
-                        kappa=args.kappa,
-                        core_constants=core_constants,
-                        exact_threshold=args.exact_threshold,
-                    )
-                except ValueError as exc:
-                    raise UsageError(str(exc)) from exc
-            passed += audits[key].passes
-
-        def block_rows():
-            for k in ids:
-                audit = audits[per_block[k].tobytes()]
-                yield (
-                    str(k),
-                    _fmt(audit.s),
-                    _fmt(audit.expected_triangles),
-                    _fmt(audit.wedge_bound),
-                    str(audit.passes).lower(),
-                    *(str(audit.er_core[c][0]) for c in core_constants),
-                )
-
         blocks_path = out_dir / "blocks.csv"
-        _write_rows(blocks_path, header, block_rows())
+        with open(blocks_path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(header + "\n")
+            for k in sorted(per_block):
+                key = per_block[k].tobytes()
+                if key not in rows:
+                    try:
+                        audit = _cli.audit_community(
+                            per_block[k],
+                            kappa=args.kappa,
+                            core_constants=core_constants,
+                            exact_threshold=args.exact_threshold,
+                        )
+                    except ValueError as exc:
+                        raise UsageError(str(exc)) from exc
+                    rows[key] = audit.passes, ",".join((
+                        _fmt(audit.s),
+                        _fmt(audit.expected_triangles),
+                        _fmt(audit.wedge_bound),
+                        str(audit.passes).lower(),
+                        *(str(audit.er_core[c][0]) for c in core_constants),
+                    ))
+                passes, text = rows[key]
+                passed += passes
+                fh.write(f"{k},{text}\n")
         outputs.append(blocks_path)
         total = len(per_block)
         frac = passed / total if total else 0.0

@@ -156,43 +156,43 @@ def _sample_windows(blocks, count: int, rng: np.random.Generator, width) -> np.n
     (row0 == col0), else a rectangle whose rows all lie below its columns.
 
     Every block is sampled by geometric skipping over its pairs in
-    lexicographic order. Each round, the pending blocks draw their gaps in
-    order, each about as many as it has hits left to find, until the next
-    block's would overrun _ROUND_DRAWS; a block stays pending until a gap
-    carries it past its last pair. The pending list is the blocks the last
-    round left unfinished, then those it did not take, then those no round
-    has reached yet; a round works it _WINDOW blocks at a time, and asks
-    blocks() for the unreached ones only as its windows get to them. A
-    window's gaps are drawn and summed _CHUNK at a time, each block
-    carrying its position from chunk to chunk, and a chunk's hits become
-    keys before the next chunk is drawn. So besides its keys, one array
-    grown in place, the sampler holds one window's and one chunk's
-    temporaries and the blocks a round leaves unfinished. The stream is
-    read in order, so neither the window nor the chunk size changes a gap
+    lexicographic order. The pending blocks wait in one queue of windows;
+    blocks() is asked for the next _WINDOW blocks no round has reached only
+    when the queue is empty. Each round takes windows from the front of the
+    queue, and from each window the longest run of blocks whose gaps, each
+    about as many as the block has hits left to find, fit in the
+    _ROUND_DRAWS the round has left; the untaken rest of the window goes
+    back on the front, and the round ends. A block stays pending until a
+    gap carries it past its last pair: the blocks a round leaves unfinished
+    are cut into windows and put ahead of the whole queue. A window's gaps
+    are drawn and summed _CHUNK at a time, each block carrying its position
+    from chunk to chunk, and a chunk's hits become keys before the next
+    chunk is drawn. So besides its keys, one array grown in place, the
+    sampler holds one window's and one chunk's temporaries, the blocks a
+    round leaves unfinished and at most one partly taken window. The stream
+    is read in order, so neither the window nor the chunk size changes a gap
     or a key, and a one-block draw is the same whatever the round size.
     """
     width = np.int64(width)
-    # the pending blocks a round has reached, as arrays: row0, col0, rows,
-    # cols, p, pair count and last hit of each; [] when there are none
-    held = []
-    reach = 0  # blocks reach.. are pending after them, with no hit yet
+    # windows of pending blocks, the next one last: the arrays row0, col0,
+    # rows, cols, p, pair count and last hit of each; blocks reach.. are
+    # pending after them, with no hit yet
+    queue, reach = [], 0
     # the keys so far are keys[:size]: the array grows by half when full,
     # in place where realloc can, and is cut to size at the end, so no
     # second copy of the keys is ever made
     keys, size = np.empty(0, dtype=np.int64), 0
-    while held or reach < count:
+    while queue or reach < count:
         room, left = _ROUND_DRAWS, []  # the round's draws to go; its unfinished blocks
-        done, pending = 0, held[0].size if held else 0  # held blocks taken, of pending
         while room:
-            if done < pending:
-                window = [a[done : done + _WINDOW] for a in held]
+            if queue:
+                window = queue.pop()
             elif reach < count:
-                upto = min(reach + _WINDOW, count)
-                row0, col0, rows, cols, p = blocks(reach, upto)
+                lo, reach = reach, min(reach + _WINDOW, count)
+                row0, col0, rows, cols, p = blocks(lo, reach)
                 end = np.where(row0 == col0, rows * (rows - 1) // 2, rows * cols)
                 live = np.flatnonzero((end > 0) & (p > 0.0))
                 if not live.size:
-                    reach = upto
                     continue
                 window = [row0, col0, rows, cols, p, end]
                 if live.size < end.size:
@@ -251,16 +251,14 @@ def _sample_windows(blocks, count: int, rng: np.random.Generator, width) -> np.n
                 more = np.flatnonzero(reached < ends)
                 if more.size:
                     left.append([a[more] for a in window[:6]] + [reached[more]])
-            if done < pending:
-                done += take
-            else:  # the window's untaken blocks are unreached again
-                reach = upto if take == live.size else reach + int(live[take])
             if take < end.size:
+                queue.append([a[take:] for a in window])
                 break
             room -= draws
-        if done < pending:
-            left.append([a[done:] for a in held])
-        held = left[0] if len(left) == 1 else [np.concatenate(c) for c in zip(*left)]
+        if left:
+            rest = left[0] if len(left) == 1 else [np.concatenate(c) for c in zip(*left)]
+            starts = range(0, rest[0].size, _WINDOW)
+            queue += [[a[lo : lo + _WINDOW] for a in rest] for lo in reversed(starts)]
     keys.resize(size, refcheck=False)
     return keys
 

@@ -95,15 +95,11 @@ class Graph:
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         if n < 0:
             raise ValueError("node count must be non-negative")
-        keys = np.empty(0, dtype=np.int64)
-        if edges.size:
-            if edges.min() < 0 or edges.max() >= n:
-                raise ValueError("edge endpoint outside 0..n-1")
-            if not (edges[:, 0] < edges[:, 1]).all():
-                raise ValueError("edges must satisfy u < v")
-            keys = edges[:, 0] * np.int64(n) + edges[:, 1]
-            if not (np.diff(keys) > 0).all():
-                raise ValueError("edges must be unique and lexicographically sorted")
+        if edges.size and (edges.min() < 0 or edges.max() >= n):
+            raise ValueError("edge endpoint outside 0..n-1")
+        keys = np.empty(len(edges), dtype=np.int64)
+        if not _write_pair_keys(edges, keys, n)[2]:
+            raise ValueError("edges must satisfy u < v, and be unique and sorted")
         self._adopt(n, keys)
 
     @classmethod

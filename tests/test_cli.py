@@ -392,6 +392,35 @@ def test_analyze_bytes_pinned(tmp_path, model):
     assert digests == _ANALYZE_SHA256[model]
 
 
+def test_spectrum_agrees_across_blas_thread_counts(tmp_path):
+    # the residual norms sum over threads in an order the BLAS thread count
+    # sets, so their last digits move with it, and a spectrum run replays
+    # byte for byte only on the same BLAS build and thread count; the
+    # eigenvalues agree, and every residual stays within the tolerance
+    import subprocess
+    import sys
+
+    import numpy as np
+
+    graph = tmp_path / "g.txt"
+    assert run("generate", "--model", "bter", "--powerlaw", "10000,2,100", "--seed", 1,
+               "--out", graph) == EXIT_OK
+    spectra = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        subprocess.run(
+            [sys.executable, "-m", "bter.cli", "analyze", "--graph", str(graph),
+             "--metrics", "spectrum", "--top-k", "25", "--tol", "1e-8", "--out-dir", str(out)],
+            env=_cli_env(OPENBLAS_NUM_THREADS=threads),
+            capture_output=True, timeout=300, check=True,
+        )
+        spectra.append(np.loadtxt(out / "spectrum.csv", delimiter=",", skiprows=1, ndmin=2))
+    one, two = spectra
+    assert one.shape == two.shape == (25, 3)
+    np.testing.assert_allclose(two[:, 1], one[:, 1], rtol=1e-9, atol=0)
+    assert (one[:, 2] <= 1e-8).all() and (two[:, 2] <= 1e-8).all()
+
+
 # ---------------------------------------------------------------------------
 # compare
 # ---------------------------------------------------------------------------
@@ -755,6 +784,7 @@ def small_bter(tmp_path_factory):
         (*_ANALYZE_SPECTRUM, "--top-k", 0),
         (*_ANALYZE_SPECTRUM, "--tol", 0),
         (*_AUDIT, "--kappa", 2),
+        (*_AUDIT, "--exact-threshold", -1),
         (*_AUDIT, "--core-constants", "a"),
         (*_AUDIT, "--predict", "0,2"),
         (*_AUDIT, "--predict", "abc"),
@@ -836,17 +866,22 @@ print(code, *sorted(sys.modules))
 """
 
 
+def _cli_env(**settings) -> dict[str, str]:
+    """This environment, with settings, for a subprocess that imports this bter."""
+    env = dict(os.environ, **settings)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(bter.__file__).parents[1]), env.get("PYTHONPATH", "")]
+    )
+    return env
+
+
 def _modules_after(*argv) -> tuple[int, set[str]]:
     import subprocess
     import sys
 
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(bter.__file__).parents[1]), env.get("PYTHONPATH", "")]
-    )
     proc = subprocess.run(
         [sys.executable, "-c", _MODULE_PROBE, *map(str, argv)],
-        env=env, capture_output=True, text=True, timeout=120, check=True,
+        env=_cli_env(), capture_output=True, text=True, timeout=120, check=True,
     )
     code, *modules = proc.stdout.splitlines()[-1].split()  # after what the command prints
     return int(code), set(modules)
