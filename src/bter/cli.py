@@ -3,7 +3,8 @@
 Every command is a pure function of (arguments, input files, seed):
 identical invocations produce byte-identical outputs, including the JSON
 run manifest, which therefore carries no timestamps. Exit codes: 0 success,
-2 usage error, 3 input error, 4 non-convergence.
+2 usage error, 3 input error (a file or directory that cannot be read or
+made), 4 non-convergence.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import hashlib
 import importlib
 import json
+import math
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -96,6 +98,11 @@ def _write_rows(path: Path, header: str, rows) -> None:
             fh.write(",".join(row) + "\n")
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise UsageError(f"--seed must be a non-negative integer, got {seed}")
+
+
 def _read_config_file(path: Path) -> dict[str, str]:
     """Flat KEY=VALUE text; '#' starts a comment, blank lines are skipped."""
     values: dict[str, str] = {}
@@ -178,6 +185,7 @@ def _resolve_generate_params(args) -> dict:
     }
     if params["seed"] is None:
         raise UsageError("--seed is required (flag or config file); no silent entropy")
+    _check_seed(params["seed"])
     defaults = {"rho": 0.95, "eta": 0.05}
     cubic = params["variant"] == "cubic"
     if cubic:  # the cubic formula fixes rho and eta: record its values, refuse others
@@ -390,8 +398,8 @@ def _compute_report(graph, metrics: tuple[str, ...], args) -> MetricsReport:
                 f"need 1 <= --top-k and a graph with nodes, got --top-k "
                 f"{args.top_k} on {graph.n} nodes"
             )
-        if args.tol <= 0:
-            raise UsageError("--tol must be positive")
+        if not 0 < args.tol < math.inf:
+            raise UsageError(f"--tol must be positive and finite, got {args.tol}")
     from .metrics import SpectrumConvergenceError
 
     try:
@@ -408,6 +416,7 @@ def _compute_report(graph, metrics: tuple[str, ...], args) -> MetricsReport:
 
 def cmd_analyze(args, argv: list[str]) -> int:
     metrics = _parse_metrics(args.metrics)
+    _check_seed(args.seed)
     loaded = _load_graph_file(args.graph)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -502,6 +511,7 @@ def _comparison_side(graph_path, report_path, metrics, args):
 
 def cmd_compare(args, argv: list[str]) -> int:
     metrics = _parse_metrics(args.metrics)
+    _check_seed(args.seed)
     report_a, input_a = _comparison_side(args.graph_a, args.report_a, metrics, args)
     report_b, input_b = _comparison_side(args.graph_b, args.report_b, metrics, args)
 
@@ -831,7 +841,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (InputError, FileNotFoundError) as exc:
+    except (InputError, OSError) as exc:  # OSError: a path that cannot be read or made
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except NoConvergenceError as exc:

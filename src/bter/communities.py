@@ -10,13 +10,12 @@ interconnect phase as per-node excess.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .degrees import DegreeSequence
-from .graph import loadtxt_by_name, text_blocks, write_rows
+from .graph import ascii_lines, loadtxt_by_name, write_rows
 
 VARIANTS = ("standard", "cubic")
 
@@ -50,8 +49,8 @@ class ConnectivityFormula:
             object.__setattr__(self, "eta", 0.6)
         if not 0.0 < self.rho <= 1.0:
             raise ValueError("rho must be in (0, 1]")
-        if self.eta < 0.0:
-            raise ValueError("eta must be >= 0")
+        if not 0.0 <= self.eta < math.inf:
+            raise ValueError("eta must be finite and >= 0")
 
     @property
     def exponent(self) -> int:
@@ -184,7 +183,6 @@ def preprocess(seq: DegreeSequence, f: ConnectivityFormula) -> CommunityPartitio
 
 
 _PARTITION_HEADER = "node,block,bar_d,rho,excess"
-_NON_SPACE = re.compile(rb"\S")
 # Rows of the partition dump formatted at once. Its two %.12g columns cost a
 # Python bytes object per distinct value, so a chunk of 2^14 rows (at most
 # ~1.6 MB of text) keeps the writer's temporaries to a few MB.
@@ -239,39 +237,32 @@ def _partition_rows_by_line(path) -> tuple[list[int], list[int], list[float]]:
 
 def _partition_rows_fast(path) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """One np.loadtxt pass over an ASCII partition dump, by file name; None
-    where the line parser must decide (non-ASCII text, whitespace-only
-    lines, a row that is not five fields with integer node and block and a
-    float excess).
+    where the line parser must decide (non-ASCII text, no rows, a line of
+    only whitespace, a row that is not five fields with integer node and
+    block and a float excess).
 
-    A pre-scan of the file's text blocks checks that it is ASCII, reads the
-    header line and counts the commas after it; np.loadtxt skips the header
-    itself and parses the rows.
+    Only the header line is read in Python. np.loadtxt skips it and parses
+    all five fields of each row, so a row of any other width raises; the
+    bar_d and rho fields, which the line parser ignores, go to one-byte
+    placeholders that take any text.
     """
-    started, commas, has_rows = False, 0, False
-    for data in text_blocks(path):
-        if not data.isascii():
-            return None
-        body = 0
-        if not started:  # the first block holds the whole first line
-            body = data.find(b"\n") + 1
-            if not body or data[:body].decode().strip() != _PARTITION_HEADER:
-                return None
-            started = True
-        has_rows = has_rows or _NON_SPACE.search(data, body) is not None
-        commas += data.count(b",", body)
-    if not has_rows:  # an empty file, or no row at all
+    if next(ascii_lines(path), "").strip() != _PARTITION_HEADER:
         return None
     rows = loadtxt_by_name(
         path,
-        dtype=[("node", np.int64), ("block", np.int64), ("excess", np.float64)],
+        dtype=[
+            ("node", np.int64),
+            ("block", np.int64),
+            ("bar_d", "S1"),
+            ("rho", "S1"),
+            ("excess", np.float64),
+        ],
         delimiter=",",
-        usecols=(0, 1, 4),
         comments=None,
         skiprows=1,
         ndmin=1,
     )
-    # every row has at least five fields, so this many commas means exactly five
-    if rows is None or commas != 4 * len(rows):
+    if rows is None or not len(rows):
         return None
     return rows["node"], rows["block"], rows["excess"]
 

@@ -94,10 +94,9 @@ def extract_degrees(g: Graph, drop_isolated: bool = False) -> DegreeSequence:
     return DegreeSequence(deg)
 
 
-def synthesize_powerlaw(
-    n: int, gamma: float, d_max: int, d_min: int = 1
-) -> DegreeSequence:
-    """Synthesize a degree sequence with X_d proportional to d**-gamma.
+def synthesize_powerlaw(n: int, gamma: float, d_max: int) -> DegreeSequence:
+    """Synthesize a degree sequence with X_d proportional to d**-gamma over
+    the degrees 1..d_max.
 
     Counts are apportioned by the largest-remainder rule so they sum to
     exactly n (ties broken toward the smaller degree), which keeps X_d
@@ -105,11 +104,11 @@ def synthesize_powerlaw(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if d_max < d_min or d_min < 1:
-        raise ValueError("need 1 <= d_min <= d_max")
-    if gamma <= 0:
+    if d_max < 1:
+        raise ValueError("d_max must be >= 1")
+    if not gamma > 0:  # NaN too
         raise ValueError("gamma must be positive")
-    ds = np.arange(d_min, d_max + 1, dtype=np.float64)
+    ds = np.arange(1, d_max + 1, dtype=np.float64)
     weights = ds**-gamma
     quotas = n * weights / weights.sum()
     base = np.floor(quotas).astype(np.int64)

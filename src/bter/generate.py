@@ -19,6 +19,7 @@ functions of their inputs and seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,10 +60,10 @@ class GenerationConfig:
     def __post_init__(self):
         if not 0.0 <= self.manual_fraction <= 1.0:
             raise ValueError("manual_fraction must be in [0, 1]")
-        if self.d1_weight <= 0.0:
-            raise ValueError("d1_weight must be positive")
-        if self.beta < 0.0:
-            raise ValueError("beta must be >= 0")
+        if not 0.0 < self.d1_weight < math.inf:
+            raise ValueError("d1_weight must be positive and finite")
+        if not 0.0 <= self.beta < math.inf:
+            raise ValueError("beta must be finite and >= 0")
         if self.q_override is not None:
             if self.q_override < 0 or self.q_override % 2:
                 raise ValueError("q_override must be even and >= 0")

@@ -367,50 +367,35 @@ def _parse_lines(path) -> tuple[np.ndarray, int | None]:
     return arr, declared_n
 
 
-# Bytes the readers' pre-scan reads at a time.
-_SCAN_BLOCK = 1 << 20
-
-# File name endings numpy's loadtxt decompresses by itself, where the
-# pre-scan would read the compressed bytes.
+# File name endings numpy's loadtxt decompresses by itself.
 _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
 
-def text_blocks(path) -> Iterator[bytes]:
-    """A file's bytes, about _SCAN_BLOCK at a time, each block cut after a
-    line end, with text-mode (universal) newlines: every '\\r\\n' and lone
-    '\\r' becomes '\\n'. A '\\r\\n' split across two reads stays one line
-    end. Only the last block may end without one.
+def ascii_lines(path) -> Iterator[str]:
+    """The lines of the file at path as :func:`loadtxt_by_name` reads it:
+    ASCII text with universal newlines. Nothing for a name numpy would
+    decompress; the lines stop where a byte is not ASCII, and
+    loadtxt_by_name returns None for such a file. Read lazily, so a caller
+    that stops early reads only the start of the file.
     """
-    pending: list[bytes] = []  # the start of a line not yet ended
-    with open(path, "rb") as fh:
-        while block := fh.read(_SCAN_BLOCK):
-            # a '\r' in the last byte may be the first half of a '\r\n'
-            cut = max(block.rfind(b"\n"), block.rfind(b"\r", 0, len(block) - 1)) + 1
-            if not cut:
-                pending.append(block)
-                continue
-            pending.append(block[:cut])
-            yield _universal_newlines(b"".join(pending))
-            pending = [block[cut:]]
-    if any(pending):
-        yield _universal_newlines(b"".join(pending))
-
-
-def _universal_newlines(data: bytes) -> bytes:
-    if b"\r" in data:
-        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    return data
+    if str(path).endswith(_COMPRESSED):
+        return
+    with open(path, encoding="ascii") as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError:
+            return
 
 
 def loadtxt_by_name(path, **kwargs) -> np.ndarray | None:
-    """np.loadtxt of the file at path, or None where it raises or the file's
-    name would have numpy decompress it.
+    """np.loadtxt of the file at path, or None where it raises (a line it
+    cannot parse, a byte that is not ASCII) or the file's name would have
+    numpy decompress it.
 
     Given a name, np.loadtxt parses the file in blocks in C; given an open
     file, it reads it line by line in Python. The name is made absolute so
     that numpy never takes it for a URL, and the file is read as ASCII
-    text with universal newlines, which is what the readers' pre-scan
-    (:func:`text_blocks`) sees.
+    text with universal newlines, as :func:`ascii_lines` yields it.
     """
     name = os.path.abspath(path)
     if name.endswith(_COMPRESSED):
@@ -424,32 +409,27 @@ def loadtxt_by_name(path, **kwargs) -> np.ndarray | None:
 
 
 def _parse_fast(path) -> tuple[np.ndarray, int | None] | None:
-    """Block parser for ASCII files; None where _parse_lines must decide.
+    """np.loadtxt parser for ASCII files whose comments all come before the
+    first data line; None where _parse_lines must decide.
 
-    A pre-scan of the file's text blocks checks that it is ASCII, finds
-    each '#' and reads the "# nodes N" headers; np.loadtxt then parses the
-    file by name, skipping the comment lines: its int64 fields accept
-    exactly the ASCII integers ``int`` does that fit in int64. Anything
-    else (non-ASCII text, '#' after data on a line, a line that is not two
-    such integers) returns None.
+    The leading blank and comment lines are read as _parse_lines reads
+    them, for their "# nodes N" headers; np.loadtxt then skips them and
+    parses the rest of the file by name with no comment character, its
+    int64 fields accepting exactly the ASCII integers ``int`` does that fit
+    in int64. Anything else (non-ASCII text, a '#' after the first data
+    line, a line that is not two such integers) returns None.
     """
     declared_n: int | None = None
-    for data in text_blocks(path):
-        if not data.isascii():
-            return None
-        pos = data.find(b"#")
-        while pos >= 0:
-            line_start = data.rfind(b"\n", 0, pos) + 1
-            line_end = data.find(b"\n", pos)
-            if line_end < 0:
-                line_end = len(data)
-            if data[line_start:pos].strip():  # '#' after data on its line
-                return None
-            declared = _declared_nodes(data[line_start:line_end].decode().strip())
-            if declared is not None:
-                declared_n = declared
-            pos = data.find(b"#", line_end)
-    arr = loadtxt_by_name(path, dtype=np.int64, comments="#", ndmin=2)
+    skip = 0
+    for line in ascii_lines(path):
+        stripped = line.strip()
+        if stripped and not stripped.startswith("#"):
+            break
+        declared = _declared_nodes(stripped)  # None for a blank line
+        if declared is not None:
+            declared_n = declared
+        skip += 1
+    arr = loadtxt_by_name(path, dtype=np.int64, comments=None, skiprows=skip, ndmin=2)
     if arr is None:
         return None
     if arr.size == 0:
@@ -482,9 +462,10 @@ def read_snap_edgelist(path) -> LoadedEdgeList:
     preserving isolated nodes with an identity id map; otherwise node ids
     are compacted to 0..n-1 in ascending order of original id.
 
-    Files are parsed in one pass; a file that pass declines is parsed line by
-    line, which gives the same result or raises EdgeListFormatError naming
-    the first bad line.
+    A file whose comments all come before its first data line is parsed by
+    np.loadtxt (:func:`_parse_fast`); any other, or one that parse declines,
+    is parsed line by line, which gives the same result or raises
+    EdgeListFormatError naming the first bad line.
     """
     parsed = _parse_fast(path)
     arr, declared_n = parsed if parsed is not None else _parse_lines(path)

@@ -12,6 +12,7 @@ every reported pair's residual checked explicitly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -222,8 +223,8 @@ def top_eigenvalues(
     n = g.n
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
 
     if g.edge_count == 0:
         return SpectrumReport(

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import hypothesis
 import numpy as np
@@ -10,6 +11,20 @@ hypothesis.settings.register_profile(
     "default", deadline=None, derandomize=True, max_examples=100
 )
 hypothesis.settings.load_profile("default")
+
+
+# The line ends a reader meets: as the case is written, or every one of its
+# line ends made CRLF or a lone CR. The readers see universal newlines.
+LINE_ENDS = {"as written": None, "crlf": "\r\n", "cr": "\r"}
+
+
+def with_line_ends(data, end: str | None):
+    """data (str or bytes) with each of its line ends replaced by end; None keeps them."""
+    if end is None:
+        return data
+    if isinstance(data, bytes):
+        return re.sub(rb"\r\n|\r|\n", end.encode(), data)
+    return re.sub(r"\r\n|\r|\n", end, data)
 
 
 def dense_adjacency(g: Graph) -> np.ndarray:

@@ -3,6 +3,7 @@ import json
 import os
 import re
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -632,6 +633,31 @@ def test_commands_never_build_the_edge_rows(tmp_path, monkeypatch):
         assert run("replay", "--manifest", f"{graph}.manifest.json") == EXIT_OK
 
 
+def test_generated_files_are_read_without_the_line_parsers(tmp_path, monkeypatch):
+    # the fast readers take every file generate writes; the line parsers,
+    # many times slower, are for files they decline
+    import bter.communities
+    import bter.graph
+
+    g = tmp_path / "g.txt"
+    assert run("generate", "--model", "bter", "--powerlaw", "2000,2,40",
+               "--seed", 3, "--out", g) == EXIT_OK
+    spies = {}
+    for module, name in ((bter.graph, "_parse_lines"),
+                         (bter.communities, "_partition_rows_by_line")):
+        spies[name] = mock.Mock(wraps=getattr(module, name))
+        monkeypatch.setattr(module, name, spies[name])
+    assert run("audit", "--graph", g, "--partition", f"{g}.partition.csv",
+               "--out-dir", tmp_path / "audit") == EXIT_OK
+    assert {name: spy.call_count for name, spy in spies.items()} == {
+        "_parse_lines": 0, "_partition_rows_by_line": 0}
+    # the spies see a call: a file the fast readers decline
+    with open(g, "a", encoding="ascii") as fh:
+        fh.write("# a comment after the data\n")
+    assert run("audit", "--graph", g, "--out-dir", tmp_path / "audit2") == EXIT_OK
+    assert spies["_parse_lines"].call_count == 1
+
+
 # ---------------------------------------------------------------------------
 # replay
 # ---------------------------------------------------------------------------
@@ -781,8 +807,22 @@ def small_bter(tmp_path_factory):
         (*_BTER_GEN, "--eta", -1),
         (*_BTER_GEN, "--variant", "cubic", "--rho", 0.9),
         (*_BTER_GEN, "--variant", "cubic", "--eta", 0.1),
+        # NaN and inf fail every range check: none may switch a phase off
+        (*_BTER_GEN, "--eta", "nan"),
+        (*_BTER_GEN, "--eta", "inf"),
+        (*_BTER_GEN, "--beta", "nan"),
+        (*_BTER_GEN, "--beta", "inf"),
+        (*_BTER_GEN, "--d1-weight", "nan"),
+        (*_BTER_GEN, "--d1-weight", "inf"),
+        (*_BTER_GEN, "--seed", -1),
+        ("generate", "--model", "er", "--n", 10, "--p", 0.5, "--seed", -1, "--out", "{out}"),
         (*_ANALYZE_SPECTRUM, "--top-k", 0),
         (*_ANALYZE_SPECTRUM, "--tol", 0),
+        (*_ANALYZE_SPECTRUM, "--tol", "nan"),
+        (*_ANALYZE_SPECTRUM, "--tol", "inf"),
+        (*_ANALYZE_SPECTRUM, "--seed", -1),
+        ("compare", "--graph-a", "{graph}", "--graph-b", "{graph}", "--seed", -1,
+         "--out", "{out}"),
         (*_AUDIT, "--kappa", 2),
         (*_AUDIT, "--exact-threshold", -1),
         (*_AUDIT, "--core-constants", "a"),
@@ -800,6 +840,16 @@ def test_bad_values_are_usage_errors(argv, small_bter, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
     # a bad value is refused before any output is written
     assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
+
+
+def test_negative_seed_from_the_config_file_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = -2\n", encoding="utf-8")
+    out = tmp_path / "out" / "g.txt"
+    assert run("generate", "--model", "bter", "--powerlaw", "300,2,17",
+               "--config", cfg, "--out", out) == EXIT_USAGE
+    assert "--seed must be a non-negative integer" in capsys.readouterr().err
+    assert not out.parent.exists()  # refused before any output is made
 
 
 def test_internal_value_error_is_not_a_usage_error(small_bter, tmp_path, monkeypatch):
@@ -831,6 +881,15 @@ def test_malformed_inputs_are_input_errors(k4_file, tmp_path):
     (report / "summary.csv").write_text("field,value\nnodes,x\nedges,1\n", encoding="utf-8")
     assert run("compare", "--graph-a", k4_file, "--report-b", report,
                "--out", tmp_path / "c.csv") == EXIT_INPUT
+
+
+def test_unusable_output_path_is_an_input_error(k4_file, tmp_path, capsys):
+    blocker = tmp_path / "file"  # a file where a directory must be made
+    blocker.write_text("", encoding="utf-8")
+    assert run("analyze", "--graph", k4_file, "--out-dir", blocker) == EXIT_INPUT
+    assert run("generate", "--model", "er", "--n", 10, "--p", 0.5, "--seed", 1,
+               "--out", blocker / "g.txt") == EXIT_INPUT
+    assert capsys.readouterr().err.count("error: ") == 2
 
 
 @pytest.mark.parametrize(

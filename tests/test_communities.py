@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 import bter.communities
-import bter.graph
 from bter.communities import (
     ConnectivityFormula,
     community_rho,
@@ -18,6 +17,7 @@ from bter.communities import (
     write_partition_csv,
 )
 from bter.degrees import DegreeSequence, synthesize_powerlaw
+from conftest import LINE_ENDS, with_line_ends
 
 
 def seq_of(*degrees):
@@ -34,8 +34,9 @@ def test_formula_validation():
         ConnectivityFormula(rho=0.0)
     with pytest.raises(ValueError):
         ConnectivityFormula(rho=1.5)
-    with pytest.raises(ValueError):
-        ConnectivityFormula(eta=-0.1)
+    for eta in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            ConnectivityFormula(eta=eta)
     with pytest.raises(ValueError):
         ConnectivityFormula(variant="quartic")
 
@@ -291,27 +292,23 @@ def _partition_outcome(path):
         "node,block,bar_d,rho,excess",
     ],
 )
-@pytest.mark.parametrize("block", [1, 3, None])
+@pytest.mark.parametrize("end", LINE_ENDS.values(), ids=LINE_ENDS)
 @pytest.mark.parametrize("name", ["part.csv", "part.gz"])
-def test_partition_reader_matches_line_parser(tmp_path, monkeypatch, text, block, name):
-    # the pre-scan reads blocks of a few bytes too: a header, a comma or a
-    # line end then meets a block boundary
-    if block is not None:
-        monkeypatch.setattr(bter.graph, "_SCAN_BLOCK", block)
+def test_partition_reader_matches_line_parser(tmp_path, text, name, end):
     path = tmp_path / name
-    path.write_bytes(text.encode("utf-8"))
+    path.write_bytes(with_line_ends(text, end).encode("utf-8"))
     fast = _partition_outcome(path)
     with mock.patch.object(bter.communities, "_partition_rows_fast", return_value=None):
         assert fast == _partition_outcome(path)
 
 
-@pytest.mark.parametrize("block", [1, 2, 5, None])
-def test_fast_partition_reader_takes_clean_files(tmp_path, monkeypatch, block):
+@pytest.mark.parametrize("end", LINE_ENDS.values(), ids=LINE_ENDS)
+def test_fast_partition_reader_takes_clean_files(tmp_path, end):
     # the oracle above would pass vacuously if the fast parser declined everything
-    if block is not None:
-        monkeypatch.setattr(bter.graph, "_SCAN_BLOCK", block)
     path = tmp_path / "part.csv"
-    path.write_bytes(b"node,block,bar_d,rho,excess\r\n1,0,2,0.9,0.5\r\n0,-1,0,0,1")
+    path.write_bytes(
+        with_line_ends(b"node,block,bar_d,rho,excess\r\n1,0,2,0.9,0.5\r\n0,-1,0,0,1", end)
+    )
     nodes, blocks, excess = bter.communities._partition_rows_fast(path)
     assert nodes.tolist() == [1, 0] and blocks.tolist() == [0, -1]
     assert excess.tolist() == [0.5, 1.0]

@@ -81,8 +81,9 @@ def test_powerlaw_validation():
         synthesize_powerlaw(0, 2.0, 5)
     with pytest.raises(ValueError):
         synthesize_powerlaw(5, 2.0, 0)
-    with pytest.raises(ValueError):
-        synthesize_powerlaw(5, -1.0, 5)
+    for gamma in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="gamma"):
+            synthesize_powerlaw(5, gamma, 5)
 
 
 dist_strategy = st.dictionaries(

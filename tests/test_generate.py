@@ -678,6 +678,11 @@ def test_cl_capped_pair_always_present():
 def test_bter_config_validation():
     with pytest.raises(ValueError):
         GenerationConfig(seed=0, manual_fraction=1.2)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            GenerationConfig(seed=0, d1_weight=bad)
+        with pytest.raises(ValueError):
+            GenerationConfig(seed=0, beta=bad)
     with pytest.raises(ValueError):
         GenerationConfig(seed=0, d1_weight=0.0)
     with pytest.raises(ValueError):

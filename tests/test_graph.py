@@ -17,6 +17,7 @@ from bter.graph import (
     write_edgelist,
     write_rows,
 )
+from conftest import LINE_ENDS, with_line_ends
 
 edge_streams = st.lists(
     st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=60
@@ -482,34 +483,17 @@ def _read_outcome(path):
 @given(
     st.lists(st.tuples(_LINES, st.sampled_from(["\n", "\r\n", "\r"])), max_size=12),
     st.booleans(),
-    st.sampled_from([1, 2, 3, 7, None]),
 )
-def test_reader_matches_line_parser(tmp_path_factory, lines, final_newline, block):
+def test_reader_matches_line_parser(tmp_path_factory, lines, final_newline):
     text = "".join(line + end for line, end in lines)
     if not final_newline:
         text = text.rstrip("\r\n")
     path = tmp_path_factory.mktemp("oracle") / "g.txt"
     path.write_bytes(text.encode("utf-8"))
-    with mock.patch.object(bter.graph, "_SCAN_BLOCK", block or bter.graph._SCAN_BLOCK):
-        fast = _read_outcome(path)
+    fast = _read_outcome(path)
     with mock.patch.object(bter.graph, "_parse_fast", return_value=None):
         slow = _read_outcome(path)
     assert fast == slow
-
-
-@given(
-    st.lists(st.sampled_from([b"a", b"#", b" ", b"\r", b"\n", b"\r\n"]), max_size=30),
-    st.integers(1, 6),
-)
-def test_text_blocks_are_universal_newline_lines(tmp_path_factory, pieces, block):
-    data = b"".join(pieces)
-    path = tmp_path_factory.mktemp("blocks") / "t.txt"
-    path.write_bytes(data)
-    with mock.patch.object(bter.graph, "_SCAN_BLOCK", block):
-        blocks = list(bter.graph.text_blocks(path))
-    with open(path, encoding="ascii") as fh:  # text mode: universal newlines
-        assert b"".join(blocks).decode() == fh.read()
-    assert all(b.endswith(b"\n") for b in blocks[:-1]) and all(blocks)
 
 
 def _read_outcome_by_lines(path):
@@ -517,9 +501,9 @@ def _read_outcome_by_lines(path):
         return _read_outcome(path)
 
 
-# Files for the block pre-scan: each line end, '#' and non-ASCII byte meets
-# a block boundary at some block size from 1 to 5.
-_SCAN_CASES = {
+# Files for the fast reader, each with its kind of line end, comment or
+# non-ASCII byte.
+_FAST_CASES = {
     "comment and crlf": b"# nodes 6\r\n0 1\r\n# note\r\n2 5\r\n",
     "lone cr": b"# nodes 6\r0 1\r2 5\r",
     "cr then lf line": b"0 1\r\n\r\n\r3 4\n",
@@ -533,15 +517,19 @@ _SCAN_CASES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(_SCAN_CASES))
-@pytest.mark.parametrize("block", [1, 2, 3, 5])
-def test_fast_reader_scans_in_blocks(tmp_path, monkeypatch, name, block):
-    monkeypatch.setattr(bter.graph, "_SCAN_BLOCK", block)
+# a '#' after the first data line, or a byte that is not ASCII, makes
+# np.loadtxt raise: the line parser decides
+_LINE_PARSER_CASES = ("comment and crlf", "hash after data", "non-ascii comment")
+
+
+@pytest.mark.parametrize("end", LINE_ENDS.values(), ids=LINE_ENDS)
+@pytest.mark.parametrize("name", sorted(_FAST_CASES))
+def test_fast_reader_cases(tmp_path, name, end):
     for file_name in ("g.txt", "x.gz"):
         path = tmp_path / file_name
-        path.write_bytes(_SCAN_CASES[name])
+        path.write_bytes(with_line_ends(_FAST_CASES[name], end))
         fast = bter.graph._parse_fast(path)
-        if file_name == "x.gz" or name in ("hash after data", "non-ascii comment"):
+        if file_name == "x.gz" or name in _LINE_PARSER_CASES:
             assert fast is None  # the line parser decides
         else:
             arr, declared_n = fast

@@ -306,8 +306,9 @@ def test_spectrum_validation():
         top_eigenvalues(g, k=0)
     with pytest.raises(ValueError):
         top_eigenvalues(g, k=4)
-    with pytest.raises(ValueError):
-        top_eigenvalues(g, k=1, tol=0.0)
+    for tol in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            top_eigenvalues(g, k=1, tol=tol)
 
 
 def test_spectrum_determinism():
