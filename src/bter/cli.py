@@ -84,10 +84,13 @@ def _fmt(x: float) -> str:
 
 
 def _sha256(path: Path) -> str:
+    # one buffer, refilled: a new bytes object per read lands on whatever
+    # heap the command has fragmented, and can set its peak RSS (audit)
     h = hashlib.sha256()
+    buf = bytearray(1 << 18)
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
+        while size := fh.readinto(buf):
+            h.update(memoryview(buf)[:size])
     return h.hexdigest()
 
 
@@ -575,6 +578,15 @@ def cmd_audit(args, argv: list[str]) -> int:
         core_constants = tuple(float(c) for c in args.core_constants.split(","))
     except ValueError as exc:
         raise UsageError(f"bad --core-constants: {exc}") from exc
+    if not all(0.0 < c < math.inf for c in core_constants):  # NaN fails too
+        raise UsageError(
+            f"--core-constants must be positive and finite, got {args.core_constants!r}"
+        )
+    labels = [_core_label(c) for c in core_constants]
+    if len(set(labels)) < len(labels):
+        raise UsageError(
+            f"--core-constants {args.core_constants!r} give colliding columns {labels}"
+        )
     profile = None
     if args.predict:
         try:
@@ -596,13 +608,15 @@ def cmd_audit(args, argv: list[str]) -> int:
     # replacement there reaches both analyze and audit
     from .metrics import count_triangles_wedges
 
-    counts = count_triangles_wedges(graph)
-    ok = _cli.kruskal_katona_check(counts.triangles, graph.edge_count)
+    # only the total is kept: the per-node counts would otherwise be held
+    # through the partition read, the audit's next peak
+    triangles = count_triangles_wedges(graph).triangles
+    ok = _cli.kruskal_katona_check(triangles, graph.edge_count)
     kk_path = out_dir / "kk.csv"
     _write_rows(
         kk_path,
         "triangles,edges,ok",
-        [(str(counts.triangles), str(graph.edge_count), str(ok).lower())],
+        [(str(triangles), str(graph.edge_count), str(ok).lower())],
     )
     outputs.append(kk_path)
     print(f"triangle/edge extremal bound holds: {ok}")
@@ -621,9 +635,7 @@ def cmd_audit(args, argv: list[str]) -> int:
                 f"partition covers {assignment.shape[0]} nodes, graph has {graph.n}"
             )
         per_block = _cli.internal_degrees_by_block(graph, assignment)
-        header = "block,s,expected_triangles,wedge_threshold,passes," + ",".join(
-            _core_label(c) for c in core_constants
-        )
+        header = "block,s,expected_triangles,wedge_threshold,passes," + ",".join(labels)
         # blocks with equal internal-degree multisets (per_block values are
         # sorted) have equal audits, so each distinct one is audited and its
         # row text formatted once

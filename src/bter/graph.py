@@ -165,16 +165,36 @@ class Graph:
 
     def adjacency_csr(self) -> sp.csr_matrix:
         """Adjacency matrix as a scipy CSR matrix (0/1, float64, sorted
-        indices), new on each call. The keys are its upper triangle in CSR
-        order already: row u's entries are the keys in [u * n, (u + 1) * n)."""
+        indices), new on each call. Its entries are the keys and their
+        turned copies ``v * n + u``, sorted together: row u's are u's
+        neighbours in id order, its indices those keys mod n, and its row
+        starts the running sum of the degrees, counted in the pass that
+        turns the keys (the graph keeps nothing). The build peaks at about
+        the matrix's own 24 B an edge: the 2m directed keys (16 B an edge)
+        beside the int32 indices (8 B an edge); the float64 data are made
+        once the keys are freed."""
         import scipy.sparse as sp
 
-        width = np.int64(max(self.n, 1))
-        indptr = np.searchsorted(self.keys, np.arange(self.n + 1) * width)
-        upper = sp.csr_matrix(
-            (np.ones(len(self.keys)), self.keys % width, indptr), shape=(self.n, self.n)
-        )
-        return (upper + upper.T).tocsr()
+        n, m = self.n, len(self.keys)
+        width = np.int64(max(n, 1))
+        indptr = np.zeros(n + 1, dtype=np.int64)  # scipy narrows it to int32 where that fits
+        directed = np.empty(2 * m, dtype=np.int64)
+        directed[:m] = self.keys
+        at = m
+        for u, v in self.edge_chunks():
+            np.add.at(indptr[1:], u, 1)
+            np.add.at(indptr[1:], v, 1)
+            v *= width
+            v += u  # the turned key v * n + u
+            directed[at : at + len(v)] = v
+            at += len(v)
+        np.cumsum(indptr, out=indptr)
+        directed.sort()
+        indices = np.empty(2 * m, dtype=np.int32 if max(n, 2 * m) < 1 << 31 else np.int64)
+        for lo in range(0, 2 * m, _WRITE_CHUNK):
+            indices[lo : lo + _WRITE_CHUNK] = directed[lo : lo + _WRITE_CHUNK] % width
+        del directed
+        return sp.csr_matrix((np.ones(2 * m), indices, indptr), shape=(n, n))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):

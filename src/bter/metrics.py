@@ -1,13 +1,16 @@
 """Measurement suite: degree histogram, triangles and clustering, spectrum.
 
 Triangle counts are exact, via degree-ordered compact-forward counting in
-numpy array passes (each triangle found once, at its lowest-ranked
-corner). Besides the graph, the count holds two int64 arrays of length m
-(the sorted oriented edge keys and their target column), a few of length n
-and one cache-sized pass; per-node counts are int64 sums. The leading
-adjacency eigenvalues come from ARPACK's implicitly restarted Lanczos
-(scipy.sparse.linalg.eigsh), using only sparse matrix-vector products, with
-every reported pair's residual checked explicitly.
+numpy array passes (each triangle found once, at its lowest corner in
+(degree, id) order), with wedges closed by search in the graph's own keys.
+Besides the graph, the count holds int32 out-neighbour rows (4 B an edge;
+12 B an edge only while a transient sorted int64 key per edge becomes
+them), int64 row starts and per-node counts (length n), the out-degree
+grouping of the nodes that centre an out-wedge, and one cache-sized pass;
+per-node counts are int64 sums. The leading adjacency eigenvalues come
+from ARPACK's implicitly restarted Lanczos (scipy.sparse.linalg.eigsh),
+using only sparse matrix-vector products, with every reported pair's
+residual checked explicitly.
 """
 
 from __future__ import annotations
@@ -87,44 +90,43 @@ class SpectrumConvergenceError(RuntimeError):
 # Wedges closed per array pass (edges are oriented a Graph.edge_chunks chunk
 # at a time). Cache-sized, like the block sampler's _CHUNK: a pass holds
 # about a dozen arrays of this length.
-# Besides the graph the kernel then holds only the sorted keys and their
-# target column (int64, length m), a few node-length arrays, among them the
-# int64 per-node triangle sums, and one pass.
 _WEDGE_CHUNK = 1 << 16
+
+# Node counts below this keep the out-neighbour rows in int32, 4 B an edge;
+# from it on, ids may not fit and the rows are int64.
+_INT32_NODES = 1 << 31
 
 
 def count_triangles_wedges(g: Graph) -> TriangleWedgeCounts:
     """Exact triangle and wedge counts by degree-ordered compact-forward passes.
 
-    Nodes are ranked by (degree, id) and every edge is oriented toward the
-    higher rank, so each triangle is the closed out-wedge of exactly one
-    node, its lowest-ranked corner, and out-degrees stay O(sqrt(m)). Out-wedges
-    are enumerated per out-degree class and closed by binary search in the
-    sorted oriented edge keys, at most about _WEDGE_CHUNK wedges per pass.
-    Each closed wedge adds one to each of its three corners in an int64
-    table, so per-node counts are exact at any size.
+    Every edge is oriented toward its higher-(degree, id) end, so each
+    triangle is the closed out-wedge of exactly one node, its lowest corner
+    in that order, and out-degrees stay O(sqrt(m)). One transient int64 key
+    ``src * n + dst`` per edge is sorted and turned into out-neighbour rows
+    (int32 ids, sorted by id) with int64 row starts. Out-wedges v <- u -> w,
+    v < w by id, are enumerated per out-degree class, at most about
+    _WEDGE_CHUNK per pass (or one node's, where it has more), and closed by
+    binary search for ``v * n + w`` in the graph's own keys. Each closed
+    wedge adds one to each of its three corners in an int64 table, so
+    per-node counts are exact at any size.
     """
     n, m = g.n, g.edge_count
-    degrees = np.asarray(g.degrees, dtype=np.int64)
-    wedge_at = degrees * (degrees - 1) // 2
-
-    rank = np.empty(n, dtype=np.int64)
-    rank[np.argsort(degrees, kind="stable")] = np.arange(n)
-    keys = np.empty(m, dtype=np.int64)  # oriented edge u -> v in rank space: u*n + v
-    c = 0
-    for u, v in g.edge_chunks():
-        ru, rv = rank[u], rank[v]
-        keys[c : c + len(ru)] = np.minimum(ru, rv) * n + np.maximum(ru, rv)
-        c += len(ru)
-    keys.sort()
-    dst = keys % n  # sorted within each row
-    start = np.searchsorted(keys, np.arange(n + 1) * n)  # row u is keys[start[u]:start[u+1]]
+    width = np.int64(max(n, 1))
+    start = np.zeros(n + 1, dtype=np.int64)  # out-degrees, then row starts
+    key = _oriented_keys(g, start[1:])
+    np.cumsum(start, out=start)  # row u is rows[start[u]:start[u+1]]
+    rows = np.empty(m, dtype=np.int32 if n < _INT32_NODES else np.int64)
+    for lo in range(0, m, _WEDGE_CHUNK):
+        rows[lo : lo + _WEDGE_CHUNK] = key[lo : lo + _WEDGE_CHUNK] % width
+    del key
     out_deg = np.diff(start)
-    by_out = np.argsort(out_deg, kind="stable")  # nodes grouped by out-degree
-    class_start = np.concatenate([[0], np.cumsum(np.bincount(out_deg))])
+    by_out = np.flatnonzero(out_deg >= 2)  # the nodes that centre an out-wedge
+    by_out = by_out[np.argsort(out_deg[by_out], kind="stable")]  # grouped by out-degree
+    class_start = np.concatenate([[0], np.cumsum(np.bincount(out_deg[by_out]))])
     del out_deg
 
-    tri_rank = np.zeros(n, dtype=np.int64)  # triangles at each node, by rank
+    per_node = np.zeros(n, dtype=np.int64)
     triangles = 0
     for k in range(2, len(class_start) - 1):
         nodes = by_out[class_start[k] : class_start[k + 1]]
@@ -134,25 +136,58 @@ def count_triangles_wedges(g: Graph) -> TriangleWedgeCounts:
         step = max(1, _WEDGE_CHUNK // len(ti))
         for c in range(0, len(nodes), step):
             u = nodes[c : c + step]
-            base = start[u, None]
-            v, w = dst[base + ti], dst[base + tj]  # out-wedge v <- u -> w, v < w
-            wedge_keys = v * n
-            wedge_keys += w
-            pos = np.searchsorted(keys, wedge_keys)
-            np.minimum(pos, m - 1, out=pos)
-            closed = keys[pos] == wedge_keys
-            tri_rank[u] += closed.sum(axis=1)  # u is each one's lowest corner
-            hit = np.flatnonzero(closed)
-            triangles += len(hit)
-            np.add.at(tri_rank, v.ravel()[hit], 1)
-            np.add.at(tri_rank, w.ravel()[hit], 1)
+            triangles += _close_wedges(g.keys, width, rows, start, u, ti, tj, per_node)
+    del rows, start, by_out
 
+    degrees = g.degrees
+    wedge_at = degrees - 1
+    wedge_at *= degrees
+    wedge_at //= 2
     return TriangleWedgeCounts(
         triangles=triangles,
         wedges=int(wedge_at.sum()),
-        per_node_triangles=tri_rank[rank],
+        per_node_triangles=per_node,
         per_node_wedges=wedge_at,
     )
+
+
+def _oriented_keys(g: Graph, out_deg: np.ndarray) -> np.ndarray:
+    """The sorted int64 keys ``src * n + dst`` of g's edges, each oriented
+    toward its higher-(degree, id) end, made a Graph.edge_chunks chunk at a
+    time; adds one to out_deg[src] for each."""
+    degrees = g.degrees
+    width = np.int64(max(g.n, 1))
+    key = np.empty(g.edge_count, dtype=np.int64)
+    filled = 0
+    for u, v in g.edge_chunks():
+        turn = degrees[u] > degrees[v]  # u < v, so u -> v unless u has the higher degree
+        src = np.where(turn, v, u)
+        np.add.at(out_deg, src, 1)
+        src *= width
+        src += np.where(turn, u, v)  # now the key src*n + dst
+        key[filled : filled + len(src)] = src
+        filled += len(src)
+    key.sort()
+    return key
+
+
+def _close_wedges(keys, width, rows, start, u, ti, tj, per_node) -> int:
+    """One pass of count_triangles_wedges: the out-wedges v <- u -> w that
+    take entries ti < tj of each node u's row, closed by binary search for
+    ``v * width + w`` in the graph's sorted keys. Adds one to per_node at
+    each corner of each closed wedge and returns how many closed. Its
+    arrays are freed on return, before the next pass makes its own."""
+    base = start[u, None]
+    v, w = rows[base + ti], rows[base + tj]  # v < w: rows are sorted by id
+    wedge_keys = v * width  # width is an np.int64, so the product is too
+    wedge_keys += w
+    pos = np.searchsorted(keys, wedge_keys)
+    closed = keys.take(pos, mode="clip") == wedge_keys  # a search past the end: the last key
+    per_node[u] += closed.sum(axis=1)  # u is each one's lowest corner
+    hit = np.flatnonzero(closed)
+    np.add.at(per_node, v.ravel()[hit], 1)
+    np.add.at(per_node, w.ravel()[hit], 1)
+    return len(hit)
 
 
 def clustering_profile(

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import re
 from pathlib import Path
@@ -663,6 +664,18 @@ def test_generated_files_are_read_without_the_line_parsers(tmp_path, monkeypatch
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("size", [0, 1, (1 << 18) - 1, 1 << 18, 3 * (1 << 18) + 5])
+def test_sha256_matches_hashlib_across_buffer_refills(tmp_path, size):
+    import random
+
+    from bter.cli import _sha256
+
+    data = random.Random(size).randbytes(size)
+    path = tmp_path / "f.bin"
+    path.write_bytes(data)
+    assert _sha256(path) == hashlib.sha256(data).hexdigest()
+
+
 def test_replay_reproduces_generate(tmp_path, capsys):
     g = tmp_path / "g.txt"
     assert run("generate", "--model", "bter", "--powerlaw", "300,2,17",
@@ -826,6 +839,15 @@ def small_bter(tmp_path_factory):
         (*_AUDIT, "--kappa", 2),
         (*_AUDIT, "--exact-threshold", -1),
         (*_AUDIT, "--core-constants", "a"),
+        # non-finite or non-positive constants, and constants whose column
+        # labels collide (core_c105 twice, core_c10 twice)
+        (*_AUDIT, "--core-constants", "nan,inf"),
+        (*_AUDIT, "--core-constants", "0.5,nan"),
+        (*_AUDIT, "--core-constants", "inf"),
+        (*_AUDIT, "--core-constants", "-1"),
+        (*_AUDIT, "--core-constants", "0"),
+        (*_AUDIT, "--core-constants", "1.05,10.5"),
+        (*_AUDIT, "--core-constants", "1,1.0"),
         (*_AUDIT, "--predict", "0,2"),
         (*_AUDIT, "--predict", "abc"),
         (*_AUDIT, "--predict", "inf,2"),
@@ -907,6 +929,36 @@ def test_malformed_report_is_an_input_error(k4_file, tmp_path, capsys, name, tex
     assert run("compare", "--report-a", rep, "--report-b", rep,
                "--out", tmp_path / "c.csv") == EXIT_INPUT
     assert re.match(rf"error: .*{name}", capsys.readouterr().err)
+
+
+# ---------------------------------------------------------------------------
+# scripts
+# ---------------------------------------------------------------------------
+
+
+def test_compare_models_script_writes_the_divergence(tmp_path):
+    import csv
+    import subprocess
+    import sys
+
+    script = Path(bter.__file__).parents[2] / "scripts" / "compare_models.py"
+    out = tmp_path / "run"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--powerlaw", "600,2,20", "--seed", "1",
+         "--top-k", "5", "--out-dir", str(out)],
+        env=_cli_env(), capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    with open(out / "divergence_bter_vs_cl.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["metric", "value"]
+    values = dict(rows[1:])
+    assert list(values) == [
+        "degree_tv", "global_c_gap", "by_degree_cc_gap", "shared_cc_degrees",
+        *(f"eigen_rel_gap_rank{r}" for r in range(1, 6)),
+        "eigen_max_rel_gap", "eigen_mean_rel_gap",
+    ]
+    assert all(math.isfinite(float(v)) for v in values.values())
 
 
 # ---------------------------------------------------------------------------

@@ -636,19 +636,49 @@ def test_neighbour_access_keeps_nothing_on_the_graph(tmp_path, source):
     _assert_csr_matches_argsort(g)
 
 
-@pytest.mark.parametrize(
-    "n, edges",
-    [
-        (0, []),
-        (4, []),
-        (7, [(0, j) for j in range(1, 7)]),  # star on the first node
-        (7, [(j, 6) for j in range(6)]),  # star on the last node
-        (9, [(2, 5), (5, 8)]),  # isolated nodes before, between and after
-        (8, [(i, j) for i in range(8) for j in range(i + 1, 8)]),  # K8
-    ],
-)
+_CSR_SHAPES = [
+    (0, []),
+    (4, []),
+    (7, [(0, j) for j in range(1, 7)]),  # star on the first node
+    (7, [(j, 6) for j in range(6)]),  # star on the last node
+    (9, [(2, 5), (5, 8)]),  # isolated nodes before, between and after
+    (8, [(i, j) for i in range(8) for j in range(i + 1, 8)]),  # K8
+]
+
+
+@pytest.mark.parametrize("n, edges", _CSR_SHAPES)
 def test_csr_matches_argsort_build_on_shapes(n, edges):
     _assert_csr_matches_argsort(Graph(n, np.array(edges, dtype=np.int64).reshape(-1, 2)))
+
+
+def scipy_sum_csr(g: Graph):
+    """The CSR as Graph built it before: scipy's sum of the upper triangle
+    (the keys, in CSR order) and its transpose."""
+    import scipy.sparse as sp
+
+    width = max(g.n, 1)
+    indptr = np.searchsorted(g.keys, np.arange(g.n + 1) * width)
+    upper = sp.csr_matrix((np.ones(len(g.keys)), g.keys % width, indptr), shape=(g.n, g.n))
+    return (upper + upper.T).tocsr()
+
+
+def _assert_csr_matches_scipy_sum(g: Graph) -> None:
+    old, new = scipy_sum_csr(g), g.adjacency_csr()
+    assert new.shape == old.shape
+    for name in ("indptr", "indices", "data"):
+        assert getattr(new, name).dtype == getattr(old, name).dtype
+        assert np.array_equal(getattr(new, name), getattr(old, name))
+
+
+@given(edge_streams, st.integers(0, 3))
+def test_csr_matches_scipy_sum_build(stream, isolated):
+    inferred = max((max(pair) for pair in stream), default=-1) + 1
+    _assert_csr_matches_scipy_sum(build_graph(stream, n=inferred + isolated)[0])
+
+
+@pytest.mark.parametrize("n, edges", _CSR_SHAPES)
+def test_csr_matches_scipy_sum_build_on_shapes(n, edges):
+    _assert_csr_matches_scipy_sum(Graph(n, np.array(edges, dtype=np.int64).reshape(-1, 2)))
 
 
 _INT64_BOUNDARIES = sorted(

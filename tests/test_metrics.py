@@ -79,6 +79,13 @@ def test_counts_match_brute_force():
         assert c.wedges == int((g.degrees * (g.degrees - 1) // 2).sum())
 
 
+def _powerlaw_graph(model: str, n: int, d_max: int, seed: int):
+    seq = synthesize_powerlaw(n, 2.0, d_max)
+    if model == "bter":
+        return generate_bter(seq, GenerationConfig(seed=seed))[0]
+    return generate_cl(seq, seed)
+
+
 @pytest.mark.parametrize("chunk", [None, 7, 1])
 def test_counts_match_sparse_oracle_midsize(chunk, monkeypatch):
     if chunk is not None:
@@ -87,8 +94,7 @@ def test_counts_match_sparse_oracle_midsize(chunk, monkeypatch):
         # and every edge is oriented in a pass of its own
         monkeypatch.setattr(metrics, "_WEDGE_CHUNK", chunk)
     # n = 3000 with hubs: many out-degree classes and closing searches
-    seq = synthesize_powerlaw(3000, 2.0, 120)
-    for g in (generate_bter(seq, GenerationConfig(seed=7))[0], generate_cl(seq, 7)):
+    for g in (_powerlaw_graph(model, 3000, 120, 7) for model in ("bter", "cl")):
         total, per_node = sparse_triangles(g)
         c = count_triangles_wedges(g)
         assert total > 0
@@ -111,22 +117,23 @@ def test_per_node_counts_match_brute_force_any_chunk(chunk, stream):
 
 @pytest.mark.parametrize("model", ["bter", "cl"])
 def test_kernel_memory_bounded(model, monkeypatch):
-    # besides the graph: two int64 edge-length arrays (the sorted keys and
-    # their target column), at most eight node-length ones (the graph's
-    # degrees, counted on first use, among them), and one pass of at most
-    # sixteen chunk-length ones (a wedge pass, or a chunk of edges)
+    # besides the graph: 12 B an edge (the sorted int64 oriented keys and
+    # the int32 rows made from them, held together only while the rows are
+    # filled), at most four node-length int64 arrays (the graph's degrees,
+    # counted on first use, the row starts, the per-node counts, and the
+    # out-degree grouping of the nodes that centre an out-wedge), and one
+    # pass of at most sixteen chunk-length ones (a wedge pass, or a chunk
+    # of edges); a kernel holding 16 B an edge and eight node-length
+    # arrays, as a rank-space copy of the keys does, peaks at about 1.25
+    # times this bound
     import tracemalloc
 
     import bter.graph
 
     monkeypatch.setattr(metrics, "_WEDGE_CHUNK", 4096)
     monkeypatch.setattr(bter.graph, "_WRITE_CHUNK", 4096)
-    seq = synthesize_powerlaw(30000, 2.0, 300)
-    if model == "bter":
-        g = generate_bter(seq, GenerationConfig(seed=1))[0]
-    else:
-        g = generate_cl(seq, 1)
-    bound = 2 * 8 * g.edge_count + 8 * 8 * g.n + 16 * 8 * metrics._WEDGE_CHUNK
+    g = _powerlaw_graph(model, 30000, 300, 1)
+    bound = 12 * g.edge_count + 4 * 8 * g.n + 16 * 8 * metrics._WEDGE_CHUNK
     tracemalloc.start()
     try:
         live = tracemalloc.get_traced_memory()[0]
@@ -136,6 +143,43 @@ def test_kernel_memory_bounded(model, monkeypatch):
         tracemalloc.stop()
     assert c.triangles > 0
     assert peak <= bound
+
+
+@pytest.mark.parametrize("model", ["bter", "cl"])
+def test_counts_follow_a_relabelling(model):
+    # the orientation breaks (degree, id) ties by id, and the counts are
+    # kept by id: under a random permutation of the ids, node u's counts
+    # move to node perm[u], whatever ties the new ids break otherwise
+    g = _powerlaw_graph(model, 3000, 120, 7)
+    perm = np.random.default_rng(3).permutation(g.n)
+    relabelled, _ = build_graph(perm[g.edges], n=g.n)
+    c, r = count_triangles_wedges(g), count_triangles_wedges(relabelled)
+    assert c.triangles == r.triangles > 0 and c.wedges == r.wedges
+    assert np.array_equal(r.per_node_triangles[perm], c.per_node_triangles)
+    assert np.array_equal(r.per_node_wedges[perm], c.per_node_wedges)
+
+
+@pytest.mark.parametrize("int32_nodes, row_dtype", [(0, np.int64), (3000, np.int64),
+                                                    (3001, np.int32)])
+def test_int64_rows_count_the_same(int32_nodes, row_dtype, monkeypatch):
+    # rows fall back to int64 from _INT32_NODES nodes on; with the threshold
+    # at or below n the rows are int64, and every count is the same
+    passes = metrics._close_wedges
+    row_dtypes = set()
+
+    def spy(keys, width, rows, *args):
+        row_dtypes.add(rows.dtype)
+        return passes(keys, width, rows, *args)
+
+    monkeypatch.setattr(metrics, "_INT32_NODES", int32_nodes)
+    monkeypatch.setattr(metrics, "_close_wedges", spy)
+    for model in ("bter", "cl"):
+        g = _powerlaw_graph(model, 3000, 120, 7)
+        total, per_node = sparse_triangles(g)
+        c = count_triangles_wedges(g)
+        assert c.triangles == total
+        assert np.array_equal(c.per_node_triangles, per_node)
+    assert row_dtypes == {np.dtype(row_dtype)}
 
 
 @given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=35))
