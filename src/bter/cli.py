@@ -131,7 +131,7 @@ def _load_graph_file(path_str: str):
     if not path.is_file():
         raise InputError(f"no such graph file: {path}")
     try:
-        return _cli.read_snap_edgelist(path)
+        return _cli.read_snap_edgelist(path).graph
     except ValueError as exc:  # EdgeListFormatError, or ids build_graph rejects
         raise InputError(str(exc)) from exc
 
@@ -225,15 +225,15 @@ def _degree_input(args, inputs: dict[str, Path]) -> DegreeSequence:
             raise InputError(str(exc)) from exc
     if args.from_graph:
         inputs["graph"] = Path(args.from_graph)
-        loaded = _load_graph_file(args.from_graph)
-        isolated = int((loaded.graph.degrees == 0).sum())
+        graph = _load_graph_file(args.from_graph)
+        isolated = int((graph.degrees == 0).sum())
         if isolated:
             print(
                 f"note: dropping {isolated} isolated nodes from the target degrees",
                 file=sys.stderr,
             )
         try:
-            return _cli.extract_degrees(loaded.graph, drop_isolated=True)
+            return _cli.extract_degrees(graph, drop_isolated=True)
         except ValueError as exc:
             raise InputError(str(exc)) from exc
     try:
@@ -420,11 +420,11 @@ def _compute_report(graph, metrics: tuple[str, ...], args) -> MetricsReport:
 def cmd_analyze(args, argv: list[str]) -> int:
     metrics = _parse_metrics(args.metrics)
     _check_seed(args.seed)
-    loaded = _load_graph_file(args.graph)
+    graph = _load_graph_file(args.graph)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    report = _compute_report(loaded.graph, metrics, args)
+    report = _compute_report(graph, metrics, args)
     outputs = _write_report_csvs(report, out_dir)
 
     config = {
@@ -501,8 +501,8 @@ def _comparison_side(graph_path, report_path, metrics, args):
     if (graph_path is None) == (report_path is None):
         raise UsageError("give exactly one of --graph-a/--report-a (same for b)")
     if graph_path is not None:
-        loaded = _load_graph_file(graph_path)
-        return _compute_report(loaded.graph, metrics, args), Path(graph_path)
+        graph = _load_graph_file(graph_path)
+        return _compute_report(graph, metrics, args), Path(graph_path)
     p = Path(report_path)
     if not p.is_dir():
         raise InputError(f"no such report directory: {p}")
@@ -595,8 +595,7 @@ def cmd_audit(args, argv: list[str]) -> int:
         except (ValueError, OverflowError) as exc:  # int(float("inf")) overflows
             raise UsageError(f"bad --predict value {args.predict!r}: {exc}") from exc
 
-    loaded = _load_graph_file(args.graph)
-    graph = loaded.graph
+    graph = _load_graph_file(args.graph)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs: list[Path] = []
@@ -672,8 +671,9 @@ def cmd_audit(args, argv: list[str]) -> int:
         print(f"blocks passing kappa={args.kappa}: {passed}/{total} ({frac:.3f})")
 
         # realized block-size histogram, the counterpart of --predict
-        block_sizes = np.bincount(assignment[assignment >= 0])
-        block_sizes = block_sizes[block_sizes > 0]
+        # counted per distinct id: block ids need not be small or dense
+        ids, block_sizes = np.unique(assignment, return_counts=True)
+        block_sizes = block_sizes[ids >= 0]
         realized = _cli.block_size_histogram(block_sizes)
         realized_path = out_dir / "realized_sizes.csv"
         _write_rows(

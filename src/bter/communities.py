@@ -4,7 +4,9 @@ Nodes of degree 2+ are packed greedily (ascending degree) into blocks of
 size bar_d + 1, where bar_d is the degree of the block's first node; each
 block is later wired internally as an ER graph with probability rho_k, and
 whatever degree the block cannot supply is carried into the Chung-Lu
-interconnect phase as per-node excess.
+interconnect phase as per-node excess. The blocks tile the nodes from the
+first of degree 2 to n, so a partition is held per block plus that excess:
+a node's block id is a binary search of block_start, made where needed.
 """
 
 from __future__ import annotations
@@ -93,16 +95,6 @@ def partition_communities(seq: DegreeSequence) -> tuple[np.ndarray, np.ndarray]:
     return block_start, block_size
 
 
-def _members(
-    block_start: np.ndarray, block_size: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(node, block) of every member of every block, block by block."""
-    block = np.repeat(np.arange(len(block_size), dtype=np.int64), block_size)
-    first = np.cumsum(block_size) - block_size  # each block's offset in the member list
-    node = np.arange(block.size, dtype=np.int64) + (block_start - first)[block]
-    return node, block
-
-
 def excess_degrees(
     seq: DegreeSequence,
     block_start: np.ndarray,
@@ -111,48 +103,47 @@ def excess_degrees(
 ) -> np.ndarray:
     """Per-node excess degree: the Chung-Lu weight left after block wiring.
 
-    Degree-1 nodes get excess 1; block members get d_i - rho_k*(size-1),
+    The blocks must tile the nodes from block_start[0] to n, each starting
+    where the one before it ends. Their members get d_i - rho_k*(size-1),
     clamped at 0 (the clamp cannot trigger under the size = bar_d + 1 rule
-    but guards any partition fed in externally).
+    but guards any partition fed in externally). Nodes before the first
+    block get 1 if their degree is 1 and 0 otherwise.
     """
     block_start = np.asarray(block_start, dtype=np.int64)
     block_size = np.asarray(block_size, dtype=np.int64)
-    return _member_excess(seq, *_members(block_start, block_size), block_size, rho_values)
-
-
-# Block members whose excess is worked out at once.
-_MEMBER_CHUNK = 1 << 16
-
-
-def _member_excess(
-    seq: DegreeSequence,
-    node: np.ndarray,
-    block: np.ndarray,
-    block_size: np.ndarray,
-    rho_values: np.ndarray,
-) -> np.ndarray:
-    """excess_degrees from the (node, block) member arrays of _members,
-    _MEMBER_CHUNK members at a time, so it holds no member-long temporary."""
-    e = np.zeros(seq.n, dtype=np.float64)
-    e[seq.degrees == 1] = 1.0
+    first = int(block_start[0]) if block_start.size else seq.n
+    # each block must start where the one before it ends, and the last end at n
+    bounds = np.append(first, first + np.cumsum(block_size))
+    if first < 0 or not (
+        (block_size > 0).all() and np.array_equal(np.append(block_start, seq.n), bounds)
+    ):
+        raise ValueError(f"blocks must tile the nodes {first}..{seq.n - 1} in order")
     expected_internal = np.asarray(rho_values, dtype=np.float64) * (block_size - 1)
-    for lo in range(0, len(node), _MEMBER_CHUNK):
-        at, k = node[lo : lo + _MEMBER_CHUNK], block[lo : lo + _MEMBER_CHUNK]
-        e[at] = np.maximum(0.0, seq.degrees[at] - expected_internal[k])
+    # each block's supply over its members (0 before the first block), then
+    # the excess in place: one node-long array
+    e = np.repeat(np.append(0.0, expected_internal), np.append(first, block_size))
+    np.subtract(seq.degrees, e, out=e)
+    np.maximum(0.0, e, out=e)
+    e[:first] = seq.degrees[:first] == 1
     return e
+
+
+def _block_of(block_start: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Block ids (-1 before the first block) of a tiling's non-empty ascending
+    nodes; only the block starts between the first and last node are searched."""
+    lo, hi = np.searchsorted(block_start, nodes[[0, -1]], side="right").tolist()
+    return np.searchsorted(block_start[lo:hi], nodes, side="right") + (lo - 1)
 
 
 @dataclass(frozen=True)
 class CommunityPartition:
-    """Full preprocessing result for one degree sequence.
-
-    Block k is the contiguous node range
-    block_start[k] .. block_start[k] + block_size[k] - 1.
-    """
+    """Full preprocessing result for one degree sequence: per-block arrays
+    and the per-node excess. Block k is the contiguous node range
+    block_start[k] .. block_start[k] + block_size[k] - 1; the blocks tile the
+    nodes from block_start[0] to n."""
 
     block_start: np.ndarray  # per-block first node
     block_size: np.ndarray  # per-block node count
-    assignment: np.ndarray  # node -> block id, -1 for unassigned degree-1 nodes
     bar_d: np.ndarray  # per-block minimum target degree
     rho: np.ndarray  # per-block ER probability
     excess: np.ndarray  # per-node excess degree
@@ -160,6 +151,12 @@ class CommunityPartition:
     @property
     def block_count(self) -> int:
         return len(self.block_size)
+
+    @property
+    def assignment(self) -> np.ndarray:
+        """node -> block id, -1 for the unassigned nodes before the first
+        block; an n-long array built on each access."""
+        return _block_of(self.block_start, np.arange(self.excess.size))
 
 
 def preprocess(seq: DegreeSequence, f: ConnectivityFormula) -> CommunityPartition:
@@ -175,11 +172,8 @@ def preprocess(seq: DegreeSequence, f: ConnectivityFormula) -> CommunityPartitio
     rho = np.array([community_rho(b, seq.d_max, f) for b in values.tolist()])[which]
     if len(bar_d) and block_size[-1] < bar_d[-1] + 1:
         rho[-1] = 0.0
-    assignment = np.full(seq.n, -1, dtype=np.int64)
-    node, block = _members(block_start, block_size)
-    assignment[node] = block
-    excess = _member_excess(seq, node, block, block_size, rho)
-    return CommunityPartition(block_start, block_size, assignment, bar_d, rho, excess)
+    excess = excess_degrees(seq, block_start, block_size, rho)
+    return CommunityPartition(block_start, block_size, bar_d, rho, excess)
 
 
 _PARTITION_HEADER = "node,block,bar_d,rho,excess"
@@ -192,21 +186,22 @@ _PARTITION_CHUNK = 1 << 14
 def write_partition_csv(part: CommunityPartition, seq: DegreeSequence, path) -> None:
     """Dump "node,block,bar_d,rho,excess" rows (block -1 for unassigned).
 
-    The rows go out _PARTITION_CHUNK at a time, each chunk's node, bar_d and
-    rho columns built for it alone, so the writer holds no full-length
-    column of its own.
+    The rows go out _PARTITION_CHUNK at a time, each chunk's node, block,
+    bar_d and rho columns built for it alone, so the writer holds no
+    full-length column of its own.
     """
     with open(path, "wb") as fh:
         fh.write(_PARTITION_HEADER.encode() + b"\n")
         for lo in range(0, seq.n, _PARTITION_CHUNK):
             hi = min(lo + _PARTITION_CHUNK, seq.n)
-            k = part.assignment[lo:hi]
+            node = np.arange(lo, hi)
+            k = _block_of(part.block_start, node)
             assigned = k >= 0
             bar = np.zeros(k.size, dtype=np.int64)
             bar[assigned] = part.bar_d[k[assigned]]
             rho = np.zeros(k.size, dtype=np.float64)
             rho[assigned] = part.rho[k[assigned]]
-            columns = (np.arange(lo, hi), k, bar, rho, part.excess[lo:hi])
+            columns = (node, k, bar, rho, part.excess[lo:hi])
             write_rows(fh, "%d,%d,%d,%.12g,%.12g\n", columns)
 
 

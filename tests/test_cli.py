@@ -584,6 +584,20 @@ def test_audit_bytes_pinned(tmp_path):
     assert digests == _AUDIT_SHA256
 
 
+def test_audit_counts_blocks_with_large_ids(tmp_path):
+    # block sizes are counted per distinct id, not in a table as long as the
+    # largest id (here 8 TB)
+    g = tmp_path / "path.txt"
+    g.write_text("0 1\n1 2\n", encoding="utf-8")
+    part = tmp_path / "part.csv"
+    part.write_text("node,block,bar_d,rho,excess\n0,1000000000000,1,0.9,0\n"
+                    "1,1000000000000,1,0.9,0\n2,-1,0,0,1\n", encoding="utf-8")
+    out = tmp_path / "audit"
+    assert run("audit", "--graph", g, "--partition", part, "--out-dir", out) == EXIT_OK
+    assert (out / "realized_sizes.csv").read_text() == "size,count\n2,1\n"
+    assert (out / "manifest.json").is_file()
+
+
 def test_audit_partition_node_mismatch(tmp_path, k4_file):
     part = tmp_path / "part.csv"
     part.write_text("node,block,bar_d,rho,excess\n0,0,2,0.9,0\n1,0,2,0.9,0\n")
@@ -632,6 +646,21 @@ def test_commands_never_build_the_edge_rows(tmp_path, monkeypatch):
                "--out", tmp_path / "compare.csv") == EXIT_OK
     for graph in (gb, gc, ge):
         assert run("replay", "--manifest", f"{graph}.manifest.json") == EXIT_OK
+
+
+def test_generate_never_builds_the_node_block_array(tmp_path, monkeypatch):
+    # a partition is its block ranges: preprocessing and the partition dump
+    # work per block, and the n-long assignment is for library callers only
+    from bter.communities import CommunityPartition
+
+    def no_assignment(part):
+        raise AssertionError("CommunityPartition.assignment built on a command's path")
+
+    monkeypatch.setattr(CommunityPartition, "assignment", property(no_assignment))
+    g = tmp_path / "g.txt"
+    assert run("generate", "--model", "bter", "--powerlaw", "2000,2,40",
+               "--seed", 3, "--out", g) == EXIT_OK
+    assert run("replay", "--manifest", f"{g}.manifest.json") == EXIT_OK
 
 
 def test_generated_files_are_read_without_the_line_parsers(tmp_path, monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 from unittest import mock
@@ -133,6 +134,61 @@ def test_excess_clamped_at_zero():
     seq = seq_of(2, 9, 9)  # externally supplied partition larger than d=2 needs
     e = excess_degrees(seq, np.array([0]), np.array([3]), np.array([1.0]))
     assert e[0] == 0.0
+
+
+def test_excess_keeps_prefix_values_before_an_external_tiling():
+    # nodes before the first block keep the degree-1 rule: 1 for degree 1
+    # and 0 for any other degree, here the degree-2 node 2
+    seq = seq_of(1, 1, 2, 3, 3, 3, 3)
+    e = excess_degrees(seq, np.array([3, 5]), np.array([2, 2]), np.array([0.5, 1.0]))
+    assert e.tolist() == [1.0, 1.0, 0.0, 2.5, 2.5, 2.0, 2.0]
+    e = excess_degrees(seq, np.array([], dtype=np.int64), np.array([], dtype=np.int64), [])
+    assert e.tolist() == [1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize(
+    "start, size",
+    [
+        ([2, 4], [1, 3]),  # a gap: node 3 is in no block
+        ([2, 3], [2, 4]),  # an overlap, ending past n
+        ([2, 3], [2, 3]),  # an overlap, ending at n
+        ([2, 5, 4], [3, -1, 3]),  # a negative size that keeps the bounds in step
+        ([2, 2], [0, 5]),  # an empty block
+        ([2], [4]),  # ends before n
+        ([2], [6]),  # ends after n
+        ([-1], [8]),  # starts before node 0
+    ],
+)
+def test_excess_rejects_blocks_that_do_not_tile(start, size):
+    seq = seq_of(1, 1, 2, 2, 2, 3, 3)
+    with pytest.raises(ValueError, match="tile"):
+        excess_degrees(seq, np.array(start), np.array(size), np.full(len(start), 0.9))
+
+
+def test_partition_holds_per_block_arrays_and_the_excess():
+    seq = synthesize_powerlaw(3000, 2.0, 60)
+    part = preprocess(seq, ConnectivityFormula())
+    shapes = {f.name: getattr(part, f.name).shape for f in dataclasses.fields(part)}
+    k = part.block_count
+    assert shapes == {"block_start": (k,), "block_size": (k,), "bar_d": (k,),
+                      "rho": (k,), "excess": (seq.n,)}
+
+
+def test_preprocess_memory_is_the_excess_and_per_block_arrays():
+    # the one node-long array preprocess builds is the excess it returns;
+    # members' block ids and supplies are never held node by node
+    import tracemalloc
+
+    seq = synthesize_powerlaw(300_000, 2.0, 2000)
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        part = preprocess(seq, ConnectivityFormula())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = 9 * seq.n + 96 * part.block_count + (64 << 10)
+    assert peak - live <= bound, (peak - live, bound)
 
 
 def test_preprocess_last_short_block_gets_rho_zero():
@@ -321,8 +377,9 @@ def write_partition_csv_by_row(part, seq, path) -> None:
     """write_partition_csv as it was: one f-string per node."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("node,block,bar_d,rho,excess\n")
+        assignment = part.assignment  # built on each access: once, not per row
         for node in range(seq.n):
-            k = int(part.assignment[node])
+            k = int(assignment[node])
             bar = int(part.bar_d[k]) if k >= 0 else 0
             rho = part.rho[k] if k >= 0 else 0.0
             fh.write(f"{node},{k},{bar},{rho:.12g},{part.excess[node]:.12g}\n")

@@ -3,12 +3,17 @@
 A name counts as used where the program refers to it: as a name, an
 attribute, an import, or a string (the lazy-import tables and the
 benchmark's patch points name functions in strings). Public names, those
-in ``bter.__all__``, need no caller.
+in ``bter.__all__``, need no caller. Each of those patch points must also
+still resolve to an attribute of the program.
 """
 
 import ast
+import importlib
+import importlib.util
+import sys
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import bter
 
@@ -48,3 +53,27 @@ def test_every_module_level_name_has_a_caller():
             if used[name] - _references(node)[name] <= 0:
                 dead.append(f"{path.stem}.{name}")
     assert dead == [], f"defined but never used: {dead}"
+
+
+def _benchmark_tracing():
+    name = "benchmark_tracing"
+    spec = importlib.util.spec_from_file_location(name, ROOT / "benchmark" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up in sys.modules as they are made
+    with mock.patch.dict(sys.modules, {name: module}):
+        spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_patch_points_resolve():
+    # the benchmark replaces these attributes by name; a renamed or deleted
+    # one would otherwise surface only when the benchmark's own tests run
+    tracing = _benchmark_tracing()
+    missing = []
+    for module, path, *_ in tracing.PATCH_POINTS + tracing.PEAK_POINTS:
+        owner = importlib.import_module(module)
+        for part in path.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(f"{module}.{path}")
+    assert missing == [], f"benchmark patch points that do not resolve: {missing}"
