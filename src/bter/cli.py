@@ -10,7 +10,6 @@ made), 4 non-convergence.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import importlib
 import json
 import math
@@ -84,8 +83,13 @@ def _fmt(x: float) -> str:
 
 
 def _sha256(path: Path) -> str:
-    # one buffer, refilled: a new bytes object per read lands on whatever
-    # heap the command has fragmented, and can set its peak RSS (audit)
+    # imported here, not at the top: hashlib maps OpenSSL's libcrypto
+    # (~3.5 MB of RSS), so analyze, audit and compare map it only at their
+    # first hash, after their arrays have gone back to the OS. One buffer,
+    # refilled: a new bytes object per read lands on whatever heap the
+    # command has fragmented, and can set its peak RSS (audit)
+    import hashlib
+
     h = hashlib.sha256()
     buf = bytearray(1 << 18)
     with open(path, "rb") as fh:
@@ -595,11 +599,30 @@ def cmd_audit(args, argv: list[str]) -> int:
         except (ValueError, OverflowError) as exc:  # int(float("inf")) overflows
             raise UsageError(f"bad --predict value {args.predict!r}: {exc}") from exc
 
+    # Each step holds only what it needs, in the order that keeps the least
+    # alive at once: the partition's block column first (its excess column
+    # is dropped at once, and the reader's rows are freed before the graph
+    # is read), then the graph; the per-block degrees, audited and freed;
+    # the block sizes, after which the block column goes; and the triangle
+    # count last, when only the graph is left. The graph goes before the
+    # manifest hashes its inputs.
+    inputs: dict[str, Path] = {"graph": Path(args.graph)}
+    assignment = None
+    if args.partition:
+        part_path = Path(args.partition)
+        if not part_path.is_file():
+            raise InputError(f"no such partition file: {part_path}")
+        inputs["partition"] = part_path
+        try:
+            assignment = _cli.read_partition_csv(part_path)[0]
+        except ValueError as exc:
+            raise InputError(str(exc)) from exc
     graph = _load_graph_file(args.graph)
+    if assignment is not None and assignment.shape[0] != graph.n:
+        raise InputError(f"partition covers {assignment.shape[0]} nodes, graph has {graph.n}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs: list[Path] = []
-    inputs: dict[str, Path] = {"graph": Path(args.graph)}
 
     import numpy as np
 
@@ -607,48 +630,24 @@ def cmd_audit(args, argv: list[str]) -> int:
     # replacement there reaches both analyze and audit
     from .metrics import count_triangles_wedges
 
-    # only the total is kept: the per-node counts would otherwise be held
-    # through the partition read, the audit's next peak
-    triangles = count_triangles_wedges(graph).triangles
-    ok = _cli.kruskal_katona_check(triangles, graph.edge_count)
-    kk_path = out_dir / "kk.csv"
-    _write_rows(
-        kk_path,
-        "triangles,edges,ok",
-        [(str(triangles), str(graph.edge_count), str(ok).lower())],
-    )
-    outputs.append(kk_path)
-    print(f"triangle/edge extremal bound holds: {ok}")
-
-    if args.partition:
-        part_path = Path(args.partition)
-        if not part_path.is_file():
-            raise InputError(f"no such partition file: {part_path}")
-        inputs["partition"] = part_path
-        try:
-            assignment, _ = _cli.read_partition_csv(part_path)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
-        if assignment.shape[0] != graph.n:
-            raise InputError(
-                f"partition covers {assignment.shape[0]} nodes, graph has {graph.n}"
-            )
-        per_block = _cli.internal_degrees_by_block(graph, assignment)
+    if assignment is not None:
+        ids, offsets, degrees = _cli.internal_degrees_by_block(graph, assignment)
         header = "block,s,expected_triangles,wedge_threshold,passes," + ",".join(labels)
-        # blocks with equal internal-degree multisets (per_block values are
-        # sorted) have equal audits, so each distinct one is audited and its
-        # row text formatted once
+        # blocks with equal internal-degree multisets (each block's degrees
+        # are sorted) have equal audits, so each distinct one is audited and
+        # its row text formatted once
         rows: dict[bytes, tuple[bool, str]] = {}
         passed = 0
         blocks_path = out_dir / "blocks.csv"
         with open(blocks_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(header + "\n")
-            for k in sorted(per_block):
-                key = per_block[k].tobytes()
+            for k, lo, hi in zip(ids.tolist(), offsets[:-1].tolist(), offsets[1:].tolist()):
+                d = degrees[lo:hi]
+                key = d.tobytes()
                 if key not in rows:
                     try:
                         audit = _cli.audit_community(
-                            per_block[k],
+                            d,
                             kappa=args.kappa,
                             core_constants=core_constants,
                             exact_threshold=args.exact_threshold,
@@ -666,20 +665,30 @@ def cmd_audit(args, argv: list[str]) -> int:
                 passed += passes
                 fh.write(f"{k},{text}\n")
         outputs.append(blocks_path)
-        total = len(per_block)
+        total = len(ids)
+        del ids, offsets, degrees, rows
         frac = passed / total if total else 0.0
         print(f"blocks passing kappa={args.kappa}: {passed}/{total} ({frac:.3f})")
 
         # realized block-size histogram, the counterpart of --predict
         # counted per distinct id: block ids need not be small or dense
-        ids, block_sizes = np.unique(assignment, return_counts=True)
-        block_sizes = block_sizes[ids >= 0]
-        realized = _cli.block_size_histogram(block_sizes)
+        block_ids, block_sizes = np.unique(assignment, return_counts=True)
+        del assignment
+        realized = _cli.block_size_histogram(block_sizes[block_ids >= 0])
         realized_path = out_dir / "realized_sizes.csv"
         _write_rows(
             realized_path, "size,count", ((str(s), str(c)) for s, c in realized.items())
         )
         outputs.append(realized_path)
+
+    triangles = count_triangles_wedges(graph).triangles
+    edges = graph.edge_count
+    del graph
+    ok = _cli.kruskal_katona_check(triangles, edges)
+    kk_path = out_dir / "kk.csv"
+    _write_rows(kk_path, "triangles,edges,ok", [(str(triangles), str(edges), str(ok).lower())])
+    outputs.append(kk_path)
+    print(f"triangle/edge extremal bound holds: {ok}")
 
     if profile is not None:
         pred_path = out_dir / "predicted_profile.csv"

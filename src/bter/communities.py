@@ -128,13 +128,6 @@ def excess_degrees(
     return e
 
 
-def _block_of(block_start: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """Block ids (-1 before the first block) of a tiling's non-empty ascending
-    nodes; only the block starts between the first and last node are searched."""
-    lo, hi = np.searchsorted(block_start, nodes[[0, -1]], side="right").tolist()
-    return np.searchsorted(block_start[lo:hi], nodes, side="right") + (lo - 1)
-
-
 @dataclass(frozen=True)
 class CommunityPartition:
     """Full preprocessing result for one degree sequence: per-block arrays
@@ -156,7 +149,7 @@ class CommunityPartition:
     def assignment(self) -> np.ndarray:
         """node -> block id, -1 for the unassigned nodes before the first
         block; an n-long array built on each access."""
-        return _block_of(self.block_start, np.arange(self.excess.size))
+        return np.searchsorted(self.block_start, np.arange(self.excess.size), side="right") - 1
 
 
 def preprocess(seq: DegreeSequence, f: ConnectivityFormula) -> CommunityPartition:
@@ -188,20 +181,33 @@ def write_partition_csv(part: CommunityPartition, seq: DegreeSequence, path) -> 
 
     The rows go out _PARTITION_CHUNK at a time, each chunk's node, block,
     bar_d and rho columns built for it alone, so the writer holds no
-    full-length column of its own.
+    full-length column of its own. A chunk's block columns repeat the
+    values of the few blocks it meets, each as often as it has nodes there.
     """
+    n = seq.n
+    prefix = int(part.block_start[0]) if part.block_count else n  # nodes before any block
+    cuts = np.arange(0, n + _PARTITION_CHUNK, _PARTITION_CHUNK).clip(max=n)
+    holds = np.searchsorted(part.block_start, cuts, side="right") - 1  # -1: no block yet
     with open(path, "wb") as fh:
         fh.write(_PARTITION_HEADER.encode() + b"\n")
-        for lo in range(0, seq.n, _PARTITION_CHUNK):
-            hi = min(lo + _PARTITION_CHUNK, seq.n)
-            node = np.arange(lo, hi)
-            k = _block_of(part.block_start, node)
-            assigned = k >= 0
-            bar = np.zeros(k.size, dtype=np.int64)
-            bar[assigned] = part.bar_d[k[assigned]]
-            rho = np.zeros(k.size, dtype=np.float64)
-            rho[assigned] = part.rho[k[assigned]]
-            columns = (node, k, bar, rho, part.excess[lo:hi])
+        for i in range(len(cuts) - 1):
+            lo, hi = cuts[i], cuts[i + 1]
+            # the chunk meets blocks a..b-1 (block b-1 may start at hi, and
+            # meet it in no node), after its unassigned nodes if it has any,
+            # which take block a - 1 = -1 and bar_d and rho 0
+            a, b = max(holds[i], 0), holds[i + 1] + 1
+            start = part.block_start[a:b]
+            counts = np.append(
+                max(min(prefix, hi) - lo, 0),
+                np.minimum(start + part.block_size[a:b], hi) - np.maximum(start, lo),
+            )
+            columns = (
+                np.arange(lo, hi),
+                np.repeat(np.arange(a - 1, b), counts),
+                np.repeat(np.append(0, part.bar_d[a:b]), counts),
+                np.repeat(np.append(0.0, part.rho[a:b]), counts),
+                part.excess[lo:hi],
+            )
             write_rows(fh, "%d,%d,%d,%.12g,%.12g\n", columns)
 
 

@@ -4,10 +4,10 @@ Triangle counts are exact, via degree-ordered compact-forward counting in
 numpy array passes (each triangle found once, at its lowest corner in
 (degree, id) order), with wedges closed by search in the graph's own keys.
 Besides the graph, the count holds int32 out-neighbour rows (4 B an edge;
-12 B an edge only while a transient sorted int64 key per edge becomes
-them), int64 row starts and per-node counts (length n), the out-degree
-grouping of the nodes that centre an out-wedge, and one cache-sized pass;
-per-node counts are int64 sums. The leading adjacency eigenvalues come
+8 B an edge while a transient sorted int64 key per edge becomes them in
+its own buffer), int64 row starts and per-node counts (length n), the
+out-degree grouping of the nodes that centre an out-wedge, and one
+cache-sized pass; per-node counts are int64 sums. The leading adjacency eigenvalues come
 from ARPACK's implicitly restarted Lanczos (scipy.sparse.linalg.eigsh),
 using only sparse matrix-vector products, with every reported pair's
 residual checked explicitly.
@@ -103,11 +103,12 @@ def count_triangles_wedges(g: Graph) -> TriangleWedgeCounts:
     Every edge is oriented toward its higher-(degree, id) end, so each
     triangle is the closed out-wedge of exactly one node, its lowest corner
     in that order, and out-degrees stay O(sqrt(m)). One transient int64 key
-    ``src * n + dst`` per edge is sorted and turned into out-neighbour rows
-    (int32 ids, sorted by id) with int64 row starts. Out-wedges v <- u -> w,
-    v < w by id, are enumerated per out-degree class, at most about
-    _WEDGE_CHUNK per pass (or one node's, where it has more), and closed by
-    binary search for ``v * n + w`` in the graph's own keys. Each closed
+    ``src * n + dst`` per edge is sorted and turned, in its own buffer, into
+    out-neighbour rows (int32 ids, sorted by id) with int64 row starts.
+    Out-wedges v <- u -> w, v < w by id, are enumerated per out-degree
+    class, at most about _WEDGE_CHUNK per pass (or one node's, where it has
+    more), and closed by binary search for ``v * n + w`` in the graph's own
+    keys. Each closed
     wedge adds one to each of its three corners in an int64 table, so
     per-node counts are exact at any size.
     """
@@ -116,9 +117,18 @@ def count_triangles_wedges(g: Graph) -> TriangleWedgeCounts:
     start = np.zeros(n + 1, dtype=np.int64)  # out-degrees, then row starts
     key = _oriented_keys(g, start[1:])
     np.cumsum(start, out=start)  # row u is rows[start[u]:start[u+1]]
-    rows = np.empty(m, dtype=np.int32 if n < _INT32_NODES else np.int64)
-    for lo in range(0, m, _WEDGE_CHUNK):
-        rows[lo : lo + _WEDGE_CHUNK] = key[lo : lo + _WEDGE_CHUNK] % width
+    if n < _INT32_NODES:
+        # the int32 rows go into the key's own buffer, row i in the bytes of
+        # key i // 2, which a chunk has read before any later chunk writes
+        # there; the buffer is then shrunk to them in place
+        half = key.view(np.int32)[:m]
+        for lo in range(0, m, _WEDGE_CHUNK):
+            half[lo : lo + _WEDGE_CHUNK] = key[lo : lo + _WEDGE_CHUNK] % width
+        del half
+        key.resize((m + 1) // 2, refcheck=False)
+        rows = key.view(np.int32)[:m]
+    else:
+        rows = np.remainder(key, width, out=key)
     del key
     out_deg = np.diff(start)
     by_out = np.flatnonzero(out_deg >= 2)  # the nodes that centre an out-wedge

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -137,11 +138,25 @@ def audit_community(
     )
 
 
-def internal_degrees_by_block(g: Graph, assignment: np.ndarray) -> dict[int, np.ndarray]:
+class BlockDegrees(NamedTuple):
+    """Realized within-block degrees of every block that has any, in one
+    array sorted by (block, degree): block ids[k] holds the degrees
+    degrees[offsets[k] : offsets[k + 1]], ascending. ids ascend, and offsets
+    has one entry more than ids."""
+
+    ids: np.ndarray
+    offsets: np.ndarray
+    degrees: np.ndarray
+
+
+def internal_degrees_by_block(g: Graph, assignment: np.ndarray) -> BlockDegrees:
     """Realized within-block degrees, per block, from a node-to-block map.
 
     assignment[i] < 0 means unassigned. Nodes with zero internal degree are
-    dropped from their block's list (they carry no wedge or triangle mass).
+    left out (they carry no wedge or triangle mass), and so is a block with
+    none left. In O(m + n), the count holds one node-long int64 table and a
+    chunk of edges at a time, then at most four int64 entries for each
+    node it keeps: nothing per block.
     """
     assignment = np.asarray(assignment, dtype=np.int64)
     if assignment.shape[0] != g.n:
@@ -152,12 +167,17 @@ def internal_degrees_by_block(g: Graph, assignment: np.ndarray) -> dict[int, np.
         same = (block == assignment[v]) & (block >= 0)
         np.add.at(internal, u[same], 1)
         np.add.at(internal, v[same], 1)
-    nodes = np.nonzero(internal)[0]  # all assigned, since same excludes -1
-    block, deg = assignment[nodes], internal[nodes].astype(np.int64)
+    nodes = np.flatnonzero(internal)  # all assigned, since same excludes -1
+    deg = internal[nodes]
+    del internal
+    block = assignment[nodes]
+    del nodes
     order = np.lexsort((deg, block))
-    block, deg = block[order], deg[order]
-    ids, starts = np.unique(block, return_index=True)
-    return {int(k): d for k, d in zip(ids, np.split(deg, starts[1:]))}
+    deg = deg[order]
+    block = block[order]
+    del order
+    first = np.flatnonzero(np.diff(block, prepend=-1))  # each block's first entry
+    return BlockDegrees(ids=block[first], offsets=np.append(first, block.size), degrees=deg)
 
 
 @dataclass(frozen=True)

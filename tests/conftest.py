@@ -52,6 +52,33 @@ def sparse_triangles(g: Graph) -> tuple[int, np.ndarray]:
     return int(per_node.sum()) // 3, per_node
 
 
+def per_block_internal_degrees(g: Graph, assignment) -> dict[int, np.ndarray]:
+    """Edge-by-edge, block-by-block loop: the oracle for
+    theory.internal_degrees_by_block. Each assigned block with a node of
+    nonzero internal degree maps to those degrees, sorted, by ascending id."""
+    assignment = np.asarray(assignment)
+    internal = np.zeros(g.n, dtype=np.int64)
+    for u, v in g.edges.tolist():
+        if assignment[u] == assignment[v] >= 0:
+            internal[u] += 1
+            internal[v] += 1
+    expected = {}
+    for k in np.unique(assignment[assignment >= 0]).tolist():
+        deg = internal[(assignment == k) & (internal > 0)]
+        if deg.size:
+            expected[k] = np.sort(deg)
+    return expected
+
+
+def block_degree_dict(blocks) -> dict[int, np.ndarray]:
+    """theory.BlockDegrees as {block id: its degrees}, in its own order."""
+    ids, offsets, degrees = blocks
+    return {
+        k: degrees[lo:hi]
+        for k, lo, hi in zip(ids.tolist(), offsets[:-1].tolist(), offsets[1:].tolist())
+    }
+
+
 def random_graph(rng: np.random.Generator, n_max: int = 12) -> Graph:
     """Small random graph by thinning the complete pair set."""
     from bter.generate import generate_er

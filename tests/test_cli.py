@@ -6,7 +6,9 @@ import re
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
+from conftest import block_degree_dict, per_block_internal_degrees
 
 import bter
 from bter.cli import EXIT_INPUT, EXIT_NO_CONVERGENCE, EXIT_OK, EXIT_USAGE, main
@@ -543,9 +545,11 @@ def test_audit_blocks_match_direct_per_block_audits(tmp_path):
     constants = (0.25, 0.5, 1.0)
     assert lines[0].endswith(",".join(_core_label(c) for c in constants))
 
-    per_block = internal_degrees_by_block(
-        read_snap_edgelist(g).graph, read_partition_csv(f"{g}.partition.csv")[0]
-    )
+    graph, assignment = read_snap_edgelist(g).graph, read_partition_csv(f"{g}.partition.csv")[0]
+    per_block = per_block_internal_degrees(graph, assignment)
+    got = block_degree_dict(internal_degrees_by_block(graph, assignment))
+    assert list(got) == list(per_block)
+    assert all(np.array_equal(got[k], d) for k, d in per_block.items())
     # repeated multisets are what the audit reuses
     assert len({d.tobytes() for d in per_block.values()}) < len(per_block)
     assert len(lines) - 1 == len(per_block)
@@ -603,6 +607,35 @@ def test_audit_partition_node_mismatch(tmp_path, k4_file):
     part.write_text("node,block,bar_d,rho,excess\n0,0,2,0.9,0\n1,0,2,0.9,0\n")
     assert run("audit", "--graph", k4_file, "--partition", part,
                "--out-dir", tmp_path / "a") == EXIT_INPUT
+
+
+def test_audit_input_errors_come_before_any_output(small_bter, k4_file, tmp_path):
+    # the partition is read first, then the graph, and the output directory
+    # is made only once both are read and agree
+    bad_row = tmp_path / "bad_row.csv"
+    bad_row.write_text("node,block,bar_d,rho,excess\n0,0,2,0.9\n", encoding="utf-8")
+    partition = f"{small_bter}.partition.csv"
+    for graph, part in (
+        (small_bter, tmp_path / "missing.csv"),
+        (small_bter, bad_row),
+        (k4_file, partition),  # 4 nodes against a partition of 300
+        (tmp_path / "missing.txt", partition),
+    ):
+        out = tmp_path / "out"
+        assert run("audit", "--graph", graph, "--partition", part,
+                   "--out-dir", out) == EXIT_INPUT
+        assert not out.exists()
+
+
+def test_audit_community_value_error_is_a_usage_error(small_bter, tmp_path, monkeypatch):
+    import bter.cli
+
+    def refuses(*args, **kwargs):
+        raise ValueError("refused block")
+
+    monkeypatch.setattr(bter.cli, "audit_community", refuses, raising=False)
+    assert run("audit", "--graph", small_bter, "--partition", f"{small_bter}.partition.csv",
+               "--out-dir", tmp_path / "a") == EXIT_USAGE
 
 
 def test_audit_without_partition_still_checks_bound(k4_file, tmp_path):
@@ -1051,6 +1084,7 @@ def test_scipy_is_loaded_only_for_the_spectrum(tmp_path):
 def test_version_and_compare_over_reports_run_without_numpy(k4_file, tmp_path):
     code, modules = _modules_after("--version")
     assert code == EXIT_OK and "numpy" not in modules
+    assert "_hashlib" not in modules  # OpenSSL's libcrypto is mapped at the first hash
     assert _bter_modules(modules) == set()  # no library module, bter.reports included
     for metrics in ("degree,cc,triangles", "degree,spectrum"):
         rep = tmp_path / metrics

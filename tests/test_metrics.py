@@ -115,25 +115,24 @@ def test_per_node_counts_match_brute_force_any_chunk(chunk, stream):
     assert c.per_node_triangles.dtype == np.int64
 
 
-@pytest.mark.parametrize("model", ["bter", "cl"])
+@pytest.mark.parametrize("model", ["bter", "cl", "er"])
 def test_kernel_memory_bounded(model, monkeypatch):
-    # besides the graph: 12 B an edge (the sorted int64 oriented keys and
-    # the int32 rows made from them, held together only while the rows are
-    # filled), at most four node-length int64 arrays (the graph's degrees,
-    # counted on first use, the row starts, the per-node counts, and the
-    # out-degree grouping of the nodes that centre an out-wedge), and one
-    # pass of at most sixteen chunk-length ones (a wedge pass, or a chunk
-    # of edges); a kernel holding 16 B an edge and eight node-length
-    # arrays, as a rank-space copy of the keys does, peaks at about 1.25
-    # times this bound
+    # besides the graph: 8 B an edge (the sorted int64 oriented keys, whose
+    # buffer then holds the int32 rows made from them), at most four
+    # node-length int64 arrays (the graph's degrees, counted on first use,
+    # the row starts, the per-node counts, and the out-degree grouping of
+    # the nodes that centre an out-wedge), and one pass of at most sixteen
+    # chunk-length ones (a wedge pass, or a chunk of edges). The dense ER
+    # graph (m/n = 100) is where the edge term sets the peak: rows kept
+    # apart from the keys, 12 B an edge, exceed this bound there
     import tracemalloc
 
     import bter.graph
 
     monkeypatch.setattr(metrics, "_WEDGE_CHUNK", 4096)
     monkeypatch.setattr(bter.graph, "_WRITE_CHUNK", 4096)
-    g = _powerlaw_graph(model, 30000, 300, 1)
-    bound = 12 * g.edge_count + 4 * 8 * g.n + 16 * 8 * metrics._WEDGE_CHUNK
+    g = generate_er(2000, 0.1, 1) if model == "er" else _powerlaw_graph(model, 30000, 300, 1)
+    bound = 8 * g.edge_count + 4 * 8 * g.n + 16 * 8 * metrics._WEDGE_CHUNK
     tracemalloc.start()
     try:
         live = tracemalloc.get_traced_memory()[0]

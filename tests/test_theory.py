@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import block_degree_dict, per_block_internal_degrees
 from hypothesis import given, settings, strategies as st
 
 from bter.communities import ConnectivityFormula, preprocess
@@ -218,33 +219,72 @@ def test_realized_block_sizes_track_prediction():
     assert checked >= 8
 
 
+def _check_block_degrees(g, assignment):
+    """internal_degrees_by_block's array form against the per-block loop."""
+    blocks = internal_degrees_by_block(g, assignment)
+    ids, offsets, degrees = blocks
+    assert ids.dtype == offsets.dtype == degrees.dtype == np.int64
+    assert offsets.size == ids.size + 1 and offsets[0] == 0 and offsets[-1] == degrees.size
+    assert (np.diff(ids) > 0).all() and (np.diff(offsets) > 0).all()
+    got = block_degree_dict(blocks)
+    expected = per_block_internal_degrees(g, assignment)
+    assert list(got) == list(expected)
+    for k, deg in expected.items():
+        assert np.array_equal(got[k], deg)
+    return got
+
+
 def test_internal_degrees_by_block():
     g, _ = build_graph([(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)])
-    assignment = np.array([0, 0, 0, 1, 1])
-    internal = internal_degrees_by_block(g, assignment)
-    assert internal[0].tolist() == [2, 2, 2]
-    assert internal[1].tolist() == [1, 1]
+    internal = _check_block_degrees(g, np.array([0, 0, 0, 1, 1]))
+    assert {k: d.tolist() for k, d in internal.items()} == {0: [2, 2, 2], 1: [1, 1]}
 
 
 def test_internal_degrees_by_block_matches_per_block_loop():
     seq = synthesize_powerlaw(3000, 2.0, 50)
     g, trace = generate_bter(seq, GenerationConfig(seed=4))
+    assert len(_check_block_degrees(g, trace.partition.assignment)) > 100
+
+
+@pytest.mark.parametrize(
+    "assignment",
+    [
+        [-1, -1, -1, -1, -1, -1],  # no block: an empty result
+        [7, 7, 7, -1, 3, 3],  # ids out of node order, and unassigned nodes
+        [10**12, 10**12, 5, 5, 5, 0],  # large ids, and a block of no internal edge
+        [2, 1, 2, 1, 2, 1],  # interleaved blocks
+    ],
+)
+def test_internal_degrees_by_block_on_any_assignment(assignment):
+    g, _ = build_graph([(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (0, 5), (2, 4)])
+    _check_block_degrees(g, np.array(assignment))
+
+
+def test_internal_degrees_by_block_memory_grows_with_n_and_m(monkeypatch):
+    # besides the graph and the assignment: the node-long int64 table and a
+    # pass of at most twelve chunk-length arrays, then four int64 entries for
+    # each of the k <= n nodes of nonzero internal degree; nothing per block.
+    # A dict of per-block arrays, made while the table is still held, peaks
+    # at about 1.6 times this bound
+    import tracemalloc
+
+    import bter.graph
+
+    monkeypatch.setattr(bter.graph, "_WRITE_CHUNK", 4096)
+    seq = synthesize_powerlaw(100_000, 2.0, 1000)
+    g, trace = generate_bter(seq, GenerationConfig(seed=2))
     assignment = trace.partition.assignment
-    internal = np.zeros(g.n, dtype=np.int64)
-    for u, v in g.edges.tolist():
-        if assignment[u] == assignment[v] >= 0:
-            internal[u] += 1
-            internal[v] += 1
-    expected = {}
-    for k in np.unique(assignment[assignment >= 0]):
-        deg = internal[(assignment == k) & (internal > 0)]
-        if deg.size:
-            expected[int(k)] = np.sort(deg)
-    got = internal_degrees_by_block(g, assignment)
-    assert list(got) == list(expected)
-    for k, deg in expected.items():
-        assert got[k].dtype == np.int64
-        assert np.array_equal(got[k], deg)
+    k = sum(map(len, per_block_internal_degrees(g, assignment).values()))
+    bound = 8 * g.n + 4 * 8 * k + 12 * 8 * bter.graph._WRITE_CHUNK
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        blocks = internal_degrees_by_block(g, assignment)
+        peak = tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
+    assert len(blocks.ids) > 5000 and blocks.degrees.size == k
+    assert peak <= bound
 
 
 def test_internal_degrees_requires_cover():
@@ -259,7 +299,7 @@ def test_audit_pipeline_on_generated_blocks():
     cfg = GenerationConfig(seed=9)
     g, _ = generate_bter(seq, cfg)
     part = preprocess(seq, cfg.connectivity)
-    per_block = internal_degrees_by_block(g, part.assignment)
-    audits = [audit_community(per_block[k], kappa=0.1) for k in sorted(per_block)]
+    _, offsets, degrees = internal_degrees_by_block(g, part.assignment)
+    audits = [audit_community(d, kappa=0.1) for d in np.split(degrees, offsets[1:-1])]
     pass_fraction = sum(a.passes for a in audits) / len(audits)
     assert pass_fraction > 0.9
