@@ -5,14 +5,16 @@ size bar_d + 1, where bar_d is the degree of the block's first node; each
 block is later wired internally as an ER graph with probability rho_k, and
 whatever degree the block cannot supply is carried into the Chung-Lu
 interconnect phase as per-node excess. The blocks tile the nodes from the
-first of degree 2 to n, so a partition is held per block plus that excess:
-a node's block id is a binary search of block_start, made where needed.
+first of degree 2 to n, so a partition is held per block, beside a
+reference to the sequence's degrees: a node's block id is a binary search
+of block_start, and its excess a repeat of its block's supply, each made
+where needed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -81,7 +83,7 @@ def partition_communities(seq: DegreeSequence) -> tuple[np.ndarray, np.ndarray]:
     i = int(np.searchsorted(degrees, 2))
     # one pass per run of equal degree d: the blocks that start inside the run
     # are d + 1 apart, and the last of them may reach past the run's end
-    run_ends = np.append(np.flatnonzero(np.diff(degrees[i:])) + i + 1, n)
+    run_ends = np.append(np.flatnonzero(degrees[i + 1 :] != degrees[i:-1]) + i + 1, n)
     starts: list[np.ndarray] = []
     for end in run_ends.tolist():
         if i >= end:
@@ -118,28 +120,37 @@ def excess_degrees(
         (block_size > 0).all() and np.array_equal(np.append(block_start, seq.n), bounds)
     ):
         raise ValueError(f"blocks must tile the nodes {first}..{seq.n - 1} in order")
-    expected_internal = np.asarray(rho_values, dtype=np.float64) * (block_size - 1)
-    # each block's supply over its members (0 before the first block), then
-    # the excess in place: one node-long array
-    e = np.repeat(np.append(0.0, expected_internal), np.append(first, block_size))
-    np.subtract(seq.degrees, e, out=e)
+    supply = np.asarray(rho_values, dtype=np.float64) * (block_size - 1)
+    return _excess(seq.degrees, supply, np.append(first, block_size))
+
+
+def _excess(degrees: np.ndarray, supply: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Excess of a run of nodes of these target degrees: counts[0] nodes
+    before any block, then counts[k + 1] members of a block that supplies
+    each supply[k] of its degree. Each block's supply is repeated over its
+    members (0 before the first block), and the excess computed in place:
+    one array the length of the run."""
+    e = np.repeat(np.append(0.0, supply), counts)
+    np.subtract(degrees, e, out=e)
     np.maximum(0.0, e, out=e)
-    e[:first] = seq.degrees[:first] == 1
+    e[: counts[0]] = degrees[: counts[0]] == 1
     return e
 
 
 @dataclass(frozen=True)
 class CommunityPartition:
     """Full preprocessing result for one degree sequence: per-block arrays
-    and the per-node excess. Block k is the contiguous node range
-    block_start[k] .. block_start[k] + block_size[k] - 1; the blocks tile the
-    nodes from block_start[0] to n."""
+    and the sequence's own degree array. Block k is the contiguous node
+    range block_start[k] .. block_start[k] + block_size[k] - 1; the blocks
+    tile the nodes from block_start[0] to n. The partition holds no
+    node-long array of its own: the excess and the assignment are derived
+    from the block arrays and the degrees on each access."""
 
     block_start: np.ndarray  # per-block first node
     block_size: np.ndarray  # per-block node count
     bar_d: np.ndarray  # per-block minimum target degree
     rho: np.ndarray  # per-block ER probability
-    excess: np.ndarray  # per-node excess degree
+    degrees: np.ndarray = field(repr=False)  # the sequence's degrees, not a copy
 
     @property
     def block_count(self) -> int:
@@ -149,7 +160,15 @@ class CommunityPartition:
     def assignment(self) -> np.ndarray:
         """node -> block id, -1 for the unassigned nodes before the first
         block; an n-long array built on each access."""
-        return np.searchsorted(self.block_start, np.arange(self.excess.size), side="right") - 1
+        return np.searchsorted(self.block_start, np.arange(self.degrees.size), side="right") - 1
+
+    @property
+    def excess(self) -> np.ndarray:
+        """node -> excess degree, as excess_degrees computes it; an n-long
+        array built on each access, which the caller owns."""
+        first = int(self.block_start[0]) if self.block_count else self.degrees.size
+        supply = self.rho * (self.block_size - 1)
+        return _excess(self.degrees, supply, np.append(first, self.block_size))
 
 
 def preprocess(seq: DegreeSequence, f: ConnectivityFormula) -> CommunityPartition:
@@ -165,8 +184,7 @@ def preprocess(seq: DegreeSequence, f: ConnectivityFormula) -> CommunityPartitio
     rho = np.array([community_rho(b, seq.d_max, f) for b in values.tolist()])[which]
     if len(bar_d) and block_size[-1] < bar_d[-1] + 1:
         rho[-1] = 0.0
-    excess = excess_degrees(seq, block_start, block_size, rho)
-    return CommunityPartition(block_start, block_size, bar_d, rho, excess)
+    return CommunityPartition(block_start, block_size, bar_d, rho, seq.degrees)
 
 
 _PARTITION_HEADER = "node,block,bar_d,rho,excess"
@@ -179,10 +197,10 @@ _PARTITION_CHUNK = 1 << 14
 def write_partition_csv(part: CommunityPartition, seq: DegreeSequence, path) -> None:
     """Dump "node,block,bar_d,rho,excess" rows (block -1 for unassigned).
 
-    The rows go out _PARTITION_CHUNK at a time, each chunk's node, block,
-    bar_d and rho columns built for it alone, so the writer holds no
-    full-length column of its own. A chunk's block columns repeat the
-    values of the few blocks it meets, each as often as it has nodes there.
+    The rows go out _PARTITION_CHUNK at a time, each chunk's columns built
+    for it alone, so the writer holds no full-length column. A chunk's
+    block columns repeat the values of the few blocks it meets, each as
+    often as it has nodes there, and its excess column repeats their supply.
     """
     n = seq.n
     prefix = int(part.block_start[0]) if part.block_count else n  # nodes before any block
@@ -197,16 +215,17 @@ def write_partition_csv(part: CommunityPartition, seq: DegreeSequence, path) -> 
             # which take block a - 1 = -1 and bar_d and rho 0
             a, b = max(holds[i], 0), holds[i + 1] + 1
             start = part.block_start[a:b]
+            size = part.block_size[a:b]
             counts = np.append(
                 max(min(prefix, hi) - lo, 0),
-                np.minimum(start + part.block_size[a:b], hi) - np.maximum(start, lo),
+                np.minimum(start + size, hi) - np.maximum(start, lo),
             )
             columns = (
                 np.arange(lo, hi),
                 np.repeat(np.arange(a - 1, b), counts),
                 np.repeat(np.append(0, part.bar_d[a:b]), counts),
                 np.repeat(np.append(0.0, part.rho[a:b]), counts),
-                part.excess[lo:hi],
+                _excess(part.degrees[lo:hi], part.rho[a:b] * (size - 1), counts),
             )
             write_rows(fh, "%d,%d,%d,%.12g,%.12g\n", columns)
 

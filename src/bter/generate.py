@@ -103,9 +103,10 @@ class PhaseTrace:
 # Most gaps one sampling round draws, over all of its blocks.
 _ROUND_DRAWS = 4_000_000
 # Gaps the sampler works at once inside a round: enough to spread the
-# per-call numpy overhead, few enough that a chunk's temporaries (0.5 MB
-# per int64 array) stay in cache.
-_CHUNK = 1 << 16
+# per-call numpy overhead, few enough that a chunk's temporaries (128 KB
+# per int64 array, about a dozen of them) stay in cache and add little to
+# the keys.
+_CHUNK = 1 << 14
 # Blocks a round works at once. A window's state and temporaries are about
 # two dozen arrays of 128 KB, so the sampler's memory beside its keys does
 # not grow with the number of blocks.
@@ -391,6 +392,15 @@ def _weighted_draws(rng: np.random.Generator, p: np.ndarray, size) -> np.ndarray
     return out
 
 
+def _phase2_weights(part: CommunityPartition, p: int, r: int, d1_weight: float) -> np.ndarray:
+    """The Phase 2 weight of each node, in a new array: its excess, but 0
+    for the p set-aside degree-1 nodes and d1_weight for the other r - p."""
+    e = part.excess
+    e[:p] = 0.0
+    e[p:r] = d1_weight
+    return e
+
+
 def _append(keys: np.ndarray, new: np.ndarray) -> None:
     """Grow keys in place (a realloc) by the entries of new. keys is taken
     over as the graph module's docstring on ownership says."""
@@ -409,9 +419,21 @@ def generate_bter(
     graph (self-loops and duplicates discarded). Deterministic for fixed
     (degrees, cfg).
 
-    The keys live in one array: Phase 1's, grown in place as each Phase 2
-    subphase appends its keys, and handed to the merge, which sorts and
-    deduplicates them in that buffer: it becomes the graph's keys.
+    Beside the caller's degrees, which the partition references and does
+    not copy, a run holds:
+
+    - the partition's per-block arrays;
+    - the keys, in one array: Phase 1's (the sampler grows it by half when
+      full, and cuts it to size), grown in place as each Phase 2 subphase
+      appends its keys, and handed to the merge, which sorts and
+      deduplicates them in that buffer: it becomes the graph's keys;
+    - one float64 per node, the Phase 2 weights, derived from the
+      partition's excess. Phase 2b normalizes them in place and its draw
+      overwrites them with its cdf; Phase 2c derives them again if 2b
+      drew, then scales and normalizes them in place for its own draw;
+    - each subphase's output until it is appended: Phase 2c's endpoint
+      pairs (16 B a pair) and their keys;
+    - chunk-sized temporaries of the sampler and the weighted draws.
     """
     r, p, q = degree1_split(degrees, cfg)
     part = preprocess(degrees, cfg.connectivity)
@@ -425,10 +447,8 @@ def generate_bter(
     # next one, so the merge's buffer can grow into the memory they held.
 
     # Degree-1 adjustment: the first p degree-1 nodes are wired manually;
-    # the rest get a raised CL weight.
-    e = part.excess.copy()
-    e[:p] = 0.0
-    e[p:r] = cfg.d1_weight
+    # the rest get a raised CL weight. Phase 2 works in this one array.
+    e = _phase2_weights(part, p, r, cfg.d1_weight)
 
     # Phase 2a: random pairing among q of the set-aside nodes.
     if q > 0:
@@ -445,12 +465,16 @@ def generate_bter(
     # Phase 2b: one edge per remaining set-aside node, far endpoint drawn
     # in proportion to excess. Set-aside nodes have excess 0, so they are
     # never drawn (no self-loops, no manual-manual edges), and every far
-    # endpoint lies above the set-aside ids.
+    # endpoint lies above the set-aside ids. The weights are normalized in
+    # place, and the draw overwrites them with its cdf.
     sum_e = float(e.sum())
     raw2b = 0
     if manual_rest.size and sum_e > 0.0:
-        far = _weighted_draws(substream(cfg.seed, _PHASE2, _SUB_B), e / sum_e, manual_rest.size)
-        far += manual_rest * width
+        e /= sum_e
+        far = _weighted_draws(substream(cfg.seed, _PHASE2, _SUB_B), e, manual_rest.size)
+        del e  # the cdf: Phase 2c builds the weights again
+        manual_rest *= width
+        far += manual_rest
         _append(keys, far)
         raw2b = far.size
         del far
@@ -460,20 +484,22 @@ def generate_bter(
     # duplicates the merge will discard, then sample endpoint pairs i.i.d.
     # The formula can go negative when degree-1 nodes dominate the weight
     # pool, so the scale is floored at 0. Self-loops are counted and dropped
-    # here; the merge drops the duplicates.
+    # here; the merge drops the duplicates. The weights, built again where
+    # Phase 2b's draw took them, are scaled and normalized in place, and the
+    # draw overwrites them with its cdf.
+    if raw2b:
+        e = _phase2_weights(part, p, r, cfg.d1_weight)
     pool = (p - q) + sum_e
     eta_scale = 1.0 - 2.0 * (p - q) / pool + cfg.beta if pool > 0.0 else 0.0
     eta_scale = max(0.0, eta_scale)
-    e_scaled = eta_scale * e
-    del e
-    sum_e_scaled = float(e_scaled.sum())
+    e *= eta_scale
+    sum_e_scaled = float(e.sum())
     edges_2c = nint(sum_e_scaled / 2.0) if sum_e_scaled > 0.0 else 0
     self_loops = 0
     if edges_2c > 0:
-        ends = _weighted_draws(
-            substream(cfg.seed, _PHASE2, _SUB_C), e_scaled / sum_e_scaled, (edges_2c, 2)
-        )
-        del e_scaled
+        e /= sum_e_scaled
+        ends = _weighted_draws(substream(cfg.seed, _PHASE2, _SUB_C), e, (edges_2c, 2))
+        del e
         new, self_loops = loop_free_keys(ends[:, 0], ends[:, 1], n)
         del ends
         _append(keys, new)

@@ -34,6 +34,14 @@ class ExpectedTriangles:
     exact: bool
 
 
+def _as_array(values, dtype) -> np.ndarray:
+    """values as an array of dtype: an ndarray as it is (cast only where its
+    dtype differs), any other iterable through a list of its items."""
+    if not isinstance(values, np.ndarray):
+        values = list(values)
+    return np.asarray(values, dtype=dtype)
+
+
 def cl_expected_triangles(
     internal_degrees, exact_threshold: int = EXACT_TRIPLE_THRESHOLD
 ) -> ExpectedTriangles:
@@ -44,7 +52,7 @@ def cl_expected_triangles(
     the zero-diagonal pair-probability matrix P; beyond the threshold the
     closed-form upper bound is returned, flagged as such.
     """
-    d = np.asarray(list(internal_degrees), dtype=np.float64)
+    d = _as_array(internal_degrees, np.float64)
     if d.size == 0:
         raise ValueError("internal degree list is empty")
     if (d <= 0).any():
@@ -105,7 +113,7 @@ def audit_community(
     """Evaluate the kappa-criterion and the dense-core census for one block."""
     if not 0.0 < kappa < 1.0:
         raise ValueError("kappa must be in (0, 1)")
-    d = np.sort(np.asarray(list(internal_degrees), dtype=np.int64))
+    d = np.sort(_as_array(internal_degrees, np.int64))
     expected = cl_expected_triangles(d, exact_threshold=exact_threshold)
     s = float(d.sum()) / 2.0
     wedges = (d * (d - 1) // 2).sum()  # C(1, 2) = 0 by construction

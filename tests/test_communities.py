@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -165,18 +166,25 @@ def test_excess_rejects_blocks_that_do_not_tile(start, size):
         excess_degrees(seq, np.array(start), np.array(size), np.full(len(start), 0.9))
 
 
-def test_partition_holds_per_block_arrays_and_the_excess():
+def test_partition_holds_per_block_arrays_and_the_degrees():
+    # no node-long array of its own: the degrees are the sequence's, and the
+    # excess and the assignment are derived on access
     seq = synthesize_powerlaw(3000, 2.0, 60)
     part = preprocess(seq, ConnectivityFormula())
-    shapes = {f.name: getattr(part, f.name).shape for f in dataclasses.fields(part)}
+    shapes = {f.name: getattr(part, f.name).shape for f in dataclasses.fields(part)
+              if f.name != "degrees"}
     k = part.block_count
-    assert shapes == {"block_start": (k,), "block_size": (k,), "bar_d": (k,),
-                      "rho": (k,), "excess": (seq.n,)}
+    assert shapes == {"block_start": (k,), "block_size": (k,), "bar_d": (k,), "rho": (k,)}
+    assert part.degrees is seq.degrees
+    e = part.excess
+    e[:] = -1.0  # a new array, its caller's own: writing it leaves the partition be
+    assert (part.excess >= 0.0).all()
 
 
-def test_preprocess_memory_is_the_excess_and_per_block_arrays():
-    # the one node-long array preprocess builds is the excess it returns;
-    # members' block ids and supplies are never held node by node
+def test_preprocess_memory_is_per_block_arrays():
+    # preprocess builds no node-long array but the one-byte mask of where
+    # the degree changes; members' block ids, supplies and excess are never
+    # held node by node
     import tracemalloc
 
     seq = synthesize_powerlaw(300_000, 2.0, 2000)
@@ -187,7 +195,7 @@ def test_preprocess_memory_is_the_excess_and_per_block_arrays():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    bound = 9 * seq.n + 96 * part.block_count + (64 << 10)
+    bound = seq.n + 96 * part.block_count + (64 << 10)
     assert peak - live <= bound, (peak - live, bound)
 
 
@@ -396,6 +404,27 @@ def test_write_partition_csv_matches_row_writer(tmp_path, monkeypatch, chunk):
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_partition_csv_derives_the_excess_per_chunk(tmp_path, monkeypatch, chunk):
+    # three degree-1 nodes before the first block, then blocks of 3 and 4
+    # nodes and a short last one of 2 (rho 0: its members keep their whole
+    # degree). Chunks of 1 and 7 rows start in the prefix, inside blocks and
+    # on block starts; each writes the excess that excess_degrees computes
+    # for its nodes, which is the partition's own, bit for bit
+    seq = seq_of(1, 1, 1, 2, 2, 2, 3, 3, 3, 3, 6, 6)
+    part = preprocess(seq, ConnectivityFormula(rho=0.9, eta=0.7))
+    assert part.block_start.tolist() == [3, 6, 10] and part.rho[-1] == 0.0
+    expected = excess_degrees(seq, part.block_start, part.block_size, part.rho)
+    assert part.excess.tobytes() == expected.tobytes()
+    assert expected[:3].tolist() == [1.0] * 3 and expected[10:].tolist() == [6.0] * 2
+    monkeypatch.setattr(bter.communities, "_PARTITION_CHUNK", chunk)
+    write_partition_csv(part, seq, tmp_path / "new.csv")
+    rows = (tmp_path / "new.csv").read_text().splitlines()[1:]
+    assert [row.rsplit(",", 1)[1] for row in rows] == [f"{x:.12g}" for x in expected]
+    write_partition_csv_by_row(part, seq, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
 def test_write_partition_csv_memory_is_a_chunk(tmp_path):
     # at n=3e5 the dump is ~13 MB; the writer builds no full-length column
     # and formats one chunk of rows at a time
@@ -414,9 +443,15 @@ def test_write_partition_csv_memory_is_a_chunk(tmp_path):
 
 
 def test_write_partition_csv_matches_row_writer_at_scale(tmp_path):
-    # n=3000 node ids have 1-4 digits; these run from 1 to 6 within one file
+    # n=3000 node ids have 1-4 digits; these run from 1 to 6 within one file.
+    # The row writer reads the excess once per row, and the partition
+    # derives all n of it on each access: the writer gets the derived
+    # columns built once
     seq = synthesize_powerlaw(150_000, 2.0, 1000)
     part = preprocess(seq, ConnectivityFormula(rho=0.9, eta=0.7))
     write_partition_csv(part, seq, tmp_path / "new.csv")
-    write_partition_csv_by_row(part, seq, tmp_path / "old.csv")
+    built = SimpleNamespace(
+        bar_d=part.bar_d, rho=part.rho, assignment=part.assignment, excess=part.excess
+    )
+    write_partition_csv_by_row(built, seq, tmp_path / "old.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()

@@ -248,7 +248,7 @@ def test_block_sampler_chunks_read_the_same_stream(blocks):
                 with mock.patch.object(bter.generate, "_CHUNK", chunk):
                     keys = _sample_blocks(*blocks(), substream(4), 190)
                 assert np.array_equal(keys, default), (chunk, cap)
-    assert _CHUNK == 1 << 16
+    assert _CHUNK == 1 << 14
 
 
 def _draw_mixed(rng):
@@ -295,6 +295,31 @@ def test_block_sampler_memory_is_its_keys_and_a_chunk():
             tracemalloc.stop()
     assert np.array_equal(keys, default)
     assert peak <= 2 * keys.nbytes + 16 * 8 * chunk, (peak, keys.nbytes)
+
+
+def test_bter_memory_is_its_keys_and_one_weight_per_node():
+    # at the fit size, --powerlaw 300000,2,2000, a run holds its keys (8 B a
+    # pair; the sampler's array grows by half when full), one float64 per
+    # node (the Phase 2 weights, which each draw turns into its cdf), the
+    # partition's per-block arrays and a few chunk-sized temporaries beyond
+    # that slack. The degrees are the caller's, and the graph's are counted
+    # only when asked for
+    import tracemalloc
+
+    seq = synthesize_powerlaw(300_000, 2.0, 2000)
+    cfg = GenerationConfig(seed=3)
+    generate_bter(seq_of(1, 1, 2, 2, 2), cfg)  # first-use imports stay out of the peak
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        g, trace = generate_bter(seq, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
+    part = trace.partition
+    blocks = sum(a.nbytes for a in (part.block_start, part.block_size, part.bar_d, part.rho))
+    bound = 3 * 8 * trace.stats.raw_edges // 2 + 8 * seq.n + blocks + 4 * 8 * _CHUNK
+    assert peak <= bound, (peak, bound)
 
 
 # ---------------------------------------------------------------------------

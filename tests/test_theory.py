@@ -293,6 +293,20 @@ def test_internal_degrees_requires_cover():
         internal_degrees_by_block(g, np.array([0]))
 
 
+def test_audit_reads_an_array_as_it_is():
+    # a block's int64 degree array is read in place, never item by item
+    # through Python ints; any other iterable is still taken, with equal
+    # results
+    class NoIteration(np.ndarray):
+        def __iter__(self):
+            raise AssertionError("iterated item by item")
+
+    degrees = [9, 9, 4, 3, 1, 1, 1, 2]
+    block = np.array(degrees, dtype=np.int64).view(NoIteration)
+    assert audit_community(block) == audit_community(degrees) == audit_community(iter(degrees))
+    assert cl_expected_triangles(block) == cl_expected_triangles(d for d in degrees)
+
+
 def test_audit_pipeline_on_generated_blocks():
     # dense small blocks from an actual run pass the criterion
     seq = synthesize_powerlaw(2000, 2.0, 45)
