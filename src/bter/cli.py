@@ -681,7 +681,7 @@ def cmd_audit(args, argv: list[str]) -> int:
         )
         outputs.append(realized_path)
 
-    triangles = count_triangles_wedges(graph).triangles
+    triangles = count_triangles_wedges(graph, per_node=False).triangles
     edges = graph.edge_count
     del graph
     ok = _cli.kruskal_katona_check(triangles, edges)

@@ -14,7 +14,7 @@ where needed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,8 +32,13 @@ DATASET_FITS = {
 }
 
 
-@dataclass(frozen=True)
-class ConnectivityFormula:
+class _ConnectivityFormulaFields(NamedTuple):
+    variant: str = "standard"
+    rho: float = 0.95
+    eta: float = 0.05
+
+
+class ConnectivityFormula(_ConnectivityFormulaFields):
     """Block edge probability as a function of the block's minimum degree.
 
     The standard variant evaluates rho * (1 - eta * x**2) and the cubic
@@ -41,20 +46,23 @@ class ConnectivityFormula:
     x = log(bar_d + 1) / log(d_max + 1). Values are clamped to [0, 1].
     """
 
-    variant: str = "standard"
-    rho: float = 0.95
-    eta: float = 0.05
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
         if self.variant == "cubic":
-            object.__setattr__(self, "rho", 0.7)
-            object.__setattr__(self, "eta", 0.6)
+            self = super().__new__(cls, "cubic", 0.7, 0.6)
         if not 0.0 < self.rho <= 1.0:
             raise ValueError("rho must be in (0, 1]")
         if not 0.0 <= self.eta < math.inf:
             raise ValueError("eta must be finite and >= 0")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # so _replace checks its values too
+        return cls(*iterable)
 
     @property
     def exponent(self) -> int:
@@ -137,8 +145,7 @@ def _excess(degrees: np.ndarray, supply: np.ndarray, counts: np.ndarray) -> np.n
     return e
 
 
-@dataclass(frozen=True)
-class CommunityPartition:
+class CommunityPartition(NamedTuple):
     """Full preprocessing result for one degree sequence: per-block arrays
     and the sequence's own degree array. Block k is the contiguous node
     range block_start[k] .. block_start[k] + block_size[k] - 1; the blocks
@@ -150,7 +157,7 @@ class CommunityPartition:
     block_size: np.ndarray  # per-block node count
     bar_d: np.ndarray  # per-block minimum target degree
     rho: np.ndarray  # per-block ER probability
-    degrees: np.ndarray = field(repr=False)  # the sequence's degrees, not a copy
+    degrees: np.ndarray  # the sequence's degrees, not a copy
 
     @property
     def block_count(self) -> int:

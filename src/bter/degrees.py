@@ -2,29 +2,24 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .graph import Graph
 
 
-@dataclass(frozen=True, eq=False)
-class DegreeSequence:
-    """Per-node target degrees, stored sorted ascending, all >= 1."""
-
+class _DegreeSequenceFields(NamedTuple):
     degrees: np.ndarray
 
-    def __eq__(self, other):
-        if not isinstance(other, DegreeSequence):
-            return NotImplemented
-        return np.array_equal(self.degrees, other.degrees)
 
-    def __hash__(self):
-        return hash(self.degrees.tobytes())
+class DegreeSequence(_DegreeSequenceFields):
+    """Per-node target degrees, stored sorted ascending, all >= 1."""
 
-    def __post_init__(self):
-        arr = np.asarray(self.degrees, dtype=np.int64)
+    __slots__ = ()
+
+    def __new__(cls, degrees):
+        arr = np.asarray(degrees, dtype=np.int64)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("degree sequence must be a non-empty 1-d array")
         if arr[0] < 1:
@@ -32,7 +27,23 @@ class DegreeSequence:
         if arr.size > 1 and (np.diff(arr) < 0).any():
             raise ValueError("degree sequence must be sorted ascending")
         arr.setflags(write=False)
-        object.__setattr__(self, "degrees", arr)
+        return super().__new__(cls, arr)
+
+    @classmethod
+    def _make(cls, iterable):  # so _replace checks its values too
+        return cls(*iterable)
+
+    def __eq__(self, other):
+        if not isinstance(other, DegreeSequence):
+            return NotImplemented
+        return np.array_equal(self.degrees, other.degrees)
+
+    def __ne__(self, other):  # tuple's own would compare the arrays as tuple items
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    def __hash__(self):
+        return hash(self.degrees.tobytes())
 
     @classmethod
     def from_degrees(cls, values) -> "DegreeSequence":
@@ -53,16 +64,24 @@ class DegreeSequence:
         return int(self.degrees[-1])
 
 
-@dataclass(frozen=True)
-class DegreeDistribution:
-    """Histogram form: count of nodes per degree. Zero counts are not stored."""
-
+class _DegreeDistributionFields(NamedTuple):
     counts: dict[int, int]
 
-    def __post_init__(self):
-        for d, x in self.counts.items():
+
+class DegreeDistribution(_DegreeDistributionFields):
+    """Histogram form: count of nodes per degree. Zero counts are not stored."""
+
+    __slots__ = ()
+
+    def __new__(cls, counts):
+        for d, x in counts.items():
             if d < 1 or x < 1:
                 raise ValueError(f"invalid histogram entry {d}:{x}")
+        return super().__new__(cls, counts)
+
+    @classmethod
+    def _make(cls, iterable):  # so _replace checks its values too
+        return cls(*iterable)
 
     @property
     def n(self) -> int:

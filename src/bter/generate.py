@@ -20,7 +20,7 @@ functions of their inputs and seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,8 +41,16 @@ def nint(x: float) -> int:
     return int(round(x))
 
 
-@dataclass(frozen=True)
-class GenerationConfig:
+class _GenerationConfigFields(NamedTuple):
+    seed: int
+    connectivity: ConnectivityFormula = ConnectivityFormula()
+    manual_fraction: float = 0.75
+    d1_weight: float = 1.10
+    q_override: int | None = None
+    beta: float = 0.10
+
+
+class GenerationConfig(_GenerationConfigFields):
     """Parameters of one block-model run.
 
     manual_fraction, d1_weight, and beta default to the empirically fitted
@@ -50,14 +58,10 @@ class GenerationConfig:
     degree-1 count (must be even, and at most p at generation time).
     """
 
-    seed: int
-    connectivity: ConnectivityFormula = field(default_factory=ConnectivityFormula)
-    manual_fraction: float = 0.75
-    d1_weight: float = 1.10
-    q_override: int | None = None
-    beta: float = 0.10
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0.0 <= self.manual_fraction <= 1.0:
             raise ValueError("manual_fraction must be in [0, 1]")
         if not 0.0 < self.d1_weight < math.inf:
@@ -67,17 +71,21 @@ class GenerationConfig:
         if self.q_override is not None:
             if self.q_override < 0 or self.q_override % 2:
                 raise ValueError("q_override must be even and >= 0")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # so _replace checks its values too
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class PhaseTrace:
+class PhaseTrace(NamedTuple):
     """Per-phase edge accounting for one block-model run.
 
     raw counts every sampled pair per phase; kept counts the pairs that
     survived into the final graph, crediting each surviving edge to the
     first phase that produced it. sum(raw) == stats.raw_edges and
     sum(kept) == final edge count. partition is the preprocessing result
-    the run sampled Phase 1 from; it is left out of equality and repr.
+    the run sampled Phase 1 from; it is left out of equality.
 
     Phases 1, 2a and 2b never collide, so kept == raw for each of them and
     Phase 2c takes every loss: Phase 1 pairs lie inside blocks, whose nodes
@@ -93,7 +101,16 @@ class PhaseTrace:
     raw: dict[str, int]
     kept: dict[str, int]
     stats: EdgeStreamStats
-    partition: CommunityPartition = field(compare=False, repr=False)
+    partition: CommunityPartition
+
+    def __eq__(self, other):
+        if not isinstance(other, PhaseTrace):
+            return NotImplemented
+        return self[:-1] == other[:-1]
+
+    def __ne__(self, other):  # tuple's own would compare the partitions too
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
 
 
 # ---------------------------------------------------------------------------
@@ -366,30 +383,30 @@ def degree1_split(degrees: DegreeSequence, cfg: GenerationConfig) -> tuple[int, 
     return r, p, q
 
 
-def _weighted_draws(rng: np.random.Generator, p: np.ndarray, size) -> np.ndarray:
+def _weighted_draws(rng: np.random.Generator, p: np.ndarray, size: int):
     """The indices ``rng.choice(len(p), size, p=p)`` returns, read from the
-    same stream, for probabilities p (non-negative, summing to about 1).
+    same stream, for probabilities p (non-negative, summing to about 1),
+    yielded as one index array per chunk of _CHUNK draws.
 
     It repeats the steps of choice's draw with replacement in numpy >= 2.4:
     the cumulative sum of p, divided by its last entry, searched
     (``side="right"``) for ``rng.random(size)`` in C order. It overwrites p
     with that cdf, and draws the uniforms _CHUNK at a time, each chunk
     searched in sorted order and scattered back: a query's index does not
-    depend on the order of the search, so the indices and the stream are
-    choice's, while the draw holds the cdf and its output, not choice's p,
-    cdf, full uniform array and index array. A numpy whose choice takes
-    other steps would move the block model's bytes, and its sha256 pins
-    would fail.
+    depend on the order of the search, so the indices, laid end to end, and
+    the stream are choice's (an (m, 2) draw is its 2m indices in C order),
+    while the draw holds the cdf and one chunk, not choice's p, cdf, full
+    uniform array and index array. A numpy whose choice takes other steps
+    would move the block model's bytes, and its sha256 pins would fail.
     """
     cdf = np.cumsum(p, out=p)
     cdf /= cdf[-1]
-    out = np.empty(size, dtype=np.int64)
-    flat = out.reshape(-1)
-    for lo in range(0, flat.size, _CHUNK):
-        uniform = rng.random(min(_CHUNK, flat.size - lo))
+    for lo in range(0, size, _CHUNK):
+        uniform = rng.random(min(_CHUNK, size - lo))
         order = np.argsort(uniform)
-        flat[lo : lo + order.size][order] = cdf.searchsorted(uniform[order], side="right")
-    return out
+        drawn = np.empty(order.size, dtype=np.int64)
+        drawn[order] = cdf.searchsorted(uniform[order], side="right")
+        yield drawn
 
 
 def _phase2_weights(part: CommunityPartition, p: int, r: int, d1_weight: float) -> np.ndarray:
@@ -401,12 +418,18 @@ def _phase2_weights(part: CommunityPartition, p: int, r: int, d1_weight: float) 
     return e
 
 
-def _append(keys: np.ndarray, new: np.ndarray) -> None:
-    """Grow keys in place (a realloc) by the entries of new. keys is taken
-    over as the graph module's docstring on ownership says."""
-    size = keys.size
-    keys.resize(size + new.size, refcheck=False)
-    keys[size:] = new
+def _append(keys: np.ndarray, chunks, room: int) -> int:
+    """Grow keys in place (a realloc) by room slots, fill them with the
+    entries of the arrays chunks yields, in order, and cut keys back to the
+    entries filled; returns how many. keys is taken over as the graph
+    module's docstring on ownership says."""
+    size = end = keys.size
+    keys.resize(size + room, refcheck=False)
+    for new in chunks:
+        keys[end : end + new.size] = new
+        end += new.size
+    keys.resize(end, refcheck=False)
+    return end - size
 
 
 def generate_bter(
@@ -431,9 +454,11 @@ def generate_bter(
       partition's excess. Phase 2b normalizes them in place and its draw
       overwrites them with its cdf; Phase 2c derives them again if 2b
       drew, then scales and normalizes them in place for its own draw;
-    - each subphase's output until it is appended: Phase 2c's endpoint
-      pairs (16 B a pair) and their keys;
-    - chunk-sized temporaries of the sampler and the weighted draws.
+    - a one-byte mask over the set-aside nodes through Phase 2b, and their
+      ids (8 B a node) once its draw is done and its cdf freed;
+    - chunk-sized temporaries of the sampler and the weighted draws: the
+      Phase 2b and 2c draws write each chunk's indices, or 2c's keys made
+      from them, into the key array as it is drawn.
     """
     r, p, q = degree1_split(degrees, cfg)
     part = preprocess(degrees, cfg.connectivity)
@@ -450,43 +475,45 @@ def generate_bter(
     # the rest get a raised CL weight. Phase 2 works in this one array.
     e = _phase2_weights(part, p, r, cfg.d1_weight)
 
-    # Phase 2a: random pairing among q of the set-aside nodes.
+    # Phase 2a: random pairing among q of the set-aside nodes, marked in a
+    # one-byte mask: the other p - q are Phase 2b's.
+    paired = np.zeros(p, dtype=bool)
     if q > 0:
         chosen = substream(cfg.seed, _PHASE2, _SUB_A).choice(p, size=q, replace=False)
         pairs = chosen.reshape(-1, 2)
-        _append(keys, pairs.min(axis=1) * width + pairs.max(axis=1))
-        paired = np.zeros(p, dtype=bool)
+        _append(keys, [pairs.min(axis=1) * width + pairs.max(axis=1)], q // 2)
         paired[chosen] = True
-        manual_rest = np.nonzero(~paired)[0].astype(np.int64)
-        del chosen, pairs, paired
-    else:
-        manual_rest = np.arange(p, dtype=np.int64)
+        del chosen, pairs
 
     # Phase 2b: one edge per remaining set-aside node, far endpoint drawn
     # in proportion to excess. Set-aside nodes have excess 0, so they are
     # never drawn (no self-loops, no manual-manual edges), and every far
     # endpoint lies above the set-aside ids. The weights are normalized in
-    # place, and the draw overwrites them with its cdf.
+    # place, and the draw overwrites them with its cdf. The far ends go into
+    # the key array as they are drawn, and are keyed there, to the ids of
+    # their set-aside nodes in ascending order, once the cdf is gone.
     sum_e = float(e.sum())
     raw2b = 0
-    if manual_rest.size and sum_e > 0.0:
+    if p > q and sum_e > 0.0:
         e /= sum_e
-        far = _weighted_draws(substream(cfg.seed, _PHASE2, _SUB_B), e, manual_rest.size)
-        del e  # the cdf: Phase 2c builds the weights again
-        manual_rest *= width
-        far += manual_rest
-        _append(keys, far)
-        raw2b = far.size
-        del far
-    del manual_rest
+        draws = _weighted_draws(substream(cfg.seed, _PHASE2, _SUB_B), e, p - q)
+        del e  # the draw's cdf, freed when it ends: Phase 2c builds the weights again
+        raw2b = _append(keys, draws, p - q)
+        near = np.flatnonzero(~paired).astype(np.int64, copy=False)
+        near *= width
+        keys[-raw2b:] += near
+        del near
+    del paired
 
     # Phase 2c: rescale weights for the edges Phase 2b already used and the
     # duplicates the merge will discard, then sample endpoint pairs i.i.d.
     # The formula can go negative when degree-1 nodes dominate the weight
     # pool, so the scale is floored at 0. Self-loops are counted and dropped
-    # here; the merge drops the duplicates. The weights, built again where
-    # Phase 2b's draw took them, are scaled and normalized in place, and the
-    # draw overwrites them with its cdf.
+    # here, a chunk of draws at a time; the merge drops the duplicates. The
+    # weights, built again where Phase 2b's draw took them, are scaled and
+    # normalized in place, and the draw overwrites them with its cdf. Its
+    # 2 * edges_2c indices are the (edges_2c, 2) endpoint array in C order,
+    # and _CHUNK is even, so no pair straddles two chunks.
     if raw2b:
         e = _phase2_weights(part, p, r, cfg.d1_weight)
     pool = (p - q) + sum_e
@@ -498,12 +525,10 @@ def generate_bter(
     self_loops = 0
     if edges_2c > 0:
         e /= sum_e_scaled
-        ends = _weighted_draws(substream(cfg.seed, _PHASE2, _SUB_C), e, (edges_2c, 2))
+        draws = _weighted_draws(substream(cfg.seed, _PHASE2, _SUB_C), e, 2 * edges_2c)
         del e
-        new, self_loops = loop_free_keys(ends[:, 0], ends[:, 1], n)
-        del ends
-        _append(keys, new)
-        del new
+        pairs = (loop_free_keys(ends[0::2], ends[1::2], n)[0] for ends in draws)
+        self_loops = edges_2c - _append(keys, pairs, edges_2c)
 
     raw = dict(zip(PHASE_NAMES, (raw1, q // 2, raw2b, edges_2c)))
     graph, stats = merge_keys(keys, n, self_loops)

@@ -26,9 +26,8 @@ from __future__ import annotations
 import os
 import re
 import warnings
-from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -53,8 +52,7 @@ class EdgeListFormatError(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class EdgeStreamStats:
+class EdgeStreamStats(NamedTuple):
     """Accounting of what edge-stream cleaning removed.
 
     Every sampled pair is accounted for:
@@ -332,8 +330,7 @@ def merge_keys(
     return Graph._canonical(n, keys), EdgeStreamStats(raw + self_loops, self_loops, raw - size)
 
 
-@dataclass(frozen=True)
-class LoadedEdgeList:
+class LoadedEdgeList(NamedTuple):
     """A graph read from disk, with the id compaction map and cleaning stats.
 
     ``original_ids[i]`` is the id in the source file of compacted node i.

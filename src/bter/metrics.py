@@ -5,9 +5,10 @@ numpy array passes (each triangle found once, at its lowest corner in
 (degree, id) order), with wedges closed by search in the graph's own keys.
 Besides the graph, the count holds int32 out-neighbour rows (4 B an edge;
 8 B an edge while a transient sorted int64 key per edge becomes them in
-its own buffer), int64 row starts and per-node counts (length n), the
-out-degree grouping of the nodes that centre an out-wedge, and one
-cache-sized pass; per-node counts are int64 sums. The leading adjacency eigenvalues come
+its own buffer), int64 row starts and, unless only the totals are asked
+for, per-node counts (length n), the out-degree grouping of the nodes that
+centre an out-wedge, and one cache-sized pass; per-node counts are int64
+sums. The leading adjacency eigenvalues come
 from ARPACK's implicitly restarted Lanczos (scipy.sparse.linalg.eigsh),
 using only sparse matrix-vector products, with every reported pair's
 residual checked explicitly.
@@ -16,7 +17,7 @@ residual checked explicitly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,22 +28,21 @@ from .rng import substream
 _SPECTRUM_STREAM = 9
 
 
-@dataclass(frozen=True)
-class TriangleWedgeCounts:
+class TriangleWedgeCounts(NamedTuple):
     """Exact triangle/wedge totals and per-node breakdown.
 
     per_node_triangles[i] counts triangles containing node i, so its sum is
-    3 * triangles; per_node_wedges[i] = C(degree(i), 2).
+    3 * triangles; per_node_wedges[i] = C(degree(i), 2). Both are None
+    when the count was made for the totals only.
     """
 
     triangles: int
     wedges: int
-    per_node_triangles: np.ndarray
-    per_node_wedges: np.ndarray
+    per_node_triangles: np.ndarray | None
+    per_node_wedges: np.ndarray | None
 
 
-@dataclass(frozen=True)
-class ClusteringProfile:
+class ClusteringProfile(NamedTuple):
     """Global, per-node, and by-degree clustering coefficients.
 
     global_c is 3*triangles/wedges (0.0 for wedge-free graphs); per_node is
@@ -55,8 +55,7 @@ class ClusteringProfile:
     by_degree: dict[int, tuple[float, int]]  # degree -> (mean C_i, node count)
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
+class SpectrumReport(NamedTuple):
     """Leading adjacency eigenvalues, largest first, with residual norms.
 
     Every reported pair satisfies ||A v - lambda v|| <= tolerance for the
@@ -97,7 +96,7 @@ _WEDGE_CHUNK = 1 << 16
 _INT32_NODES = 1 << 31
 
 
-def count_triangles_wedges(g: Graph) -> TriangleWedgeCounts:
+def count_triangles_wedges(g: Graph, per_node: bool = True) -> TriangleWedgeCounts:
     """Exact triangle and wedge counts by degree-ordered compact-forward passes.
 
     Every edge is oriented toward its higher-(degree, id) end, so each
@@ -108,9 +107,10 @@ def count_triangles_wedges(g: Graph) -> TriangleWedgeCounts:
     Out-wedges v <- u -> w, v < w by id, are enumerated per out-degree
     class, at most about _WEDGE_CHUNK per pass (or one node's, where it has
     more), and closed by binary search for ``v * n + w`` in the graph's own
-    keys. Each closed
-    wedge adds one to each of its three corners in an int64 table, so
-    per-node counts are exact at any size.
+    keys. With per_node, each closed wedge adds one to each of its three
+    corners in an int64 table, so per-node counts are exact at any size;
+    without it a pass only counts its closed wedges, no table is made, and
+    the per-node fields are None.
     """
     n, m = g.n, g.edge_count
     width = np.int64(max(n, 1))
@@ -136,7 +136,7 @@ def count_triangles_wedges(g: Graph) -> TriangleWedgeCounts:
     class_start = np.concatenate([[0], np.cumsum(np.bincount(out_deg[by_out]))])
     del out_deg
 
-    per_node = np.zeros(n, dtype=np.int64)
+    table = np.zeros(n, dtype=np.int64) if per_node else None
     triangles = 0
     for k in range(2, len(class_start) - 1):
         nodes = by_out[class_start[k] : class_start[k + 1]]
@@ -146,7 +146,7 @@ def count_triangles_wedges(g: Graph) -> TriangleWedgeCounts:
         step = max(1, _WEDGE_CHUNK // len(ti))
         for c in range(0, len(nodes), step):
             u = nodes[c : c + step]
-            triangles += _close_wedges(g.keys, width, rows, start, u, ti, tj, per_node)
+            triangles += _close_wedges(g.keys, width, rows, start, u, ti, tj, table)
     del rows, start, by_out
 
     degrees = g.degrees
@@ -156,8 +156,8 @@ def count_triangles_wedges(g: Graph) -> TriangleWedgeCounts:
     return TriangleWedgeCounts(
         triangles=triangles,
         wedges=int(wedge_at.sum()),
-        per_node_triangles=per_node,
-        per_node_wedges=wedge_at,
+        per_node_triangles=table,
+        per_node_wedges=wedge_at if per_node else None,
     )
 
 
@@ -181,22 +181,25 @@ def _oriented_keys(g: Graph, out_deg: np.ndarray) -> np.ndarray:
     return key
 
 
-def _close_wedges(keys, width, rows, start, u, ti, tj, per_node) -> int:
+def _close_wedges(keys, width, rows, start, u, ti, tj, table) -> int:
     """One pass of count_triangles_wedges: the out-wedges v <- u -> w that
     take entries ti < tj of each node u's row, closed by binary search for
-    ``v * width + w`` in the graph's sorted keys. Adds one to per_node at
-    each corner of each closed wedge and returns how many closed. Its
-    arrays are freed on return, before the next pass makes its own."""
+    ``v * width + w`` in the graph's sorted keys. Returns how many closed
+    and, given a per-node table, adds one there at each corner of each
+    closed wedge. Its arrays are freed on return, before the next pass
+    makes its own."""
     base = start[u, None]
     v, w = rows[base + ti], rows[base + tj]  # v < w: rows are sorted by id
     wedge_keys = v * width  # width is an np.int64, so the product is too
     wedge_keys += w
     pos = np.searchsorted(keys, wedge_keys)
     closed = keys.take(pos, mode="clip") == wedge_keys  # a search past the end: the last key
-    per_node[u] += closed.sum(axis=1)  # u is each one's lowest corner
+    if table is None:
+        return int(np.count_nonzero(closed))
+    table[u] += closed.sum(axis=1)  # u is each one's lowest corner
     hit = np.flatnonzero(closed)
-    np.add.at(per_node, v.ravel()[hit], 1)
-    np.add.at(per_node, w.ravel()[hit], 1)
+    np.add.at(table, v.ravel()[hit], 1)
+    np.add.at(table, w.ravel()[hit], 1)
     return len(hit)
 
 
@@ -349,7 +352,7 @@ def compute_report(
     global_c = None
     by_degree = None
     if "cc" in metrics or "triangles" in metrics:
-        counts = count_triangles_wedges(g)
+        counts = count_triangles_wedges(g, per_node="cc" in metrics)
         triangles, wedges = counts.triangles, counts.wedges
         if "cc" in metrics:
             prof = clustering_profile(g, counts)

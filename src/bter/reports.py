@@ -7,8 +7,7 @@ numpy: it is imported only where a spectrum (an array) is compared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     import numpy as np
@@ -16,8 +15,7 @@ if TYPE_CHECKING:
 ALL_METRICS = ("degree", "cc", "triangles", "spectrum")
 
 
-@dataclass(frozen=True)
-class MetricsReport:
+class MetricsReport(NamedTuple):
     """Bundle of the measurement views computed for one graph."""
 
     n_nodes: int
@@ -43,8 +41,7 @@ class MetricsReport:
         return frozenset(present)
 
 
-@dataclass(frozen=True)
-class DivergenceSummary:
+class DivergenceSummary(NamedTuple):
     """Per-metric distances between two reports."""
 
     degree_tv: float | None

@@ -10,7 +10,6 @@ scale-free block-size profile with largest size about n**(1/(gamma+1)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -22,8 +21,7 @@ DEFAULT_KAPPA = 0.1
 DEFAULT_CORE_CONSTANTS = (0.25, 0.5, 1.0)
 
 
-@dataclass(frozen=True)
-class ExpectedTriangles:
+class ExpectedTriangles(NamedTuple):
     """Expected triangle count, exact or the closed-form upper bound.
 
     exact=False means the value is (sum d^2)^3 / (8 s^3), an upper bound
@@ -80,8 +78,7 @@ def kruskal_katona_check(triangles: int, edges: int) -> bool:
     return triangles * triangles <= edges**3
 
 
-@dataclass(frozen=True)
-class CommunityAudit:
+class CommunityAudit(NamedTuple):
     """Result of the triangle-density community criterion on one block.
 
     wedge_bound is (kappa/3) * sum C(d_i, 2); passes means the expected
@@ -188,8 +185,7 @@ def internal_degrees_by_block(g: Graph, assignment: np.ndarray) -> BlockDegrees:
     return BlockDegrees(ids=block[first], offsets=np.append(first, block.size), degrees=deg)
 
 
-@dataclass(frozen=True)
-class CommunityProfile:
+class CommunityProfile(NamedTuple):
     """Predicted block-size counts for a heavy-tailed degree sequence."""
 
     counts: dict[int, float]  # size -> predicted number of blocks

@@ -951,6 +951,27 @@ def test_internal_value_error_is_not_a_usage_error(small_bter, tmp_path, monkeyp
             run(*argv)
 
 
+def test_audit_counts_only_the_triangle_total(small_bter, tmp_path, monkeypatch):
+    # kk.csv needs the total alone: the audit asks for no per-node table,
+    # still through bter.metrics, and writes the full count's total
+    import bter.metrics
+
+    calls = []
+    count = bter.metrics.count_triangles_wedges
+
+    def spy(g, per_node=True):
+        calls.append(per_node)
+        return count(g, per_node=per_node)
+
+    monkeypatch.setattr(bter.metrics, "count_triangles_wedges", spy)
+    assert run("audit", "--graph", small_bter, "--out-dir", tmp_path / "d") == EXIT_OK
+    assert calls == [False]
+    graph = bter.read_snap_edgelist(small_bter).graph
+    triangles = count(graph).triangles
+    kk = (tmp_path / "d" / "kk.csv").read_text(encoding="utf-8")
+    assert kk == f"triangles,edges,ok\n{triangles},{graph.edge_count},true\n"
+
+
 def test_malformed_inputs_are_input_errors(k4_file, tmp_path):
     negative = tmp_path / "neg.txt"
     negative.write_text("# nodes 5\n-1 2\n", encoding="utf-8")
@@ -1086,6 +1107,7 @@ def test_version_and_compare_over_reports_run_without_numpy(k4_file, tmp_path):
     assert code == EXIT_OK and "numpy" not in modules
     assert "_hashlib" not in modules  # OpenSSL's libcrypto is mapped at the first hash
     assert _bter_modules(modules) == set()  # no library module, bter.reports included
+    assert not {"dataclasses", "inspect"} & modules
     for metrics in ("degree,cc,triangles", "degree,spectrum"):
         rep = tmp_path / metrics
         assert run("analyze", "--graph", k4_file, "--metrics", metrics, "--top-k", 2,
@@ -1095,6 +1117,11 @@ def test_version_and_compare_over_reports_run_without_numpy(k4_file, tmp_path):
         assert code == EXIT_OK
         # only a report with a spectrum rehydrates arrays
         assert ("numpy" in modules) == ("spectrum" in metrics)
+        # the records are NamedTuples: no generated dataclass code, and
+        # without numpy (which imports inspect) no inspect either
+        assert "dataclasses" not in modules
+        if "spectrum" not in metrics:
+            assert "inspect" not in modules
 
 
 def test_each_command_loads_only_its_own_modules(tmp_path):
@@ -1103,15 +1130,18 @@ def test_each_command_loads_only_its_own_modules(tmp_path):
                                    "--seed", 1, "--out", graph)
     assert code == EXIT_OK
     assert _bter_modules(modules) == {"communities", "degrees", "generate", "graph", "rng"}
+    assert "dataclasses" not in modules  # the records are NamedTuples
     code, modules = _modules_after("analyze", "--graph", graph, "--out-dir", tmp_path / "a")
     assert code == EXIT_OK
     assert _bter_modules(modules) == {"graph", "metrics", "reports", "rng"}
+    assert "dataclasses" not in modules
     code, modules = _modules_after("audit", "--graph", graph, "--partition",
                                    f"{graph}.partition.csv", "--predict", "1e4,2",
                                    "--out-dir", tmp_path / "d")
     assert code == EXIT_OK
     assert _bter_modules(modules) == {"communities", "degrees", "graph", "metrics",
                                       "reports", "rng", "theory"}
+    assert "dataclasses" not in modules
 
 
 def test_package_names_resolve_on_first_access():

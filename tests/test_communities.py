@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import math
 from types import SimpleNamespace
@@ -10,6 +9,7 @@ from hypothesis import given, strategies as st
 
 import bter.communities
 from bter.communities import (
+    CommunityPartition,
     ConnectivityFormula,
     community_rho,
     excess_degrees,
@@ -171,8 +171,8 @@ def test_partition_holds_per_block_arrays_and_the_degrees():
     # excess and the assignment are derived on access
     seq = synthesize_powerlaw(3000, 2.0, 60)
     part = preprocess(seq, ConnectivityFormula())
-    shapes = {f.name: getattr(part, f.name).shape for f in dataclasses.fields(part)
-              if f.name != "degrees"}
+    shapes = {name: getattr(part, name).shape for name in CommunityPartition._fields
+              if name != "degrees"}
     k = part.block_count
     assert shapes == {"block_start": (k,), "block_size": (k,), "bar_d": (k,), "rho": (k,)}
     assert part.degrees is seq.degrees

@@ -477,16 +477,19 @@ def _phase2_weights(kind: str) -> np.ndarray:
     [(7, 1), (7, 7), (7, 8), (7, (1, 2)), (7, (4, 2)), (None, 1000), (None, (500, 2))],
 )
 def test_weighted_draws_match_choice(kind, chunk, size):
-    # the helper returns choice's indices for p = w / total, whatever its
-    # chunk size, and leaves the stream where choice leaves it
+    # the helper yields choice's indices for p = w / total in C order, a
+    # chunk at a time, whatever its chunk size, and leaves the stream where
+    # choice leaves it
     weights = _phase2_weights(kind)
     total = float(weights.sum())
     oracle = np.random.default_rng(21)
     expected = oracle.choice(len(weights), size=size, p=weights / total)
     rng = np.random.default_rng(21)
     with mock.patch.object(bter.generate, "_CHUNK", chunk or _CHUNK):
-        drawn = _weighted_draws(rng, weights / total, size)
-    assert drawn.dtype == expected.dtype and drawn.shape == expected.shape
+        chunks = list(_weighted_draws(rng, weights / total, expected.size))
+    assert [c.size for c in chunks[:-1]] == [chunk or _CHUNK] * (len(chunks) - 1)
+    drawn = np.concatenate(chunks).reshape(expected.shape)
+    assert drawn.dtype == expected.dtype
     assert np.array_equal(drawn, expected)
     assert rng.bit_generator.state == oracle.bit_generator.state
     assert (weights[drawn] > 0).all()

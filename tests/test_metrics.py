@@ -115,6 +115,53 @@ def test_per_node_counts_match_brute_force_any_chunk(chunk, stream):
     assert c.per_node_triangles.dtype == np.int64
 
 
+def _small_graph(kind: str):
+    seq = synthesize_powerlaw(60, 2.0, 12)
+    if kind == "empty":
+        return build_graph([], n=6)[0]
+    if kind == "triangle-free":  # K_{4,5}: 70 wedges, no triangle
+        return build_graph([(u, v) for u in range(4) for v in range(4, 9)])[0]
+    if kind == "er":
+        return generate_er(40, 0.2, 5)
+    if kind == "cl":
+        return generate_cl(seq, 5)
+    return generate_bter(seq, GenerationConfig(seed=5))[0]
+
+
+@pytest.mark.parametrize("chunk", [1, 7, metrics._WEDGE_CHUNK])
+@pytest.mark.parametrize("kind", ["empty", "triangle-free", "er", "cl", "bter"])
+def test_totals_only_count_matches_full_count_and_brute_force(kind, chunk, monkeypatch):
+    g = _small_graph(kind)
+    monkeypatch.setattr(metrics, "_WEDGE_CHUNK", chunk)
+    full = count_triangles_wedges(g)
+    totals = count_triangles_wedges(g, per_node=False)
+    assert totals.per_node_triangles is None and totals.per_node_wedges is None
+    assert (totals.triangles, totals.wedges) == (full.triangles, full.wedges)
+    assert totals.triangles == brute_force_triangles(g)[0]
+    assert totals.wedges == int((g.degrees * (g.degrees - 1) // 2).sum())
+    assert type(totals.triangles) is int and type(totals.wedges) is int
+    if kind in ("er", "bter"):
+        assert totals.triangles > 0
+    if kind == "triangle-free":
+        assert (totals.triangles, totals.wedges) == (0, 70)
+
+
+def test_compute_report_counts_per_node_only_for_clustering(monkeypatch):
+    calls = []
+    count = metrics.count_triangles_wedges
+
+    def spy(g, per_node=True):
+        calls.append(per_node)
+        return count(g, per_node=per_node)
+
+    monkeypatch.setattr(metrics, "count_triangles_wedges", spy)
+    g = generate_er(30, 0.3, 2)
+    totals = compute_report(g, metrics=("triangles",))
+    both = compute_report(g, metrics=("cc", "triangles"))
+    assert calls == [False, True]
+    assert (totals.triangles, totals.wedges) == (both.triangles, both.wedges)
+
+
 @pytest.mark.parametrize("model", ["bter", "cl", "er"])
 def test_kernel_memory_bounded(model, monkeypatch):
     # besides the graph: 8 B an edge (the sorted int64 oriented keys, whose

@@ -4,7 +4,9 @@ A name counts as used where the program refers to it: as a name, an
 attribute, an import, or a string (the lazy-import tables and the
 benchmark's patch points name functions in strings). Public names, those
 in ``bter.__all__``, need no caller. Each of those patch points must also
-still resolve to an attribute of the program.
+still resolve to an attribute of the program. And no module of the package
+imports dataclasses, whose generated code every command would pay for at
+start-up.
 """
 
 import ast
@@ -53,6 +55,24 @@ def test_every_module_level_name_has_a_caller():
             if used[name] - _references(node)[name] <= 0:
                 dead.append(f"{path.stem}.{name}")
     assert dead == [], f"defined but never used: {dead}"
+
+
+def test_no_module_imports_dataclasses():
+    # each dataclass execs generated methods as its module is imported,
+    # about 1 ms a class, which every command would pay at start-up; the
+    # package's records are NamedTuples
+    found = []
+    for path in sorted((ROOT / "src" / "bter").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "dataclasses" for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == [], f"modules that import dataclasses: {found}"
 
 
 def _benchmark_tracing():
