@@ -11,8 +11,6 @@ of block_start, and its excess a repeat of its block's supply, each made
 where needed.
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple
 

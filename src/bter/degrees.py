@@ -1,7 +1,5 @@
 """Target degree sequences, their histogram form, and power-law synthesis."""
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 import numpy as np

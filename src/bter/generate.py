@@ -17,8 +17,6 @@ turns all of a run's keys into the graph. All samplers are deterministic
 functions of their inputs and seed.
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple
 

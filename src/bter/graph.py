@@ -21,8 +21,6 @@ held before the call is not kept. Functions that take a caller's pairs
 (:class:`Graph`, :func:`build_graph`) never write to them.
 """
 
-from __future__ import annotations
-
 import os
 import re
 import warnings
@@ -101,7 +99,7 @@ class Graph:
         self._adopt(n, keys)
 
     @classmethod
-    def _canonical(cls, n: int, keys: np.ndarray) -> Graph:
+    def _canonical(cls, n: int, keys: np.ndarray) -> "Graph":
         """A graph on strictly increasing int64 keys that build_graph or
         merge_keys has made or checked, taken without a second check."""
         graph = cls.__new__(cls)
@@ -161,7 +159,7 @@ class Graph:
         i = np.searchsorted(self.keys, key)
         return bool(i < len(self.keys) and self.keys[i] == key)
 
-    def adjacency_csr(self) -> sp.csr_matrix:
+    def adjacency_csr(self) -> "sp.csr_matrix":
         """Adjacency matrix as a scipy CSR matrix (0/1, float64, sorted
         indices), new on each call. Its entries are the keys and their
         turned copies ``v * n + u``, sorted together: row u's are u's

@@ -5,12 +5,7 @@ dicts, so rehydrating two analyze directories and comparing them needs no
 numpy: it is imported only where a spectrum (an array) is compared.
 """
 
-from __future__ import annotations
-
-from typing import TYPE_CHECKING, NamedTuple
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import Any, NamedTuple
 
 ALL_METRICS = ("degree", "cc", "triangles", "spectrum")
 
@@ -25,8 +20,10 @@ class MetricsReport(NamedTuple):
     wedges: int | None = None
     global_c: float | None = None
     by_degree_cc: dict[int, tuple[float, int]] | None = None
-    eigenvalues: np.ndarray | None = None
-    spectrum_residuals: np.ndarray | None = None
+    # numpy arrays, annotated Any: numpy is not imported here, and NamedTuple
+    # would compile a quoted annotation at import
+    eigenvalues: Any = None
+    spectrum_residuals: Any = None
 
     def metric_set(self) -> frozenset[str]:
         present = set()
@@ -48,7 +45,7 @@ class DivergenceSummary(NamedTuple):
     global_c_gap: float | None
     by_degree_cc_gap: float | None
     shared_cc_degrees: int | None
-    eigen_rel_gaps: np.ndarray | None
+    eigen_rel_gaps: Any  # a numpy array, or None (see MetricsReport)
 
     @property
     def eigen_max_rel_gap(self) -> float | None:

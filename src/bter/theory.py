@@ -7,8 +7,6 @@ core, and packing a heavy-tailed degree sequence into such blocks yields a
 scale-free block-size profile with largest size about n**(1/(gamma+1)).
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple
 

@@ -331,6 +331,39 @@ def test_analyze_spectrum_nonconvergence_exit_code(tmp_path):
                "--out-dir", tmp_path / "rep") == EXIT_NO_CONVERGENCE
 
 
+def test_analyze_spectrum_of_a_complete_graph_has_no_traceback(tmp_path):
+    # ARPACK on K60 at k=25 (ncv 51 of 60 nodes) stopped with "error 3: No
+    # shifts could be applied", which ended in a traceback; K60 is now
+    # solved densely
+    out, rep = tmp_path / "k60.txt", tmp_path / "rep"
+    assert run("generate", "--model", "er", "--n", 60, "--p", 1, "--seed", 1,
+               "--out", out) == EXIT_OK
+    assert run("analyze", "--graph", out, "--metrics", "spectrum", "--top-k", 25,
+               "--out-dir", rep) == EXIT_OK
+    rows = [r.split(",") for r in (rep / "spectrum.csv").read_text().splitlines()[1:]]
+    assert [float(v) for _, v, _ in rows] == pytest.approx([59.0] + [-1.0] * 24, abs=1e-9)
+
+
+def test_analyze_spectrum_arpack_error_exit_code(tmp_path, monkeypatch):
+    # an ARPACK error on a component too big for the dense fallback is a
+    # convergence failure (exit 4), not a traceback
+    import scipy.sparse.linalg
+    from scipy.sparse.linalg import ArpackError
+
+    from bter import metrics
+
+    def broken(*args, **kwargs):
+        raise ArpackError(3)
+
+    out = tmp_path / "g.txt"
+    assert run("generate", "--model", "er", "--n", 400, "--p", 0.02, "--seed", 2,
+               "--out", out) == EXIT_OK
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", broken)
+    monkeypatch.setattr(metrics, "_DENSE_FALLBACK_MAX", 100)
+    assert run("analyze", "--graph", out, "--metrics", "spectrum", "--top-k", 5,
+               "--out-dir", tmp_path / "rep") == EXIT_NO_CONVERGENCE
+
+
 def test_analyze_determinism_across_runs(k4_file, tmp_path):
     seq_out = tmp_path / "g.txt"
     assert run("generate", "--model", "bter", "--powerlaw", "300,2,17",
@@ -359,7 +392,7 @@ def test_analyze_reports_raw_and_nonisolated_counts(tmp_path):
 
 
 # sha256 of each output of `analyze --metrics degree,cc,triangles,spectrum
-# --top-k 10` on the `generate --powerlaw 2000,2,40 --seed 1` graphs as 0.6.0
+# --top-k 10` on the `generate --powerlaw 2000,2,40 --seed 1` graphs as 0.7.0
 # writes it; the spectrum's last digits move if the adjacency's entry order
 # does, so how the matrix is built must not move a byte
 _ANALYZE_SHA256 = {
@@ -369,7 +402,7 @@ _ANALYZE_SHA256 = {
         "cc.csv": "b8eede48249591cb41cc4cbc81e19a6f399a10fc489cc92913e1719fc86a8ace",
         "cc_summary.csv": "836fad4b3f402157594dd4f681d51f1b5a70d104f421a6cf14bd1f33f3cde6cd",
         "triangles.csv": "9682bbb474d8421a5c7deca0dd4a234e1cc279fe4a86916eb4e99635b3f162e8",
-        "spectrum.csv": "93a1ead3408e73e2607fc6a071f2ed5c538526500129fb6ca0186b88b3ccf931",
+        "spectrum.csv": "2382ed1ead151a9baa8d7c9c846876311572552badef0d6ad8f14e04dcc16422",
     },
     "cl": {
         "degree.csv": "a58c48821bf3a9349308f080b4edf7a46c2bcbd4f637c91459e618d369df6b86",
@@ -377,8 +410,18 @@ _ANALYZE_SHA256 = {
         "cc.csv": "ec0dc49f0b97e2462387f2cd7803e9d55872b817f8d728398b700d97e2984a31",
         "cc_summary.csv": "e4a548fb346b85f5dfba41b9e33bdf59c1f96d5247ae95db7f925a3eba0ce98c",
         "triangles.csv": "a255fb834edc5b60b68ceccb897a45f65e2d9a3984d5943c34b5fab412c8ef7f",
-        "spectrum.csv": "42f1838f41e983a7ee0f82e98127ab5880436c197b4af63c5ce6bf284e35628d",
+        "spectrum.csv": "15613ead383e38f10a848a95b00a3a6bb589a7beb66ea5bfd1b01dba01b5b62d",
     },
+}
+
+
+# sha256 of the rank and eigenvalue columns of those spectrum.csv files
+# ("rank,eigenvalue" lines) as 0.6.0 wrote them, with one ARPACK solve over
+# the whole graph: solving each connected component on its own moved only
+# the residual column
+_EIGENVALUE_COLUMN_SHA256 = {
+    "bter": "7625af61e292f388fb1ca3e9afe9915ba7cb37d717d02027a4048f02bba9292e",
+    "cl": "4a30b6d713a55a6805e6feac9bfa8e5d1f7f1d2fe24a1f7f38e9f8f1ba0707a6",
 }
 
 
@@ -394,6 +437,11 @@ def test_analyze_bytes_pinned(tmp_path, model):
         for name in _ANALYZE_SHA256[model]
     }
     assert digests == _ANALYZE_SHA256[model]
+    columns = "".join(
+        ",".join(line.split(",")[:2]) + "\n"
+        for line in (out / "spectrum.csv").read_text().splitlines()
+    )
+    assert hashlib.sha256(columns.encode()).hexdigest() == _EIGENVALUE_COLUMN_SHA256[model]
 
 
 def test_spectrum_agrees_across_blas_thread_counts(tmp_path):

@@ -443,6 +443,160 @@ def test_spectrum_many_identical_blocks_keeps_multiplicity():
     assert np.abs(spec.eigenvalues - 4.0).max() <= 1e-10
 
 
+def _union(parts, rng):
+    """The disjoint union of the (n, edges) parts, its node ids shuffled so
+    that the components interleave."""
+    ids = rng.permutation(sum(n for n, _ in parts))
+    edges, at = [], 0
+    for n, part in parts:
+        edges += [(ids[at + u], ids[at + v]) for u, v in part]
+        at += n
+    return build_graph(edges, n=at)[0]
+
+
+def _clique(n):
+    return n, [(u, v) for u in range(n) for v in range(u + 1, n)]
+
+
+def _connected(n, extra, rng):
+    """A connected graph on n nodes: a path, plus up to `extra` random chords."""
+    extra = min(extra, (n - 1) * (n - 2) // 2)
+    edges = {(u, u + 1) for u in range(n - 1)}
+    while len(edges) < n - 1 + extra:
+        u, v = sorted(int(x) for x in rng.choice(n, 2, replace=False))
+        edges.add((u, v))
+    return n, sorted(edges)
+
+
+def _assert_matches_dense(g, spec, k, tol):
+    dense = np.sort(np.linalg.eigvalsh(dense_adjacency(g)))[::-1][:k]
+    assert len(spec.eigenvalues) == k
+    assert (np.abs(spec.eigenvalues - dense) <= 1e-9 * np.maximum(1.0, np.abs(dense))).all()
+    assert (spec.residuals <= tol).all()
+    assert (np.diff(spec.eigenvalues) <= 0).all()
+
+
+def test_component_roots_name_each_component_by_its_lowest_node():
+    from scipy.sparse.csgraph import connected_components
+
+    rng = np.random.default_rng(3)
+    star = (40, [(0, v) for v in range(1, 40)])
+    for parts in (
+        [(5, [])],
+        [_connected(300, 0, rng)],  # a path, ids shuffled
+        [star, _clique(2), (1, []), _connected(200, 150, rng), _clique(7)],
+        [_connected(int(rng.integers(2, 60)), int(rng.integers(0, 30)), rng) for _ in range(30)],
+    ):
+        g = _union(parts, rng)
+        root = metrics._component_roots(g)
+        _, label = connected_components(g.adjacency_csr(), directed=False)
+        lowest = {}
+        for node, lab in enumerate(label.tolist()):
+            lowest.setdefault(lab, node)
+        assert root.tolist() == [lowest[lab] for lab in label.tolist()]
+
+
+def test_spectrum_of_component_unions_matches_dense():
+    # isolated nodes, K2s, small dense blocks, components just below, at
+    # and just above the dense bound, and two ARPACK-sized components, in
+    # random unions; each solve path must agree with the whole dense matrix
+    rng = np.random.default_rng(17)
+    edge = metrics._DENSE_MAX
+    for trial in range(4):
+        parts = [(1, []) for _ in range(int(rng.integers(0, 30)))]
+        parts += [_clique(2) for _ in range(int(rng.integers(0, 20)))]
+        parts += [_clique(int(rng.integers(3, 12))) for _ in range(int(rng.integers(1, 8)))]
+        parts += [_connected(s, int(rng.integers(0, 3 * s)), rng) for s in (edge - 1, edge, edge + 1)]
+        if trial % 2:
+            parts += [_connected(s, int(rng.integers(s // 2, 4 * s)), rng) for s in (260, 340)]
+        g = _union(parts, rng)
+        for k in (1, 6, 25):
+            spec = top_eigenvalues(g, k=k, tol=1e-9)
+            _assert_matches_dense(g, spec, k, 1e-9)
+            assert spec.iterations > 0  # the component just above the bound
+
+
+def test_spectrum_takes_a_small_dense_block_ahead_of_the_giant():
+    # a disjoint K40's eigenvalue 39 tops a sparse giant's (about 5)
+    rng = np.random.default_rng(2)
+    g = _union([_connected(600, 900, rng), _clique(40), _clique(2)], rng)
+    spec = top_eigenvalues(g, k=10, tol=1e-9)
+    assert spec.eigenvalues[0] == pytest.approx(39.0, abs=1e-9)
+    assert spec.iterations > 0
+    _assert_matches_dense(g, spec, 10, 1e-9)
+
+
+def test_spectrum_of_dense_components_only_needs_no_matvecs():
+    g = _union([_clique(5) for _ in range(200)], np.random.default_rng(0))
+    spec = top_eigenvalues(g, k=25)
+    assert spec.iterations == 0
+    assert np.abs(spec.eigenvalues - 4.0).max() <= 1e-10
+
+
+@pytest.mark.parametrize("model", ["bter", "cl"])
+@pytest.mark.parametrize("n", [2000, 10_000])
+def test_spectrum_agrees_with_a_whole_graph_eigsh(model, n):
+    # the benchmark's oracle: one eigsh over all n nodes, 1e-9 relative
+    from scipy.sparse.linalg import eigsh
+
+    seq = synthesize_powerlaw(n, 2.0, int(n**0.5))
+    if model == "bter":
+        g, _ = generate_bter(seq, GenerationConfig(seed=5))
+    else:
+        g = generate_cl(seq, 5)
+    spec = top_eigenvalues(g, k=25, tol=1e-8)
+    v0 = np.random.default_rng(1).standard_normal(n)
+    whole = np.sort(eigsh(g.adjacency_csr(), k=25, which="LA", v0=v0, tol=0)[0])[::-1]
+    assert (np.abs(spec.eigenvalues - whole) <= 1e-9 * np.maximum(1.0, np.abs(whole))).all()
+    assert (spec.residuals <= 1e-8).all()
+
+
+def test_spectrum_repeats_within_one_process_on_a_small_component(tmp_path):
+    # ARPACK on a component no bigger than its Krylov space (ncv = n = 18
+    # at k=10) gave different bits from call to call in one process; such
+    # a component is solved densely
+    from scipy.sparse.csgraph import connected_components
+
+    from bter.cli import main
+    from bter.graph import read_snap_edgelist
+
+    path = tmp_path / "g.txt"
+    assert main(["generate", "--model", "bter", "--powerlaw", "2000,2,45", "--seed", "17",
+                 "--out", str(path)]) == 0
+    g = read_snap_edgelist(path).graph
+    _, label = connected_components(g.adjacency_csr(), directed=False)
+    nodes = np.flatnonzero(label == np.flatnonzero(np.bincount(label) == 18)[0])
+    edges = g.edges[np.isin(g.edges[:, 0], nodes) & np.isin(g.edges[:, 1], nodes)]
+    sub, _ = build_graph(np.searchsorted(nodes, edges), n=18)
+    runs = [top_eigenvalues(sub, k=10) for _ in range(4)]
+    for spec in runs[1:]:
+        assert spec.eigenvalues.tobytes() == runs[0].eigenvalues.tobytes()
+        assert spec.residuals.tobytes() == runs[0].residuals.tobytes()
+    _assert_matches_dense(sub, runs[0], 10, 1e-8)
+
+
+def test_spectrum_arpack_error_falls_back_to_dense_or_raises(monkeypatch):
+    import scipy.sparse.linalg
+    from scipy.sparse.linalg import ArpackError
+
+    def broken(*args, **kwargs):
+        raise ArpackError(3)
+
+    g = _union([_connected(300, 400, np.random.default_rng(4)), _clique(3)],
+               np.random.default_rng(4))
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", broken)
+    spec = top_eigenvalues(g, k=5, tol=1e-9)
+    assert spec.iterations == 0
+    _assert_matches_dense(g, spec, 5, 1e-9)
+    monkeypatch.setattr(metrics, "_DENSE_FALLBACK_MAX", 299)
+    with pytest.raises(SpectrumConvergenceError, match="stopped early on 1 component") as err:
+        top_eigenvalues(g, k=5, tol=1e-9)
+    partial = err.value.partial
+    assert partial.k == 5
+    assert partial.eigenvalues.tolist() == pytest.approx([2.0, -1.0, -1.0])  # the K3's
+    assert (partial.residuals <= 1e-9).all()
+
+
 # ---------------------------------------------------------------------------
 # reports and comparison
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 constructor checks, equality and defaults of the frozen records they
 replaced."""
 
+import typing
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,16 @@ def test_every_exported_record_is_frozen():
         for name in record._fields:
             with pytest.raises(AttributeError):
                 setattr(record, name, getattr(record, name))
+
+
+def test_no_record_field_annotation_is_a_forward_ref():
+    # typing.NamedTuple compiles a ForwardRef for each quoted (or
+    # postponed, under `from __future__ import annotations`) field
+    # annotation when the module is imported
+    for record in _one_of_each_exported_record():
+        for cls in type(record).__mro__:
+            for name, annotation in vars(cls).get("__annotations__", {}).items():
+                assert not isinstance(annotation, (str, typing.ForwardRef)), (cls, name)
 
 
 def test_defaults_and_the_cubic_variant():
