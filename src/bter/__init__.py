@@ -6,7 +6,7 @@ package loads no submodule, and so no numpy, until one of its names is used.
 
 import importlib
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 # public name -> the submodule that defines it
 _EXPORTS = {

@@ -8,11 +8,12 @@ Besides the graph, the count holds int32 out-neighbour rows (4 B an edge;
 its own buffer), int64 row starts and, unless only the totals are asked
 for, per-node counts (length n), the out-degree grouping of the nodes that
 centre an out-wedge, and one cache-sized pass; per-node counts are int64
-sums. The leading adjacency eigenvalues are solved one connected component
-at a time: small components by batched dense LAPACK eigh, larger ones by
-ARPACK's implicitly restarted Lanczos (scipy.sparse.linalg.eigsh), using
-only sparse matrix-vector products, with every reported pair's residual
-checked explicitly.
+sums. The leading adjacency eigenvalues are solved on the graph's leaf
+quotient (each hub's degree-1 leaves merged into one weighted node), one
+connected component at a time: small components by batched dense LAPACK
+eigh, larger ones by ARPACK's implicitly restarted Lanczos
+(scipy.sparse.linalg.eigsh), using only sparse matrix-vector products, with
+every reported pair's residual checked explicitly.
 """
 
 import math
@@ -271,8 +272,12 @@ def top_eigenvalues(
 ) -> SpectrumReport:
     """Top-k adjacency eigenvalues, one connected component at a time.
 
-    The adjacency matrix is block diagonal over the components, so its top
-    k are the top k of the union of theirs. A component of more than
+    The matrix solved is the adjacency matrix's leaf quotient (see
+    _merge_leaves): it has every nonzero eigenvalue of the graph, and each
+    merged-away leaf stands for one exact eigenvalue 0, of which min(zeros,
+    k) join the candidates last, with residual 0. The quotient is block
+    diagonal over the components, so its top k are the top k of the union
+    of theirs. Sizes count the quotient's nodes: a component of more than
     max(_DENSE_MAX, 2 * ncv) nodes, ncv = max(2k + 1, 20) being eigsh's
     default Krylov dimension, goes to ARPACK's implicitly restarted Lanczos
     (scipy ``eigsh``, which="LA", so largest by value, not by magnitude),
@@ -309,11 +314,14 @@ def top_eigenvalues(
     from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
 
     root = _component_roots(g)
+    A = g.adjacency_csr()
+    kept, zeros = _merge_leaves(A)
+    root = root[kept]  # dropping a leaf splits no component
     sizes = np.bincount(root, minlength=n)  # at each component's root
-    order = np.lexsort((root, sizes[root]))  # by component size, then root; ids ascending
+    order = kept[np.lexsort((root, sizes[root]))]  # by size, then root; ids ascending
     sizes = np.sort(sizes[sizes > 0])
-    del root
-    A = g.adjacency_csr()[order][:, order]  # block diagonal: one component after another
+    del root, kept
+    A = A[order][:, order]  # block diagonal: one component after another
     dense = sizes <= max(_DENSE_MAX, 4 * k + 2, 40)  # and 2 * ncv, ncv = max(2k + 1, 20)
     lo = int(sizes[dense].sum())
     dense_part = A[:lo, :lo]
@@ -354,7 +362,8 @@ def top_eigenvalues(
 
     # after ARPACK, so that what LAPACK's dense solve loads is not resident at ARPACK's peak
     w, r = _dense_pairs(dense_part, sizes[dense], k)
-    vals, residuals = np.concatenate(vals + w), np.concatenate(residuals + r)
+    exact = [np.zeros(min(zeros, k))]  # the merged leaves' eigenvalue 0, exactly
+    vals, residuals = np.concatenate(vals + w + exact), np.concatenate(residuals + r + exact)
     top = np.argsort(-vals, kind="stable")[:k]
     vals, residuals = vals[top], residuals[top]
     ok = residuals <= tol
@@ -379,6 +388,38 @@ def top_eigenvalues(
         tolerance=tol,
         iterations=iterations,
     )
+
+
+def _merge_leaves(A) -> tuple[np.ndarray, int]:
+    """Merge each hub's degree-1 leaves into one weighted leaf, in place.
+
+    Leaves of one hub (a neighbour of degree at least 2; a K2 stays as it
+    is) are twins: e_i - e_j of any two is an eigenvector of eigenvalue 0,
+    and every other eigenvector is constant on the bundle. So keeping the
+    lowest-id leaf of a bundle of L, joined to the hub with weight sqrt(L),
+    keeps every nonzero eigenvalue (the equitable-partition quotient,
+    Cvetkovic, Rowlinson and Simic, "An Introduction to the Theory of Graph
+    Spectra", 2010, ch. 3), and each of the L - 1 other leaves stands for
+    one eigenvalue 0. For a unit eigenvector y of the quotient C, the unit
+    vector x that spreads each kept leaf's entry evenly over its bundle has
+    ||A x - lambda x|| = ||C y - lambda y||. Only the kept leaves' two
+    entries of the symmetric CSR A change. Returns the kept node ids,
+    ascending, and the number of merged-away leaves."""
+    degree = np.diff(A.indptr)
+    leaf = np.flatnonzero(degree == 1)
+    hub = A.indices[A.indptr[leaf]]
+    twin = degree[hub] >= 2
+    leaf, hub = leaf[twin], hub[twin]
+    hub, first, size = np.unique(hub, return_index=True, return_counts=True)
+    kept = np.ones(len(degree), dtype=bool)
+    kept[leaf] = False
+    leaf = leaf[first]  # the lowest id of each hub's leaves
+    kept[leaf] = True
+    bundle = size > 1
+    leaf, hub, weight = leaf[bundle], hub[bundle], np.sqrt(size[bundle])
+    A[leaf, hub] = weight
+    A[hub, leaf] = weight
+    return np.flatnonzero(kept), int(len(degree) - kept.sum())
 
 
 def _component_roots(g: Graph) -> np.ndarray:

@@ -392,7 +392,7 @@ def test_analyze_reports_raw_and_nonisolated_counts(tmp_path):
 
 
 # sha256 of each output of `analyze --metrics degree,cc,triangles,spectrum
-# --top-k 10` on the `generate --powerlaw 2000,2,40 --seed 1` graphs as 0.7.0
+# --top-k 10` on the `generate --powerlaw 2000,2,40 --seed 1` graphs as 0.8.0
 # writes it; the spectrum's last digits move if the adjacency's entry order
 # does, so how the matrix is built must not move a byte
 _ANALYZE_SHA256 = {
@@ -402,7 +402,7 @@ _ANALYZE_SHA256 = {
         "cc.csv": "b8eede48249591cb41cc4cbc81e19a6f399a10fc489cc92913e1719fc86a8ace",
         "cc_summary.csv": "836fad4b3f402157594dd4f681d51f1b5a70d104f421a6cf14bd1f33f3cde6cd",
         "triangles.csv": "9682bbb474d8421a5c7deca0dd4a234e1cc279fe4a86916eb4e99635b3f162e8",
-        "spectrum.csv": "2382ed1ead151a9baa8d7c9c846876311572552badef0d6ad8f14e04dcc16422",
+        "spectrum.csv": "bb36f649ed23046cbe28937f916bcd2d1310c60fc70e6c752b24f6a61e383236",
     },
     "cl": {
         "degree.csv": "a58c48821bf3a9349308f080b4edf7a46c2bcbd4f637c91459e618d369df6b86",
@@ -410,15 +410,15 @@ _ANALYZE_SHA256 = {
         "cc.csv": "ec0dc49f0b97e2462387f2cd7803e9d55872b817f8d728398b700d97e2984a31",
         "cc_summary.csv": "e4a548fb346b85f5dfba41b9e33bdf59c1f96d5247ae95db7f925a3eba0ce98c",
         "triangles.csv": "a255fb834edc5b60b68ceccb897a45f65e2d9a3984d5943c34b5fab412c8ef7f",
-        "spectrum.csv": "15613ead383e38f10a848a95b00a3a6bb589a7beb66ea5bfd1b01dba01b5b62d",
+        "spectrum.csv": "2f2c4f8305af1c89a3d3136ae1d3ed82465d6d754c9e2dd11ec54e3e58b8ad94",
     },
 }
 
 
 # sha256 of the rank and eigenvalue columns of those spectrum.csv files
 # ("rank,eigenvalue" lines) as 0.6.0 wrote them, with one ARPACK solve over
-# the whole graph: solving each connected component on its own moved only
-# the residual column
+# the whole graph: solving each connected component on its own (0.7.0), and
+# then each component's leaf quotient (0.8.0), moved only the residual column
 _EIGENVALUE_COLUMN_SHA256 = {
     "bter": "7625af61e292f388fb1ca3e9afe9915ba7cb37d717d02027a4048f02bba9292e",
     "cl": "4a30b6d713a55a6805e6feac9bfa8e5d1f7f1d2fe24a1f7f38e9f8f1ba0707a6",

@@ -597,6 +597,101 @@ def test_spectrum_arpack_error_falls_back_to_dense_or_raises(monkeypatch):
     assert (partial.residuals <= 1e-9).all()
 
 
+def _bundled(core, extra, bundles, rng):
+    """A connected core on `core` nodes, with bundles[i] leaves hung on core node i."""
+    n, edges = _connected(core, extra, rng)
+    for hub, leaves in enumerate(bundles):
+        edges += [(hub, v) for v in range(n, n + leaves)]
+        n += leaves
+    return n, edges
+
+
+@pytest.mark.parametrize("leaves", [50, 300, 1000])
+def test_spectrum_of_a_star_is_its_hub_then_exact_zeros(leaves):
+    # the leaves are one bundle: the quotient is a K2 of weight sqrt(L), and
+    # the L - 1 merged-away leaves give exact zeros with residual 0
+    g, _ = build_graph([(0, v) for v in range(1, leaves + 1)])
+    spec = top_eigenvalues(g, k=25, tol=1e-10)
+    _assert_matches_dense(g, spec, 25, 1e-10)
+    assert spec.eigenvalues[0] == pytest.approx(math.sqrt(leaves), rel=1e-12)
+    assert spec.eigenvalues[1:].tolist() == [0.0] * 24
+    assert spec.residuals[1:].tolist() == [0.0] * 24
+    assert spec.iterations == 0
+
+
+def test_spectrum_of_leaf_bundles_on_an_arpack_sized_core():
+    rng = np.random.default_rng(8)
+    bundles = rng.integers(2, 20, size=300) * (rng.random(300) < 0.15)
+    g = _union([_bundled(300, 450, bundles.tolist(), rng), _clique(2), (5, [])], rng)
+    assert metrics._merge_leaves(g.adjacency_csr())[1] > 0
+    for k in (1, 6, 25):
+        spec = top_eigenvalues(g, k=k, tol=1e-9)
+        _assert_matches_dense(g, spec, k, 1e-9)
+        assert spec.iterations > 0
+
+
+def test_spectrum_keeps_k2_components_and_single_leaves():
+    # a K2's ends are leaves of a leaf, and a hub with one leaf has no twin:
+    # neither is merged, and the matrix solved is the adjacency matrix
+    rng = np.random.default_rng(9)
+    parts = [_clique(2) for _ in range(30)]
+    parts += [_bundled(c, c * c, [1] * c, rng) for c in (3, 5, 8)]
+    parts.append(_bundled(250, 300, [1] * 250, rng))  # ARPACK-sized
+    g = _union(parts, rng)
+    A = g.adjacency_csr()
+    kept, zeros = metrics._merge_leaves(A)
+    assert zeros == 0 and kept.tolist() == list(range(g.n))
+    assert (A != g.adjacency_csr()).nnz == 0
+    for k in (1, 5, 25):
+        _assert_matches_dense(g, top_eigenvalues(g, k=k, tol=1e-9), k, 1e-9)
+
+
+_PIECES = st.one_of(
+    st.tuples(st.just("star"), st.integers(1, 60)),
+    st.tuples(st.just("k2"), st.just(2)),
+    st.tuples(st.just("isolated"), st.integers(1, 10)),
+    st.tuples(st.just("single leaves"), st.integers(2, 8)),
+    st.tuples(st.just("bundles"), st.integers(3, 260)),
+)
+
+
+@given(st.lists(_PIECES, min_size=1, max_size=5), st.sampled_from([1, 5, 25]),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=30)
+def test_spectrum_of_unions_with_leaves_matches_dense(pieces, k, seed):
+    rng = np.random.default_rng(seed)
+    parts = []
+    for kind, size in pieces:
+        if kind == "star":
+            parts.append(_bundled(1, 0, [size], rng))
+        elif kind == "k2":
+            parts.append(_clique(2))
+        elif kind == "isolated":
+            parts += [(1, [])] * size
+        elif kind == "single leaves":
+            parts.append(_bundled(size, size * size, [1] * size, rng))
+        else:
+            bundles = rng.integers(2, 8, size=size) * (rng.random(size) < 0.3)
+            parts.append(_bundled(size, int(rng.integers(0, 2 * size)), bundles.tolist(), rng))
+    g = _union(parts, rng)
+    k = min(k, g.n)
+    _assert_matches_dense(g, top_eigenvalues(g, k=k, tol=1e-9), k, 1e-9)
+
+
+def test_spectrum_repeats_within_one_process_when_the_quotient_goes_dense():
+    # 240 nodes, above max(_DENSE_MAX, 2 * ncv), of which the quotient keeps
+    # 126: the component is solved densely, with the same bits on each call
+    rng = np.random.default_rng(11)
+    g = _union([_bundled(120, 200, [20] * 6, rng)], rng)
+    assert g.n > max(metrics._DENSE_MAX, 4 * 25 + 2)
+    runs = [top_eigenvalues(g, k=25) for _ in range(4)]
+    for spec in runs[1:]:
+        assert spec.eigenvalues.tobytes() == runs[0].eigenvalues.tobytes()
+        assert spec.residuals.tobytes() == runs[0].residuals.tobytes()
+    assert runs[0].iterations == 0
+    _assert_matches_dense(g, runs[0], 25, 1e-8)
+
+
 # ---------------------------------------------------------------------------
 # reports and comparison
 # ---------------------------------------------------------------------------
