@@ -870,5 +870,21 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_NO_CONVERGENCE
 
 
+def process_main() -> int:
+    """``main`` for a process of its own: ``python -m bter.cli`` and ``bter``."""
+    code = main()
+    # Freezing the heap moves every live object to the collector's permanent
+    # generation, so shutdown neither collects nor frees the object graphs
+    # the imports built; the OS reclaims them. Atexit handlers, the flushing
+    # of stdout and stderr and the exit code are as before, and ``main``
+    # leaves the collector alone for callers whose process goes on. gc is
+    # imported only here: imported with this module, it lifted the peak RSS
+    # of a command without numpy (compare over reports) by ~0.13 MB.
+    import gc
+
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(process_main())

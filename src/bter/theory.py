@@ -198,7 +198,7 @@ def predict_community_profile(n: int, gamma: float) -> CommunityProfile:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if gamma <= 0:
+    if not gamma > 0:  # NaN too; inf is the all-size-1 limit
         raise ValueError("gamma must be positive")
     exponent = gamma + 1.0
     d_bar = int(math.floor(n ** (1.0 / exponent)))

@@ -961,6 +961,7 @@ def small_bter(tmp_path_factory):
         (*_AUDIT, "--predict", "0,2"),
         (*_AUDIT, "--predict", "abc"),
         (*_AUDIT, "--predict", "inf,2"),
+        (*_AUDIT, "--predict", "10,nan"),
     ],
     ids=lambda argv: " ".join(str(a) for a in argv if "{" not in str(a)),
 )
@@ -1200,3 +1201,113 @@ def test_package_names_resolve_on_first_access():
         assert namespace[name] is getattr(bter, name)
     with pytest.raises(AttributeError):
         bter.no_such_name
+
+
+# ---------------------------------------------------------------------------
+# the process path: python -m bter.cli and the bter script
+# ---------------------------------------------------------------------------
+
+# Each handled exit code, and each command that writes files. The paths are
+# relative, so runs from two directories write the same bytes.
+_PROCESS_RUNS = [
+    (("generate", "--model", "bter", "--powerlaw", "300,2,20", "--seed", "1",
+      "--out", "g.txt"), EXIT_OK),
+    (("generate", "--model", "bter", "--powerlaw", "300,nan,20", "--seed", "1",
+      "--out", "h.txt"), EXIT_USAGE),
+    (("analyze", "--graph", "missing.txt", "--out-dir", "m"), EXIT_INPUT),
+    (("analyze", "--graph", "g.txt", "--metrics", "spectrum", "--top-k", "2",
+      "--tol", "1e-300", "--out-dir", "s"), EXIT_NO_CONVERGENCE),
+    (("analyze", "--graph", "g.txt", "--metrics", "degree,cc,triangles,spectrum",
+      "--top-k", "5", "--out-dir", "a"), EXIT_OK),
+    (("audit", "--graph", "g.txt", "--partition", "g.txt.partition.csv",
+      "--predict", "1e4,2", "--out-dir", "d"), EXIT_OK),
+]
+
+# Runs the CLI as `python -m bter.cli ARGS` would, with an atexit handler
+# registered first that reports whether the heap was frozen at exit.
+_EXIT_PROBE = """
+import atexit, gc, runpy
+atexit.register(lambda: print("frozen at exit:", gc.get_freeze_count() > 0))
+runpy.run_module("bter.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def _process(*argv, cwd, probe: str | None = None):
+    """One fresh `python -m bter.cli ARGV` process (or probe), run from cwd."""
+    import subprocess
+    import sys
+
+    head = ["-c", probe] if probe else ["-m", "bter.cli"]
+    return subprocess.run(
+        [sys.executable, *head, *map(str, argv)],
+        cwd=cwd, env=_cli_env(), capture_output=True, text=True, timeout=300,
+    )
+
+
+def test_a_process_exits_prints_and_writes_as_main_does(tmp_path, monkeypatch, capsys):
+    fresh, in_process = tmp_path / "process", tmp_path / "main"
+    fresh.mkdir()
+    in_process.mkdir()
+    monkeypatch.chdir(in_process)
+    for argv, code in _PROCESS_RUNS:
+        proc = _process(*argv, cwd=fresh)
+        assert main(list(argv)) == proc.returncode == code, proc.stderr
+        out, err = capsys.readouterr()
+        # both streams arrive through their pipes whole, line by line
+        assert (proc.stdout, proc.stderr) == (out, err)
+        assert all(text == "" or text.endswith("\n") for text in (out, err))
+        assert err.startswith("error: ") == (code != EXIT_OK)
+    written = all_bytes(fresh)
+    assert {"g.txt", "a/spectrum.csv", "d/kk.csv"} <= set(written)
+    assert written == all_bytes(in_process)
+
+
+def test_replay_passes_on_manifests_a_process_wrote(tmp_path, monkeypatch, capsys):
+    for argv, code in _PROCESS_RUNS:
+        if code == EXIT_OK:
+            assert _process(*argv, cwd=tmp_path).returncode == EXIT_OK
+    monkeypatch.chdir(tmp_path)  # the recorded argv names its inputs relatively
+    for manifest in ("g.txt.manifest.json", "a/manifest.json", "d/manifest.json"):
+        assert run("replay", "--manifest", manifest) == EXIT_OK
+        assert capsys.readouterr().out.endswith(" outputs byte-identical\n")
+    proc = _process("replay", "--manifest", "g.txt.manifest.json", cwd=tmp_path)
+    assert proc.returncode == EXIT_OK
+    assert proc.stdout.endswith("\nreplay: 3 outputs byte-identical\n")
+
+
+def test_a_process_freezes_its_heap_and_still_runs_atexit(tmp_path):
+    proc = _process("--version", cwd=tmp_path, probe=_EXIT_PROBE)
+    assert proc.returncode == EXIT_OK
+    assert proc.stdout == f"bter {bter.__version__}\nfrozen at exit: True\n"
+    proc = _process("analyze", "--graph", "missing.txt", "--out-dir", "m",
+                    cwd=tmp_path, probe=_EXIT_PROBE)
+    assert proc.returncode == EXIT_INPUT
+    assert proc.stdout == "frozen at exit: True\n"
+    assert proc.stderr == "error: no such graph file: missing.txt\n"
+
+
+def test_main_leaves_the_collector_as_it_found_it(tmp_path):
+    import gc
+
+    frozen = gc.get_freeze_count()
+    g = tmp_path / "g.txt"
+    assert run("generate", "--model", "bter", "--powerlaw", "300,2,20", "--seed", 1,
+               "--out", g) == EXIT_OK
+    assert run("analyze", "--graph", g, "--out-dir", tmp_path / "a") == EXIT_OK
+    assert run("replay", "--manifest", f"{g}.manifest.json") == EXIT_OK
+    assert run("analyze", "--graph", tmp_path / "missing.txt",
+               "--out-dir", tmp_path / "m") == EXIT_INPUT
+    assert gc.isenabled()
+    assert gc.get_freeze_count() == frozen
+
+
+def test_the_bter_script_runs_process_main():
+    import bter.cli
+
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(bter.__file__).parents[2] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["bter"]
+    module, _, name = target.partition(":")
+    assert module == "bter.cli"
+    assert getattr(bter.cli, name) is bter.cli.process_main

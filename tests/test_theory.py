@@ -196,6 +196,15 @@ def test_predicted_profile_boundary_exactness():
     assert predict_community_profile(511, 2.0).d_bar == 7
 
 
+def test_predicted_profile_refuses_a_gamma_that_is_not_positive():
+    for gamma in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="gamma must be positive"):
+            predict_community_profile(10, gamma)
+    # gamma = inf is the limit in which every community has size 1
+    prof = predict_community_profile(10, float("inf"))
+    assert prof.d_bar == 1 and prof.counts == {1: 10.0}
+
+
 def test_loglog_slope_recovers_exponent():
     xs = np.array([2.0, 4.0, 8.0, 16.0])
     ys = 5.0 * xs**-3.0
