@@ -13,7 +13,6 @@ _EXPORTS = {
     "CommunityPartition": "communities",
     "ConnectivityFormula": "communities",
     "community_rho": "communities",
-    "excess_degrees": "communities",
     "partition_communities": "communities",
     "preprocess": "communities",
     "DegreeDistribution": "degrees",

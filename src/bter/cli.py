@@ -135,8 +135,8 @@ def _load_graph_file(path_str: str):
     if not path.is_file():
         raise InputError(f"no such graph file: {path}")
     try:
-        return _cli.read_snap_edgelist(path).graph
-    except ValueError as exc:  # EdgeListFormatError, or ids build_graph rejects
+        return _cli.read_snap_edgelist(path)
+    except ValueError as exc:  # EdgeListFormatError, or ids or n the graph cannot key
         raise InputError(str(exc)) from exc
 
 
@@ -250,7 +250,6 @@ def _degree_input(args, inputs: dict[str, Path]) -> DegreeSequence:
 def cmd_generate(args, argv: list[str]) -> int:
     params = _resolve_generate_params(args)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     inputs: dict[str, Path] = {}
     if args.config:
         inputs["config"] = Path(args.config)
@@ -268,7 +267,6 @@ def cmd_generate(args, argv: list[str]) -> int:
             graph = _cli.generate_er(args.n, args.p, params["seed"])
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
-        _cli.write_edgelist(graph, out)
     else:
         degrees = _degree_input(args, inputs)
         if args.model == "cl":
@@ -276,7 +274,6 @@ def cmd_generate(args, argv: list[str]) -> int:
                 graph = _cli.generate_cl(degrees, params["seed"])
             except ValueError as exc:
                 raise UsageError(str(exc)) from exc
-            _cli.write_edgelist(graph, out)
         else:
             try:
                 formula = _cli.ConnectivityFormula(
@@ -294,27 +291,30 @@ def cmd_generate(args, argv: list[str]) -> int:
             except ValueError as exc:
                 raise UsageError(str(exc)) from exc
             graph, trace = _cli.generate_bter(degrees, cfg)
-            _cli.write_edgelist(graph, out)
+    # the output directory is made once every check has passed and there
+    # is a graph to write
+    out.parent.mkdir(parents=True, exist_ok=True)
+    _cli.write_edgelist(graph, out)
+    if args.model == "bter":
+        trace_path = out.with_name(out.name + ".trace.csv")
+        rows = [
+            ("p", str(trace.p)),
+            ("q", str(trace.q)),
+            ("eta_scale", _fmt(trace.eta_scale)),
+        ]
+        rows += [(f"raw_{k}", str(v)) for k, v in trace.raw.items()]
+        rows += [(f"kept_{k}", str(v)) for k, v in trace.kept.items()]
+        rows += [
+            ("raw_edges", str(trace.stats.raw_edges)),
+            ("self_loops_dropped", str(trace.stats.self_loops_dropped)),
+            ("duplicates_dropped", str(trace.stats.duplicates_dropped)),
+        ]
+        _write_rows(trace_path, "field,value", rows)
+        outputs.append(trace_path)
 
-            trace_path = out.with_name(out.name + ".trace.csv")
-            rows = [
-                ("p", str(trace.p)),
-                ("q", str(trace.q)),
-                ("eta_scale", _fmt(trace.eta_scale)),
-            ]
-            rows += [(f"raw_{k}", str(v)) for k, v in trace.raw.items()]
-            rows += [(f"kept_{k}", str(v)) for k, v in trace.kept.items()]
-            rows += [
-                ("raw_edges", str(trace.stats.raw_edges)),
-                ("self_loops_dropped", str(trace.stats.self_loops_dropped)),
-                ("duplicates_dropped", str(trace.stats.duplicates_dropped)),
-            ]
-            _write_rows(trace_path, "field,value", rows)
-            outputs.append(trace_path)
-
-            part_path = out.with_name(out.name + ".partition.csv")
-            _cli.write_partition_csv(trace.partition, degrees, part_path)
-            outputs.append(part_path)
+        part_path = out.with_name(out.name + ".partition.csv")
+        _cli.write_partition_csv(trace.partition, degrees, part_path)
+        outputs.append(part_path)
 
     manifest = _manifest("generate", argv, config_echo, inputs)
     manifest_path = out.with_name(out.name + ".manifest.json")
@@ -425,10 +425,9 @@ def cmd_analyze(args, argv: list[str]) -> int:
     metrics = _parse_metrics(args.metrics)
     _check_seed(args.seed)
     graph = _load_graph_file(args.graph)
+    report = _compute_report(graph, metrics, args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    report = _compute_report(graph, metrics, args)
     outputs = _write_report_csvs(report, out_dir)
 
     config = {
@@ -600,12 +599,11 @@ def cmd_audit(args, argv: list[str]) -> int:
             raise UsageError(f"bad --predict value {args.predict!r}: {exc}") from exc
 
     # Each step holds only what it needs, in the order that keeps the least
-    # alive at once: the partition's block column first (its excess column
-    # is dropped at once, and the reader's rows are freed before the graph
-    # is read), then the graph; the per-block degrees, audited and freed;
-    # the block sizes, after which the block column goes; and the triangle
-    # count last, when only the graph is left. The graph goes before the
-    # manifest hashes its inputs.
+    # alive at once: the partition's block column first (the reader's rows
+    # are freed before the graph is read), then the graph; the per-block
+    # degrees, audited and freed; the block sizes, after which the block
+    # column goes; and the triangle count last, when only the graph is
+    # left. The graph goes before the manifest hashes its inputs.
     inputs: dict[str, Path] = {"graph": Path(args.graph)}
     assignment = None
     if args.partition:
@@ -614,7 +612,7 @@ def cmd_audit(args, argv: list[str]) -> int:
             raise InputError(f"no such partition file: {part_path}")
         inputs["partition"] = part_path
         try:
-            assignment = _cli.read_partition_csv(part_path)[0]
+            assignment = _cli.read_partition_csv(part_path)
         except ValueError as exc:
             raise InputError(str(exc)) from exc
     graph = _load_graph_file(args.graph)

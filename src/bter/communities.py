@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .degrees import DegreeSequence
-from .graph import ascii_lines, loadtxt_by_name, write_rows
+from .graph import ascii_lines, loadtxt_by_name, parse_int64, write_rows
 
 VARIANTS = ("standard", "cubic")
 
@@ -103,39 +103,14 @@ def partition_communities(seq: DegreeSequence) -> tuple[np.ndarray, np.ndarray]:
     return block_start, block_size
 
 
-def excess_degrees(
-    seq: DegreeSequence,
-    block_start: np.ndarray,
-    block_size: np.ndarray,
-    rho_values: np.ndarray,
-) -> np.ndarray:
-    """Per-node excess degree: the Chung-Lu weight left after block wiring.
-
-    The blocks must tile the nodes from block_start[0] to n, each starting
-    where the one before it ends. Their members get d_i - rho_k*(size-1),
-    clamped at 0 (the clamp cannot trigger under the size = bar_d + 1 rule
-    but guards any partition fed in externally). Nodes before the first
-    block get 1 if their degree is 1 and 0 otherwise.
-    """
-    block_start = np.asarray(block_start, dtype=np.int64)
-    block_size = np.asarray(block_size, dtype=np.int64)
-    first = int(block_start[0]) if block_start.size else seq.n
-    # each block must start where the one before it ends, and the last end at n
-    bounds = np.append(first, first + np.cumsum(block_size))
-    if first < 0 or not (
-        (block_size > 0).all() and np.array_equal(np.append(block_start, seq.n), bounds)
-    ):
-        raise ValueError(f"blocks must tile the nodes {first}..{seq.n - 1} in order")
-    supply = np.asarray(rho_values, dtype=np.float64) * (block_size - 1)
-    return _excess(seq.degrees, supply, np.append(first, block_size))
-
-
 def _excess(degrees: np.ndarray, supply: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Excess of a run of nodes of these target degrees: counts[0] nodes
-    before any block, then counts[k + 1] members of a block that supplies
-    each supply[k] of its degree. Each block's supply is repeated over its
-    members (0 before the first block), and the excess computed in place:
-    one array the length of the run."""
+    """Excess of a run of nodes of these target degrees, the Chung-Lu weight
+    left after block wiring: counts[0] nodes before any block, then
+    counts[k + 1] members of a block that supplies each supply[k] of its
+    degree. Members get d_i - supply, clamped at 0; nodes before the first
+    block get 1 if their degree is 1 and 0 otherwise. Each block's supply
+    is repeated over its members (0 before the first block), and the excess
+    computed in place: one array the length of the run."""
     e = np.repeat(np.append(0.0, supply), counts)
     np.subtract(degrees, e, out=e)
     np.maximum(0.0, e, out=e)
@@ -169,8 +144,8 @@ class CommunityPartition(NamedTuple):
 
     @property
     def excess(self) -> np.ndarray:
-        """node -> excess degree, as excess_degrees computes it; an n-long
-        array built on each access, which the caller owns."""
+        """node -> excess degree (see _excess); an n-long array built on
+        each access, which the caller owns."""
         first = int(self.block_start[0]) if self.block_count else self.degrees.size
         supply = self.rho * (self.block_size - 1)
         return _excess(self.degrees, supply, np.append(first, self.block_size))
@@ -235,14 +210,15 @@ def write_partition_csv(part: CommunityPartition, seq: DegreeSequence, path) -> 
             write_rows(fh, "%d,%d,%d,%.12g,%.12g\n", columns)
 
 
-def _partition_rows_by_line(path) -> tuple[list[int], list[int], list[float]]:
+def _partition_rows_by_line(path) -> tuple[list[int], list[int]]:
     """Line-by-line parser: the reference for what read_partition_csv accepts.
 
-    Returns the node, block and excess columns in file order.
+    Returns the node and block columns in file order. A row must be five
+    fields: integer node and block ids that fit in int64, and an excess
+    that ``float`` reads, which is checked and not kept.
     """
     nodes: list[int] = []
     blocks: list[int] = []
-    excess: list[float] = []
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != _PARTITION_HEADER:
@@ -251,16 +227,17 @@ def _partition_rows_by_line(path) -> tuple[list[int], list[int], list[float]]:
             line = line.strip()
             if not line:
                 continue
-            parts = line.split(",")
-            if len(parts) != 5:
-                raise ValueError(f"{path}: bad partition row {line!r}")
-            nodes.append(int(parts[0]))
-            blocks.append(int(parts[1]))
-            excess.append(float(parts[4]))
-    return nodes, blocks, excess
+            try:  # a row of other than five fields fails to unpack
+                node, block, _, _, excess = line.split(",")
+                float(excess)
+                nodes.append(parse_int64(node))
+                blocks.append(parse_int64(block))
+            except ValueError:
+                raise ValueError(f"{path}: bad partition row {line!r}") from None
+    return nodes, blocks
 
 
-def _partition_rows_fast(path) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+def _partition_rows_fast(path) -> tuple[np.ndarray, np.ndarray] | None:
     """One np.loadtxt pass over an ASCII partition dump, by file name; None
     where the line parser must decide (non-ASCII text, no rows, a line of
     only whitespace, a row that is not five fields with integer node and
@@ -289,33 +266,27 @@ def _partition_rows_fast(path) -> tuple[np.ndarray, np.ndarray, np.ndarray] | No
     )
     if rows is None or not len(rows):
         return None
-    return rows["node"], rows["block"], rows["excess"]
+    return rows["node"], rows["block"]
 
 
-def read_partition_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read a partition dump; returns (assignment, excess) arrays.
+def read_partition_csv(path) -> np.ndarray:
+    """Read a partition dump; returns the node -> block array.
 
     Rows may appear in any node order but must cover 0..n-1 exactly once.
     Raises ValueError on a bad header, a row that is not five fields, a
-    non-integer node or block id, or a node column with gaps or repeats.
+    node or block id that is not an integer in int64, an excess that is not
+    a number, or a node column with gaps or repeats.
     """
     parsed = _partition_rows_fast(path)
-    nodes, blocks, excess = (
-        parsed if parsed is not None else _partition_rows_by_line(path)
-    )
+    nodes, blocks = parsed if parsed is not None else _partition_rows_by_line(path)
     n = len(nodes)
-    # n ids, each in 0..n-1, that mark every node once: a permutation. The
-    # line parser's ids may lie beyond int64 (object dtype); such an id
-    # fails the range check before the int64 view is taken
-    nodes = np.asarray(nodes)
+    # n ids, each in 0..n-1, that mark every node once: a permutation
+    nodes = np.asarray(nodes, dtype=np.int64)
     seen = np.zeros(n, dtype=bool)
     if n and nodes.min() >= 0 and nodes.max() < n:
-        nodes = nodes.astype(np.int64, copy=False)
         seen[nodes] = True
     if not seen.all():
         raise ValueError(f"{path}: node column must cover 0..{n - 1} exactly once")
     assignment = np.empty(n, dtype=np.int64)
-    exc = np.empty(n, dtype=np.float64)
     assignment[nodes] = blocks
-    exc[nodes] = excess
-    return assignment, exc
+    return assignment

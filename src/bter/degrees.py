@@ -4,7 +4,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, parse_int64
 
 
 class _DegreeSequenceFields(NamedTuple):
@@ -141,7 +141,8 @@ def read_degree_file(path) -> DegreeSequence:
     """Read a degree input file.
 
     Two forms are accepted: a CSV with header "degree,count" (distribution
-    form) or one integer per line (sequence form).
+    form) or one integer per line (sequence form). Every integer must fit
+    in int64; anything else raises ValueError.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
@@ -153,8 +154,8 @@ def read_degree_file(path) -> DegreeSequence:
             parts = ln.split(",")
             if len(parts) != 2:
                 raise ValueError(f"{path}: bad distribution row {ln!r}")
-            d, c = int(parts[0]), int(parts[1])
+            d, c = parse_int64(parts[0]), parse_int64(parts[1])
             counts[d] = counts.get(d, 0) + c
         return DegreeDistribution(counts).to_sequence()
-    return DegreeSequence.from_degrees(int(ln) for ln in lines)
+    return DegreeSequence.from_degrees(parse_int64(ln) for ln in lines)
 

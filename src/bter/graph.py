@@ -5,11 +5,14 @@ A graph holds its edges as sorted int64 keys ``u * max(n, 1) + v`` with
 u < v, 8 B an edge, in lexicographic (u, v) order, which makes edge-list
 output byte-stable. The samplers emit such keys, the merge sorts and
 deduplicates them in place, and the reader turns its parsed rows into them
-in their own buffer; the (m, 2) rows exist only when ``Graph.edges`` is
-read. A graph is immutable after construction and safe for concurrent
-reads. Its degrees are counted on first use and kept; its adjacency matrix
-is built from the keys by scipy on each call to ``Graph.adjacency_csr``
-and never kept, so a graph that is only written counts nothing.
+in their own buffer and returns the graph alone; the (m, 2) rows exist
+only when ``Graph.edges`` is read. :class:`Graph`, :func:`build_graph`
+and the reader refuse (ValueError) an n whose keys would not fit in
+int64, that is n * (n - 1) > 2**63. A graph is immutable after
+construction and safe for concurrent reads. Its degrees are counted on
+first use and kept; its adjacency matrix is built from the keys by scipy
+on each call to ``Graph.adjacency_csr`` and never kept, so a graph that
+is only written counts nothing.
 
 Ownership: a function said to take an array over (:func:`merge_keys`,
 ``_graph_of_pairs`` and ``generate._append``) works in that array's own
@@ -268,7 +271,11 @@ def _write_pair_keys(rows: np.ndarray, out: np.ndarray, n: int) -> tuple[int, in
     many there are, the self-loops left out, and whether the rows were
     canonical. out may be the rows' own buffer: a chunk's keys land in
     slots no later than its rows', and only after those rows are read.
+    Raises ValueError where n is too large for its keys to fit in int64.
     """
+    # the largest key, (n - 2) * n + n - 1, fits in int64 while n * (n - 1) <= 2**63
+    if int(n) * (int(n) - 1) > 1 << 63:
+        raise ValueError(f"n={n} nodes: edge keys u * n + v would overflow int64")
     size, self_loops, canonical = 0, 0, True
     for lo in range(0, len(rows), _WRITE_CHUNK):
         u, v = rows[lo : lo + _WRITE_CHUNK, 0], rows[lo : lo + _WRITE_CHUNK, 1]
@@ -328,17 +335,6 @@ def merge_keys(
     return Graph._canonical(n, keys), EdgeStreamStats(raw + self_loops, self_loops, raw - size)
 
 
-class LoadedEdgeList(NamedTuple):
-    """A graph read from disk, with the id compaction map and cleaning stats.
-
-    ``original_ids[i]`` is the id in the source file of compacted node i.
-    """
-
-    graph: Graph
-    original_ids: np.ndarray
-    stats: EdgeStreamStats
-
-
 def _declared_nodes(comment: str) -> int | None:
     """N if a stripped comment line is exactly a "# nodes N" header, else None."""
     tokens = comment[1:].split()
@@ -347,12 +343,20 @@ def _declared_nodes(comment: str) -> int | None:
     return None
 
 
+def parse_int64(token: str) -> int:
+    """``int(token)``, or ValueError where that is outside int64."""
+    value = int(token)
+    if not -(1 << 63) <= value < 1 << 63:
+        raise ValueError(f"integer {token!r} is outside int64")
+    return value
+
+
 def _parse_lines(path) -> tuple[np.ndarray, int | None]:
     """Line-by-line parser: the reference for what read_snap_edgelist accepts.
 
     Returns the (m, 2) pair array and the last "# nodes N" value. Raises
     EdgeListFormatError naming the first data line that is not exactly two
-    integers (as ``int`` reads them).
+    integers (as ``int`` reads them) that fit in int64.
     """
     pairs: list[tuple[int, int]] = []
     declared_n: int | None = None
@@ -370,7 +374,7 @@ def _parse_lines(path) -> tuple[np.ndarray, int | None]:
             if len(tokens) != 2:
                 raise EdgeListFormatError(path, line_number, stripped)
             try:
-                u, v = int(tokens[0]), int(tokens[1])
+                u, v = parse_int64(tokens[0]), parse_int64(tokens[1])
             except ValueError:
                 raise EdgeListFormatError(path, line_number, stripped) from None
             pairs.append((u, v))
@@ -454,28 +458,27 @@ def _parse_fast(path) -> tuple[np.ndarray, int | None] | None:
     return arr, declared_n
 
 
-def _compact_ids(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(sorted distinct ids, arr with each id replaced by its rank among them),
-    from one argsort.
+def _compact_ids(arr: np.ndarray) -> tuple[np.ndarray, int]:
+    """(arr with each id replaced by its rank among the distinct ids, the
+    number of distinct ids), from one argsort.
     """
     flat = arr.ravel()
     order = np.argsort(flat)
-    ranked = flat[order]
-    first = _run_starts(ranked)
-    original_ids = ranked[first]
+    first = _run_starts(flat[order])
     compact = np.empty_like(arr)  # its own buffer, which the reader's keys take over
     compact.reshape(-1)[order] = np.cumsum(first) - 1
-    return original_ids, compact
+    return compact, int(np.count_nonzero(first))
 
 
-def read_snap_edgelist(path) -> LoadedEdgeList:
+def read_snap_edgelist(path) -> Graph:
     """Read a SNAP-style edge list: '#' comment lines, two ids per data line.
 
     Directed inputs are symmetrized (every line is treated as an undirected
     pair) and self-loops and duplicates are dropped. A strict "# nodes N"
     comment (as written by :func:`write_edgelist`) declares the node count,
-    preserving isolated nodes with an identity id map; otherwise node ids
-    are compacted to 0..n-1 in ascending order of original id.
+    and the ids are kept, so isolated nodes survive; otherwise node ids are
+    compacted to 0..n-1 in ascending order of original id. Raises
+    ValueError where n is too large for the graph's int64 keys.
 
     A file whose comments all come before its first data line is parsed by
     np.loadtxt (:func:`_parse_fast`); any other, or one that parse declines,
@@ -483,16 +486,11 @@ def read_snap_edgelist(path) -> LoadedEdgeList:
     EdgeListFormatError naming the first bad line.
     """
     parsed = _parse_fast(path)
-    arr, declared_n = parsed if parsed is not None else _parse_lines(path)
+    arr, n = parsed if parsed is not None else _parse_lines(path)
     del parsed
-    if declared_n is not None and (arr.size == 0 or int(arr.max()) < declared_n):
-        original_ids = np.arange(declared_n, dtype=np.int64)
-        n = declared_n
-    else:
-        original_ids, arr = _compact_ids(arr)
-        n = len(original_ids)
-    graph, stats = _graph_of_pairs(arr, arr, n)  # the keys take the rows' buffer
-    return LoadedEdgeList(graph, original_ids, stats)
+    if n is None or (arr.size and int(arr.max()) >= n):
+        arr, n = _compact_ids(arr)
+    return _graph_of_pairs(arr, arr, n)[0]  # the keys take the rows' buffer
 
 
 _SPECIFIER = re.compile(r"%(d|\.12g)")

@@ -83,9 +83,7 @@ class CommunityAudit(NamedTuple):
     triangle count exceeds it (read with expected_exact: when only the
     upper bound was computable, a pass is necessary but not sufficient).
     er_core maps each constant c to (count, min internal degree) of nodes
-    with internal degree >= c*sqrt(s). wedge_leaf_ratio reports the
-    squared-degree mass above the first non-leaf position divided by that
-    position; it is a reported hypothesis, never a pass/fail input.
+    with internal degree >= c*sqrt(s).
     """
 
     r: int
@@ -96,7 +94,6 @@ class CommunityAudit(NamedTuple):
     kappa: float
     passes: bool
     er_core: dict[float, tuple[int, int]]
-    wedge_leaf_ratio: float
 
 
 def audit_community(
@@ -120,14 +117,6 @@ def audit_community(
         members = d[d >= c * sqrt_s]
         core[float(c)] = (int(members.size), int(members[0]) if members.size else 0)
 
-    nondeg1 = np.nonzero(d > 1)[0]
-    if nondeg1.size:
-        first = int(nondeg1[0])  # 0-based; 1-based index is first + 1
-        tail_sq = float((d[first + 1 :].astype(np.float64) ** 2).sum())
-        ratio = tail_sq / (first + 1)
-    else:
-        ratio = 0.0
-
     return CommunityAudit(
         r=int(d.size),
         s=s,
@@ -137,7 +126,6 @@ def audit_community(
         kappa=kappa,
         passes=expected.value > wedge_bound,
         er_core=core,
-        wedge_leaf_ratio=ratio,
     )
 
 

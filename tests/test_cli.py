@@ -69,7 +69,8 @@ def test_generate_needs_exactly_one_degree_source(tmp_path):
 def test_generate_missing_degree_file_is_input_error(tmp_path):
     assert run("generate", "--model", "cl", "--seed", 1,
                "--degrees", tmp_path / "missing.txt",
-               "--out", tmp_path / "x.txt") == EXIT_INPUT
+               "--out", tmp_path / "out" / "x.txt") == EXIT_INPUT
+    assert not (tmp_path / "out").exists()  # no output directory either
 
 
 def test_generate_from_degree_files(tmp_path):
@@ -104,7 +105,7 @@ def test_analyze_er_leading_eigenvalue_concentrates(tmp_path):
 
     from bter.graph import read_snap_edgelist
 
-    g = read_snap_edgelist(out).graph
+    g = read_snap_edgelist(out)
     A = np.zeros((g.n, g.n))
     for u, v in g.edges:
         A[u, v] = A[v, u] = 1.0
@@ -314,12 +315,14 @@ def test_analyze_unknown_metric(k4_file, tmp_path):
 def test_analyze_missing_graph(tmp_path):
     assert run("analyze", "--graph", tmp_path / "none.txt",
                "--out-dir", tmp_path / "rep") == EXIT_INPUT
+    assert not (tmp_path / "rep").exists()
 
 
 def test_analyze_malformed_graph(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("1 2\nx y\n")
     assert run("analyze", "--graph", bad, "--out-dir", tmp_path / "rep") == EXIT_INPUT
+    assert not (tmp_path / "rep").exists()
 
 
 def test_analyze_spectrum_nonconvergence_exit_code(tmp_path):
@@ -329,6 +332,7 @@ def test_analyze_spectrum_nonconvergence_exit_code(tmp_path):
     assert run("analyze", "--graph", out, "--metrics", "spectrum",
                "--top-k", 2, "--tol", "1e-300",
                "--out-dir", tmp_path / "rep") == EXIT_NO_CONVERGENCE
+    assert not (tmp_path / "rep").exists()  # nothing to write, so no directory
 
 
 def test_analyze_spectrum_of_a_complete_graph_has_no_traceback(tmp_path):
@@ -593,7 +597,7 @@ def test_audit_blocks_match_direct_per_block_audits(tmp_path):
     constants = (0.25, 0.5, 1.0)
     assert lines[0].endswith(",".join(_core_label(c) for c in constants))
 
-    graph, assignment = read_snap_edgelist(g).graph, read_partition_csv(f"{g}.partition.csv")[0]
+    graph, assignment = read_snap_edgelist(g), read_partition_csv(f"{g}.partition.csv")
     per_block = per_block_internal_degrees(graph, assignment)
     got = block_degree_dict(internal_degrees_by_block(graph, assignment))
     assert list(got) == list(per_block)
@@ -966,13 +970,13 @@ def small_bter(tmp_path_factory):
     ids=lambda argv: " ".join(str(a) for a in argv if "{" not in str(a)),
 )
 def test_bad_values_are_usage_errors(argv, small_bter, tmp_path, capsys):
-    out = tmp_path / "out"
+    out = tmp_path / "out" / "x"
     args = [str(a).replace("{out}", str(out)).replace("{graph}", str(small_bter))
             for a in argv]
     assert main(args) == EXIT_USAGE
     assert capsys.readouterr().err.startswith("error: ")
-    # a bad value is refused before any output is written
-    assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
+    # a bad value is refused before any output, file or directory, is made
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_negative_seed_from_the_config_file_is_a_usage_error(tmp_path, capsys):
@@ -1015,16 +1019,43 @@ def test_audit_counts_only_the_triangle_total(small_bter, tmp_path, monkeypatch)
     monkeypatch.setattr(bter.metrics, "count_triangles_wedges", spy)
     assert run("audit", "--graph", small_bter, "--out-dir", tmp_path / "d") == EXIT_OK
     assert calls == [False]
-    graph = bter.read_snap_edgelist(small_bter).graph
+    graph = bter.read_snap_edgelist(small_bter)
     triangles = count(graph).triangles
     kk = (tmp_path / "d" / "kk.csv").read_text(encoding="utf-8")
     assert kk == f"triangles,edges,ok\n{triangles},{graph.edge_count},true\n"
 
 
-def test_malformed_inputs_are_input_errors(k4_file, tmp_path):
+def test_malformed_inputs_are_input_errors(k4_file, tmp_path, capsys):
     negative = tmp_path / "neg.txt"
     negative.write_text("# nodes 5\n-1 2\n", encoding="utf-8")
     assert run("analyze", "--graph", negative, "--out-dir", tmp_path / "a") == EXIT_INPUT
+
+    # integers beyond int64 and node counts whose edge keys would overflow
+    # int64 are refused by the reader, with its message
+    wide = tmp_path / "wide.txt"
+    wide.write_text("0 1\n1 9223372036854775808\n", encoding="utf-8")
+    part = tmp_path / "wide.csv"
+    part.write_text("node,block,bar_d,rho,excess\n1,99999999999999999999,1,0.5,1\n",
+                    encoding="utf-8")
+    degrees = tmp_path / "wide_degrees.txt"
+    degrees.write_text("99999999999999999999\n", encoding="utf-8")
+    cases = [
+        (("analyze", "--graph", wide), f"{wide}:2: expected two integer node ids"),
+        (("audit", "--graph", k4_file, "--partition", part), f"{part}: bad partition row"),
+        (("generate", "--model", "cl", "--seed", 1, "--degrees", degrees),
+         "integer '99999999999999999999' is outside int64"),
+    ]
+    for n in (4000000000, 99999999999999999999):
+        huge = tmp_path / f"nodes_{n}.txt"
+        huge.write_text(f"# nodes {n}\n0 1\n", encoding="utf-8")
+        cases.append((("analyze", "--graph", huge), f"n={n} nodes"))
+    capsys.readouterr()
+    for argv, message in cases:
+        out = tmp_path / "out"
+        dest = "--out" if argv[0] == "generate" else "--out-dir"
+        assert run(*argv, dest, out / "x") == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists()
 
     manifest = tmp_path / "m.json"
     manifest.write_text("{not json", encoding="utf-8")

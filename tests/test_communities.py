@@ -12,7 +12,6 @@ from bter.communities import (
     CommunityPartition,
     ConnectivityFormula,
     community_rho,
-    excess_degrees,
     partition_communities,
     preprocess,
     read_partition_csv,
@@ -113,57 +112,37 @@ def test_partition_block_shape_invariants(values):
 
 def test_excess_cases():
     # degree-1 node
-    seq = seq_of(1, 2, 2, 2)
-    starts, sizes = partition_communities(seq)
-    e = excess_degrees(seq, starts, sizes, np.array([1.0]))
-    assert e[0] == 1.0
+    at_rho_1 = ConnectivityFormula(rho=1.0, eta=0.0)
+    assert preprocess(seq_of(1, 2, 2, 2), at_rho_1).excess[0] == 1.0
     # full block at rho 1: internal supply equals the degree
-    seq = seq_of(*([10] * 11))
-    starts, sizes = partition_communities(seq)
-    e = excess_degrees(seq, starts, sizes, np.array([1.0]))
-    assert np.allclose(e, 0.0)
+    assert np.allclose(preprocess(seq_of(*([10] * 11)), at_rho_1).excess, 0.0)
+
+
+def _excess(degrees, supply, counts):
+    return bter.communities._excess(
+        np.array(degrees, dtype=np.int64), np.array(supply, dtype=np.float64), np.array(counts)
+    )
 
 
 def test_excess_hand_value():
-    seq = seq_of(5, 5, 5, 5)
-    e = excess_degrees(seq, np.array([0]), np.array([4]), np.array([0.9457]))
+    # one block of 4 nodes that supplies 0.9457 * 3 of each degree
+    e = _excess([5, 5, 5, 5], [0.9457 * 3], [0, 4])
     assert e[0] == pytest.approx(5 - 0.9457 * 3, rel=1e-12)
     assert e[0] == pytest.approx(2.163, abs=5e-4)
 
 
 def test_excess_clamped_at_zero():
-    seq = seq_of(2, 9, 9)  # externally supplied partition larger than d=2 needs
-    e = excess_degrees(seq, np.array([0]), np.array([3]), np.array([1.0]))
-    assert e[0] == 0.0
+    # a block of 3 at rho 1 supplies 2 of each degree: node 0 needs only 2
+    assert _excess([2, 9, 9], [2.0], [0, 3])[0] == 0.0
 
 
-def test_excess_keeps_prefix_values_before_an_external_tiling():
+def test_excess_keeps_prefix_values_before_the_first_block():
     # nodes before the first block keep the degree-1 rule: 1 for degree 1
     # and 0 for any other degree, here the degree-2 node 2
-    seq = seq_of(1, 1, 2, 3, 3, 3, 3)
-    e = excess_degrees(seq, np.array([3, 5]), np.array([2, 2]), np.array([0.5, 1.0]))
+    degrees = [1, 1, 2, 3, 3, 3, 3]
+    e = _excess(degrees, [0.5, 1.0], [3, 2, 2])
     assert e.tolist() == [1.0, 1.0, 0.0, 2.5, 2.5, 2.0, 2.0]
-    e = excess_degrees(seq, np.array([], dtype=np.int64), np.array([], dtype=np.int64), [])
-    assert e.tolist() == [1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
-
-
-@pytest.mark.parametrize(
-    "start, size",
-    [
-        ([2, 4], [1, 3]),  # a gap: node 3 is in no block
-        ([2, 3], [2, 4]),  # an overlap, ending past n
-        ([2, 3], [2, 3]),  # an overlap, ending at n
-        ([2, 5, 4], [3, -1, 3]),  # a negative size that keeps the bounds in step
-        ([2, 2], [0, 5]),  # an empty block
-        ([2], [4]),  # ends before n
-        ([2], [6]),  # ends after n
-        ([-1], [8]),  # starts before node 0
-    ],
-)
-def test_excess_rejects_blocks_that_do_not_tile(start, size):
-    seq = seq_of(1, 1, 2, 2, 2, 3, 3)
-    with pytest.raises(ValueError, match="tile"):
-        excess_degrees(seq, np.array(start), np.array(size), np.full(len(start), 0.9))
+    assert _excess(degrees, [], [7]).tolist() == [1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
 
 
 def test_partition_holds_per_block_arrays_and_the_degrees():
@@ -304,9 +283,7 @@ def test_partition_csv_round_trip(tmp_path):
     part = preprocess(seq, ConnectivityFormula())
     path = tmp_path / "part.csv"
     write_partition_csv(part, seq, path)
-    assignment, excess = read_partition_csv(path)
-    assert np.array_equal(assignment, part.assignment)
-    assert np.allclose(excess, part.excess)
+    assert np.array_equal(read_partition_csv(path), part.assignment)
 
 
 def test_partition_csv_rejects_gaps(tmp_path):
@@ -326,12 +303,22 @@ def test_partition_csv_rejects_bad_rows(tmp_path):
             read_partition_csv(path)
 
 
+@pytest.mark.parametrize(
+    "row", ["99999999999999999999,0,2,0.9,0.5", "0,-9223372036854775809,2,0.9,0.5"]
+)
+def test_partition_csv_refuses_ids_beyond_int64(tmp_path, row):
+    # the line parser names the row, as it does for any other bad field
+    path = tmp_path / "wide.csv"
+    path.write_text(f"node,block,bar_d,rho,excess\n{row}\n")
+    with pytest.raises(ValueError, match=f"bad partition row '{row}'"):
+        read_partition_csv(path)
+
+
 def _partition_outcome(path):
     try:
-        assignment, excess = read_partition_csv(path)
+        return read_partition_csv(path).tolist()
     except Exception as exc:  # the outcome compared is the exception itself
         return type(exc), str(exc)
-    return assignment.tolist(), excess.tobytes()  # bit-exact, NaN included
 
 
 @pytest.mark.parametrize(
@@ -373,9 +360,8 @@ def test_fast_partition_reader_takes_clean_files(tmp_path, end):
     path.write_bytes(
         with_line_ends(b"node,block,bar_d,rho,excess\r\n1,0,2,0.9,0.5\r\n0,-1,0,0,1", end)
     )
-    nodes, blocks, excess = bter.communities._partition_rows_fast(path)
+    nodes, blocks = bter.communities._partition_rows_fast(path)
     assert nodes.tolist() == [1, 0] and blocks.tolist() == [0, -1]
-    assert excess.tolist() == [0.5, 1.0]
     gz = tmp_path / "part.gz"  # numpy would decompress it: the line parser reads it
     gz.write_bytes(path.read_bytes())
     assert bter.communities._partition_rows_fast(gz) is None
@@ -409,13 +395,12 @@ def test_partition_csv_derives_the_excess_per_chunk(tmp_path, monkeypatch, chunk
     # three degree-1 nodes before the first block, then blocks of 3 and 4
     # nodes and a short last one of 2 (rho 0: its members keep their whole
     # degree). Chunks of 1 and 7 rows start in the prefix, inside blocks and
-    # on block starts; each writes the excess that excess_degrees computes
-    # for its nodes, which is the partition's own, bit for bit
+    # on block starts; each writes the partition's own excess for its
+    # nodes, bit for bit
     seq = seq_of(1, 1, 1, 2, 2, 2, 3, 3, 3, 3, 6, 6)
     part = preprocess(seq, ConnectivityFormula(rho=0.9, eta=0.7))
     assert part.block_start.tolist() == [3, 6, 10] and part.rho[-1] == 0.0
-    expected = excess_degrees(seq, part.block_start, part.block_size, part.rho)
-    assert part.excess.tobytes() == expected.tobytes()
+    expected = part.excess
     assert expected[:3].tolist() == [1.0] * 3 and expected[10:].tolist() == [6.0] * 2
     monkeypatch.setattr(bter.communities, "_PARTITION_CHUNK", chunk)
     write_partition_csv(part, seq, tmp_path / "new.csv")

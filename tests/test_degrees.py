@@ -134,3 +134,20 @@ def test_degree_file_rejects_garbage(tmp_path):
     path.write_text("degree,count\n1,2,3\n")
     with pytest.raises(ValueError):
         read_degree_file(path)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1\n99999999999999999999\n",
+        "9223372036854775808\n",
+        "degree,count\n99999999999999999999,1\n",
+        "degree,count\n1,9223372036854775808\n",
+    ],
+)
+def test_degree_file_refuses_integers_beyond_int64(tmp_path, text):
+    # numpy's int64 conversion of such a value raised OverflowError, not ValueError
+    path = tmp_path / "wide.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="outside int64"):
+        read_degree_file(path)

@@ -141,15 +141,23 @@ def test_has_edge_matches_a_set_on_every_pair(stream, isolated):
 def test_read_snap_symmetrizes(tmp_path):
     path = tmp_path / "tiny.txt"
     path.write_text("# c\n1 2\n2 1\n")
-    loaded = read_snap_edgelist(path)
-    assert loaded.graph.n == 2
-    assert loaded.graph.edge_count == 1
-    assert loaded.original_ids.tolist() == [1, 2]
+    g = read_snap_edgelist(path)
+    assert g.n == 2
+    assert g.edges.tolist() == [[0, 1]]  # ids 1 and 2 become 0 and 1
 
 
 def test_read_snap_malformed_line_reports_position(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("1 2\na b\n")
+    with pytest.raises(EdgeListFormatError) as err:
+        read_snap_edgelist(path)
+    assert err.value.line_number == 2
+
+
+@pytest.mark.parametrize("line", ["1 9223372036854775808", "-9223372036854775809 0"])
+def test_read_snap_names_an_id_beyond_int64(tmp_path, line):
+    path = tmp_path / "wide.txt"
+    path.write_text(f"0 1\n{line}\n")
     with pytest.raises(EdgeListFormatError) as err:
         read_snap_edgelist(path)
     assert err.value.line_number == 2
@@ -165,33 +173,32 @@ def test_read_snap_wrong_token_count(tmp_path):
 def test_read_snap_compacts_sparse_ids(tmp_path):
     path = tmp_path / "sparse.txt"
     path.write_text("100 7\n7 9000\n")
-    loaded = read_snap_edgelist(path)
-    assert loaded.graph.n == 3
-    assert loaded.original_ids.tolist() == [7, 100, 9000]
-    assert loaded.graph.edges.tolist() == [[0, 1], [0, 2]]
+    g = read_snap_edgelist(path)
+    assert g.n == 3
+    assert g.edges.tolist() == [[0, 1], [0, 2]]  # 7, 100 and 9000 become 0, 1 and 2
 
 
 def test_read_snap_honors_node_count_header(tmp_path):
     path = tmp_path / "declared.txt"
     path.write_text("# nodes 5\n0 1\n")
-    loaded = read_snap_edgelist(path)
-    assert loaded.graph.n == 5
-    assert loaded.graph.edge_count == 1
+    g = read_snap_edgelist(path)
+    assert g.n == 5
+    assert g.edges.tolist() == [[0, 1]]
 
 
 def test_read_snap_ignores_inconsistent_header(tmp_path):
     path = tmp_path / "stale.txt"
     path.write_text("# nodes 2\n10 20\n")  # ids exceed the declared count
-    loaded = read_snap_edgelist(path)
-    assert loaded.graph.n == 2
-    assert loaded.original_ids.tolist() == [10, 20]
+    g = read_snap_edgelist(path)
+    assert g.n == 2
+    assert g.edges.tolist() == [[0, 1]]  # compacted: 10 and 20 become 0 and 1
 
 
 def test_read_snap_ignores_snap_style_headers(tmp_path):
     path = tmp_path / "snapstyle.txt"
     path.write_text("# Nodes: 23133 Edges: 186878\n5 6\n")
-    loaded = read_snap_edgelist(path)
-    assert loaded.graph.n == 2  # compaction path, header not ours
+    g = read_snap_edgelist(path)
+    assert g.n == 2 and g.edges.tolist() == [[0, 1]]  # compaction path, header not ours
 
 
 def test_node_count_header_needs_digits_int_reads(tmp_path):
@@ -201,11 +208,56 @@ def test_node_count_header_needs_digits_int_reads(tmp_path):
     assert bter.graph._parse_fast(path) is None  # non-ASCII: the line parser decides
     arr, declared_n = bter.graph._parse_lines(path)
     assert arr.tolist() == [[5, 6]] and declared_n is None
-    assert read_snap_edgelist(path).original_ids.tolist() == [5, 6]
+    g = read_snap_edgelist(path)
+    assert g.n == 2 and g.edges.tolist() == [[0, 1]]  # 5 and 6 compacted
     path.write_text("# nodes 4\n1 2\n", encoding="utf-8")
     for parse in (bter.graph._parse_fast, bter.graph._parse_lines):
         arr, declared_n = parse(path)
         assert arr.tolist() == [[1, 2]] and declared_n == 4
+
+
+def test_read_snap_holds_no_node_long_array(tmp_path):
+    # a "# nodes N" header keeps the file's ids: the read builds no id map,
+    # and the graph counts no degrees until they are asked for
+    import tracemalloc
+
+    path = tmp_path / "sparse.txt"
+    path.write_text("# nodes 2000000\n0 1\n")
+    tracemalloc.start()
+    try:
+        g = read_snap_edgelist(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak  # an identity id map took 16 MB
+    assert g.n == 2_000_000 and g.edges.tolist() == [[0, 1]]
+
+
+@pytest.mark.parametrize("n", [4_000_000_000, 99999999999999999999])
+@pytest.mark.parametrize("edges", ["0 1\n", ""])
+def test_read_snap_refuses_n_whose_keys_overflow(tmp_path, n, edges):
+    path = tmp_path / "huge.txt"
+    path.write_text(f"# nodes {n}\n{edges}")
+    with pytest.raises(ValueError, match=f"n={n} "):
+        read_snap_edgelist(path)
+
+
+def test_build_graph_refuses_n_whose_keys_overflow():
+    # the key u * n + v of the last pair wrapped: this returned the edge
+    # [-611686020, 2290448383]
+    pair = np.array([[3999999998, 3999999999]])
+    for n in (4_000_000_000, None):
+        with pytest.raises(ValueError, match="n=4000000000 "):
+            build_graph(pair, n=n)
+    with pytest.raises(ValueError, match="n=4000000000 "):
+        Graph(4_000_000_000, pair)
+    # the largest n whose keys fit: n * (n - 1) <= 2**63
+    n = 3_037_000_500
+    assert n * (n - 1) <= 2**63 < (n + 1) * n
+    g, _ = build_graph(np.array([[n - 2, n - 1]]), n=n)
+    assert g.keys.tolist() == [(n - 2) * n + n - 1] and g.edges.tolist() == [[n - 2, n - 1]]
+    with pytest.raises(ValueError, match=f"n={n + 1} "):
+        build_graph(np.array([[n - 1, n]]))
 
 
 def test_write_triangle(tmp_path):
@@ -226,8 +278,7 @@ def test_write_preserves_isolated_nodes(tmp_path):
     g, _ = build_graph([(0, 1)], n=4)
     path = tmp_path / "iso.txt"
     write_edgelist(g, path)
-    loaded = read_snap_edgelist(path)
-    assert loaded.graph == g
+    assert read_snap_edgelist(path) == g
 
 
 @given(edge_streams)
@@ -235,7 +286,7 @@ def test_write_read_round_trip(tmp_path_factory, stream):
     g, _ = build_graph(stream, n=12)
     path = tmp_path_factory.mktemp("rt") / "g.txt"
     write_edgelist(g, path)
-    assert read_snap_edgelist(path).graph == g
+    assert read_snap_edgelist(path) == g
 
 
 def test_generated_graph_round_trips(tmp_path):
@@ -249,7 +300,7 @@ def test_generated_graph_round_trips(tmp_path):
     assert (g.degrees == 0).any()
     path = tmp_path / "g.txt"
     write_edgelist(g, path)
-    assert read_snap_edgelist(path).graph == g
+    assert read_snap_edgelist(path) == g
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +371,7 @@ def test_build_graph_keys_a_handed_over_array_in_its_own_buffer(tmp_path, monkey
     held = build_graph(rows, n=5)
     path = tmp_path / "g.txt"
     path.write_text("# nodes 5\n0 1\n0 3\n2 3\n")
-    assert read_snap_edgelist(path).graph == held[0]
+    assert read_snap_edgelist(path) == held[0]
     assert in_place == [False, True]
 
 
@@ -445,9 +496,9 @@ def test_compact_ids_match_unique_and_searchsorted(pairs, shape, rnd):
         stream += [(u, u) for u, _ in rnd.sample(stream, len(stream) // 3)]
     rnd.shuffle(stream)
     arr = np.array(stream, dtype=np.int64).reshape(-1, 2)
-    ids, compact = bter.graph._compact_ids(arr)
+    compact, n = bter.graph._compact_ids(arr)
     ref_ids = np.unique(arr)
-    assert np.array_equal(ids, ref_ids)
+    assert n == len(ref_ids)
     assert np.array_equal(compact, np.searchsorted(ref_ids, arr))
     assert compact.shape == arr.shape and compact.dtype == np.int64
 
@@ -474,10 +525,9 @@ _LINES = st.one_of(
 
 def _read_outcome(path):
     try:
-        loaded = read_snap_edgelist(path)
+        return read_snap_edgelist(path)
     except Exception as exc:  # the outcome compared is the exception itself
         return type(exc), getattr(exc, "line_number", None)
-    return loaded.graph, loaded.original_ids.tolist(), loaded.stats
 
 
 @given(
@@ -602,7 +652,7 @@ def _graph_from(source: str, stream, n: int, tmp_path) -> Graph:
     g, _ = build_graph(stream, n=n)
     if source == "read_snap_edgelist":
         write_edgelist(g, tmp_path / "g.txt")
-        g = read_snap_edgelist(tmp_path / "g.txt").graph
+        g = read_snap_edgelist(tmp_path / "g.txt")
     return g
 
 

@@ -563,7 +563,7 @@ def test_spectrum_repeats_within_one_process_on_a_small_component(tmp_path):
     path = tmp_path / "g.txt"
     assert main(["generate", "--model", "bter", "--powerlaw", "2000,2,45", "--seed", "17",
                  "--out", str(path)]) == 0
-    g = read_snap_edgelist(path).graph
+    g = read_snap_edgelist(path)
     _, label = connected_components(g.adjacency_csr(), directed=False)
     nodes = np.flatnonzero(label == np.flatnonzero(np.bincount(label) == 18)[0])
     edges = g.edges[np.isin(g.edges[:, 0], nodes) & np.isin(g.edges[:, 1], nodes)]

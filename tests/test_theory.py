@@ -154,13 +154,6 @@ def test_audit_core_census_partial():
     assert audit.er_core[1.0][0] == expected
 
 
-def test_audit_wedge_leaf_ratio():
-    audit = audit_community([1, 1, 2, 3], kappa=0.1)
-    # first non-leaf at 1-based position 3; mass above it is 3^2
-    assert audit.wedge_leaf_ratio == pytest.approx(9 / 3)
-    assert audit_community([2, 2], kappa=0.1).wedge_leaf_ratio == pytest.approx(4 / 1)
-
-
 def test_audit_kappa_validation():
     with pytest.raises(ValueError):
         audit_community([2, 2, 2], kappa=0.0)
