@@ -6,7 +6,7 @@ package loads no submodule, and so no numpy, until one of its names is used.
 
 import importlib
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 # public name -> the submodule that defines it
 _EXPORTS = {
@@ -30,12 +30,12 @@ _EXPORTS = {
     "read_snap_edgelist": "graph",
     "write_edgelist": "graph",
     "ClusteringProfile": "metrics",
-    "SpectrumReport": "metrics",
     "TriangleWedgeCounts": "metrics",
     "clustering_profile": "metrics",
     "compute_report": "metrics",
     "count_triangles_wedges": "metrics",
-    "top_eigenvalues": "metrics",
+    "SpectrumReport": "spectrum",
+    "top_eigenvalues": "spectrum",
     "MetricsReport": "reports",
     "compare_reports": "reports",
     "CommunityAudit": "theory",

@@ -399,15 +399,16 @@ def _write_report_csvs(report: MetricsReport, out_dir: Path) -> list[Path]:
 
 def _compute_report(graph, metrics: tuple[str, ...], args) -> MetricsReport:
     """compute_report with the user's --top-k and --tol checked first."""
-    if "spectrum" in metrics:
-        if min(args.top_k, graph.n) < 1:
-            raise UsageError(
-                f"need 1 <= --top-k and a graph with nodes, got --top-k "
-                f"{args.top_k} on {graph.n} nodes"
-            )
-        if not 0 < args.tol < math.inf:
-            raise UsageError(f"--tol must be positive and finite, got {args.tol}")
-    from .metrics import SpectrumConvergenceError
+    if "spectrum" not in metrics:
+        return _cli.compute_report(graph, metrics=metrics)
+    if min(args.top_k, graph.n) < 1:
+        raise UsageError(
+            f"need 1 <= --top-k and a graph with nodes, got --top-k "
+            f"{args.top_k} on {graph.n} nodes"
+        )
+    if not 0 < args.tol < math.inf:
+        raise UsageError(f"--tol must be positive and finite, got {args.tol}")
+    from .spectrum import SpectrumConvergenceError
 
     try:
         return _cli.compute_report(

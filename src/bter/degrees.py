@@ -4,7 +4,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graph import Graph, parse_int64
+from .graph import Graph, check_keyable, parse_int64
 
 
 class _DegreeSequenceFields(NamedTuple):
@@ -86,7 +86,12 @@ class DegreeDistribution(_DegreeDistributionFields):
         return sum(self.counts.values())
 
     def to_sequence(self) -> DegreeSequence:
-        """Realize the distribution as a sorted degree sequence."""
+        """Realize the distribution as a sorted degree sequence; ValueError,
+        before allocating, where its nodes are too many to key (see
+        graph.check_keyable) or its degree total overflows int64."""
+        check_keyable(self.n)
+        if sum(d * x for d, x in self.counts.items()) >= 1 << 63:
+            raise ValueError("degree total is outside int64")
         ds = np.array(sorted(self.counts), dtype=np.int64)
         reps = np.array([self.counts[int(d)] for d in ds], dtype=np.int64)
         return DegreeSequence(np.repeat(ds, reps))

@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-if TYPE_CHECKING:  # scipy is imported where it is used: only the spectrum needs it
+if TYPE_CHECKING:  # scipy is imported where it is used, by Graph.adjacency_csr alone
     import scipy.sparse as sp
 
 # Rows the file writers build as one byte matrix: enough to spread the
@@ -164,36 +164,14 @@ class Graph:
 
     def adjacency_csr(self) -> "sp.csr_matrix":
         """Adjacency matrix as a scipy CSR matrix (0/1, float64, sorted
-        indices), new on each call. Its entries are the keys and their
-        turned copies ``v * n + u``, sorted together: row u's are u's
-        neighbours in id order, its indices those keys mod n, and its row
-        starts the running sum of the degrees, counted in the pass that
-        turns the keys (the graph keeps nothing). The build peaks at about
-        the matrix's own 24 B an edge: the 2m directed keys (16 B an edge)
-        beside the int32 indices (8 B an edge); the float64 data are made
-        once the keys are freed."""
+        indices), new on each call: spectrum.adjacency_arrays of the edges,
+        with float64 data made once the build's keys are freed."""
         import scipy.sparse as sp
 
-        n, m = self.n, len(self.keys)
-        width = np.int64(max(n, 1))
-        indptr = np.zeros(n + 1, dtype=np.int64)  # scipy narrows it to int32 where that fits
-        directed = np.empty(2 * m, dtype=np.int64)
-        directed[:m] = self.keys
-        at = m
-        for u, v in self.edge_chunks():
-            np.add.at(indptr[1:], u, 1)
-            np.add.at(indptr[1:], v, 1)
-            v *= width
-            v += u  # the turned key v * n + u
-            directed[at : at + len(v)] = v
-            at += len(v)
-        np.cumsum(indptr, out=indptr)
-        directed.sort()
-        indices = np.empty(2 * m, dtype=np.int32 if max(n, 2 * m) < 1 << 31 else np.int64)
-        for lo in range(0, 2 * m, _WRITE_CHUNK):
-            indices[lo : lo + _WRITE_CHUNK] = directed[lo : lo + _WRITE_CHUNK] % width
-        del directed
-        return sp.csr_matrix((np.ones(2 * m), indices, indptr), shape=(n, n))
+        from .spectrum import adjacency_arrays
+
+        indptr, indices = adjacency_arrays(self.n, self.edge_chunks(), len(self.keys))
+        return sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(self.n, self.n))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
@@ -273,9 +251,7 @@ def _write_pair_keys(rows: np.ndarray, out: np.ndarray, n: int) -> tuple[int, in
     slots no later than its rows', and only after those rows are read.
     Raises ValueError where n is too large for its keys to fit in int64.
     """
-    # the largest key, (n - 2) * n + n - 1, fits in int64 while n * (n - 1) <= 2**63
-    if int(n) * (int(n) - 1) > 1 << 63:
-        raise ValueError(f"n={n} nodes: edge keys u * n + v would overflow int64")
+    check_keyable(n)
     size, self_loops, canonical = 0, 0, True
     for lo in range(0, len(rows), _WRITE_CHUNK):
         u, v = rows[lo : lo + _WRITE_CHUNK, 0], rows[lo : lo + _WRITE_CHUNK, 1]
@@ -289,6 +265,14 @@ def _write_pair_keys(rows: np.ndarray, out: np.ndarray, n: int) -> tuple[int, in
         size += len(keys)
         self_loops += loops
     return size, self_loops, canonical
+
+
+def check_keyable(n: int) -> None:
+    """Raise ValueError where n nodes are too many for their edge keys
+    ``u * n + v`` to fit in int64, that is n * (n - 1) > 2**63."""
+    # the largest key, (n - 2) * n + n - 1, fits in int64 while n * (n - 1) <= 2**63
+    if int(n) * (int(n) - 1) > 1 << 63:
+        raise ValueError(f"n={n} nodes: edge keys u * n + v would overflow int64")
 
 
 def loop_free_keys(u: np.ndarray, v: np.ndarray, n: int) -> tuple[np.ndarray, int]:

@@ -8,24 +8,40 @@ Besides the graph, the count holds int32 out-neighbour rows (4 B an edge;
 its own buffer), int64 row starts and, unless only the totals are asked
 for, per-node counts (length n), the out-degree grouping of the nodes that
 centre an out-wedge, and one cache-sized pass; per-node counts are int64
-sums. The leading adjacency eigenvalues are solved on the graph's leaf
-quotient (each hub's degree-1 leaves merged into one weighted node), one
-connected component at a time: small components by batched dense LAPACK
-eigh, larger ones by ARPACK's implicitly restarted Lanczos
-(scipy.sparse.linalg.eigsh), using only sparse matrix-vector products, with
-every reported pair's residual checked explicitly.
+sums. The leading adjacency eigenvalues are bter.spectrum's, which only a
+report with the spectrum loads.
 """
 
-import math
+import sys
 from typing import NamedTuple
 
 import numpy as np
 
 from .graph import Graph
 from .reports import ALL_METRICS, MetricsReport
-from .rng import substream
+from .rng import substream  # noqa: F401  (bter.spectrum draws its starting vector here)
 
-_SPECTRUM_STREAM = 9
+DEFAULT_TOP_K = 25
+
+# bter.spectrum's public names resolve here too, importing it on first use
+# (PEP 562), and compute_report calls the solver as this module's
+# attribute: so a report without the spectrum never loads it, and a name
+# replaced on bter.metrics from outside (say, by a wrapper that times it)
+# is the one called.
+_SPECTRUM_NAMES = ("SpectrumConvergenceError", "SpectrumReport", "top_eigenvalues")
+
+
+def __getattr__(name: str):
+    if name not in _SPECTRUM_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import spectrum
+
+    value = getattr(spectrum, name)
+    globals()[name] = value
+    return value
+
+
+_metrics = sys.modules[__name__]
 
 
 class TriangleWedgeCounts(NamedTuple):
@@ -53,32 +69,6 @@ class ClusteringProfile(NamedTuple):
     global_c: float
     per_node: np.ndarray
     by_degree: dict[int, tuple[float, int]]  # degree -> (mean C_i, node count)
-
-
-class SpectrumReport(NamedTuple):
-    """Leading adjacency eigenvalues, largest first, with residual norms.
-
-    Every reported pair satisfies ||A v - lambda v|| <= tolerance for the
-    unit Ritz vector v. iterations counts the sparse matvecs the solver
-    applied.
-    """
-
-    eigenvalues: np.ndarray
-    residuals: np.ndarray
-    k: int
-    tolerance: float
-    iterations: int
-
-
-class SpectrumConvergenceError(RuntimeError):
-    """ARPACK ran out of restarts, or a returned pair missed the tolerance.
-
-    partial holds only the pairs whose residual met the tolerance.
-    """
-
-    def __init__(self, message: str, partial: SpectrumReport):
-        super().__init__(message)
-        self.partial = partial
 
 
 # ---------------------------------------------------------------------------
@@ -241,237 +231,6 @@ def degree_histogram(g: Graph) -> dict[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Spectrum
-# ---------------------------------------------------------------------------
-
-DEFAULT_TOP_K = 25
-
-# A connected component of at most this many nodes is solved densely, by
-# LAPACK eigh batched over the components of its size; a larger one by
-# ARPACK. At k=25 the two cost the same near 180 nodes (eigh with vectors
-# against eigsh to machine precision, both with their residuals, on ER
-# components of mean degree 3 and 20). top_eigenvalues also solves densely
-# every component of at most twice eigsh's default Krylov dimension: where
-# that space fills the component, ARPACK's results differ between calls in
-# one process.
-_DENSE_MAX = 160
-# Matrix entries (8 B each) in one batched eigh: components of one size are
-# solved this many entries at a time.
-_DENSE_BATCH = 1 << 18
-# A component on which ARPACK fails outright (not for want of restarts) is
-# solved densely if it has at most this many nodes (a 32 MiB matrix).
-_DENSE_FALLBACK_MAX = 1 << 11
-
-
-def top_eigenvalues(
-    g: Graph,
-    k: int = DEFAULT_TOP_K,
-    tol: float = 1e-8,
-    seed: int = 0,
-    max_dim: int = 300,
-) -> SpectrumReport:
-    """Top-k adjacency eigenvalues, one connected component at a time.
-
-    The matrix solved is the adjacency matrix's leaf quotient (see
-    _merge_leaves): it has every nonzero eigenvalue of the graph, and each
-    merged-away leaf stands for one exact eigenvalue 0, of which min(zeros,
-    k) join the candidates last, with residual 0. The quotient is block
-    diagonal over the components, so its top k are the top k of the union
-    of theirs. Sizes count the quotient's nodes: a component of more than
-    max(_DENSE_MAX, 2 * ncv) nodes, ncv = max(2k + 1, 20) being eigsh's
-    default Krylov dimension, goes to ARPACK's implicitly restarted Lanczos
-    (scipy ``eigsh``, which="LA", so largest by value, not by magnitude),
-    run to machine precision on the component's own rows and columns, with
-    the seeded starting vector restricted to its nodes and at most max_dim
-    restarts; ``iterations`` counts its sparse matvecs. The smaller ones
-    then go to LAPACK eigh, batched by size (no matvecs). Components are
-    solved in order of size, then of lowest node id. Each gives its top
-    min(k, size) pairs, each with its residual ||A v - lambda v|| taken on
-    that component, so no n-by-k vector matrix is built. The top k of the
-    union, by value and then in solve order, are checked against tol.
-    Deterministic for a fixed seed.
-
-    Raises SpectrumConvergenceError, carrying the chosen pairs that did
-    meet tol, if ARPACK runs out of restarts or fails on a component too
-    big for a dense solve, or if a chosen residual exceeds tol.
-    """
-    n = g.n
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if not 0 < tol < math.inf:
-        raise ValueError("tol must be positive and finite")
-
-    if g.edge_count == 0:
-        return SpectrumReport(
-            eigenvalues=np.zeros(k),
-            residuals=np.zeros(k),
-            k=k,
-            tolerance=tol,
-            iterations=0,
-        )
-
-    # imported here, not at module top, so commands without a spectrum never load scipy
-    from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
-
-    root = _component_roots(g)
-    A = g.adjacency_csr()
-    kept, zeros = _merge_leaves(A)
-    root = root[kept]  # dropping a leaf splits no component
-    sizes = np.bincount(root, minlength=n)  # at each component's root
-    order = kept[np.lexsort((root, sizes[root]))]  # by size, then root; ids ascending
-    sizes = np.sort(sizes[sizes > 0])
-    del root, kept
-    A = A[order][:, order]  # block diagonal: one component after another
-    dense = sizes <= max(_DENSE_MAX, 4 * k + 2, 40)  # and 2 * ncv, ncv = max(2k + 1, 20)
-    lo = int(sizes[dense].sum())
-    dense_part = A[:lo, :lo]
-    sparse = []
-    for s in sizes[~dense].tolist():
-        sparse.append((order[lo : lo + s], A[lo : lo + s, lo : lo + s]))
-        lo += s
-    del A, order  # ARPACK's extraction sets the peak: only the components' own rows stay
-
-    vals, residuals = [np.empty(0)], [np.empty(0)]  # each component's pairs, in solve order
-    iterations = 0
-    short = 0  # components ARPACK returned fewer than k pairs for
-    v0 = substream(seed, _SPECTRUM_STREAM).standard_normal(n) if sparse else None
-    for nodes, sub in sparse:
-
-        def matvec(x, sub=sub):
-            nonlocal iterations
-            iterations += 1
-            return sub @ x
-
-        s = len(nodes)
-        op = LinearOperator((s, s), matvec=matvec, dtype=np.float64)
-        try:
-            w, V = eigsh(op, k=k, which="LA", v0=v0[nodes], tol=0, maxiter=max_dim)
-        except ArpackNoConvergence as exc:
-            w, V = exc.eigenvalues, exc.eigenvectors
-            short += 1
-        except ArpackError:
-            if s > _DENSE_FALLBACK_MAX:
-                short += 1
-                continue
-            w, r = _dense_pairs(sub, [s], k)
-            vals += w
-            residuals += r
-            continue
-        vals.append(w)
-        residuals.append(np.linalg.norm(sub @ V - V * w, axis=0))
-
-    # after ARPACK, so that what LAPACK's dense solve loads is not resident at ARPACK's peak
-    w, r = _dense_pairs(dense_part, sizes[dense], k)
-    exact = [np.zeros(min(zeros, k))]  # the merged leaves' eigenvalue 0, exactly
-    vals, residuals = np.concatenate(vals + w + exact), np.concatenate(residuals + r + exact)
-    top = np.argsort(-vals, kind="stable")[:k]
-    vals, residuals = vals[top], residuals[top]
-    ok = residuals <= tol
-    if short or not ok.all():
-        partial = SpectrumReport(
-            eigenvalues=vals[ok],
-            residuals=residuals[ok],
-            k=k,
-            tolerance=tol,
-            iterations=iterations,
-        )
-        stopped = f", ARPACK stopped early on {short} component(s)" if short else ""
-        raise SpectrumConvergenceError(
-            f"{int(ok.sum())}/{k} eigenpairs met tol {tol:.3e} "
-            f"(restart budget {max_dim}, {iterations} matvecs{stopped})",
-            partial,
-        )
-    return SpectrumReport(
-        eigenvalues=vals,
-        residuals=residuals,
-        k=k,
-        tolerance=tol,
-        iterations=iterations,
-    )
-
-
-def _merge_leaves(A) -> tuple[np.ndarray, int]:
-    """Merge each hub's degree-1 leaves into one weighted leaf, in place.
-
-    Leaves of one hub (a neighbour of degree at least 2; a K2 stays as it
-    is) are twins: e_i - e_j of any two is an eigenvector of eigenvalue 0,
-    and every other eigenvector is constant on the bundle. So keeping the
-    lowest-id leaf of a bundle of L, joined to the hub with weight sqrt(L),
-    keeps every nonzero eigenvalue (the equitable-partition quotient,
-    Cvetkovic, Rowlinson and Simic, "An Introduction to the Theory of Graph
-    Spectra", 2010, ch. 3), and each of the L - 1 other leaves stands for
-    one eigenvalue 0. For a unit eigenvector y of the quotient C, the unit
-    vector x that spreads each kept leaf's entry evenly over its bundle has
-    ||A x - lambda x|| = ||C y - lambda y||. Only the kept leaves' two
-    entries of the symmetric CSR A change. Returns the kept node ids,
-    ascending, and the number of merged-away leaves."""
-    degree = np.diff(A.indptr)
-    leaf = np.flatnonzero(degree == 1)
-    hub = A.indices[A.indptr[leaf]]
-    twin = degree[hub] >= 2
-    leaf, hub = leaf[twin], hub[twin]
-    hub, first, size = np.unique(hub, return_index=True, return_counts=True)
-    kept = np.ones(len(degree), dtype=bool)
-    kept[leaf] = False
-    leaf = leaf[first]  # the lowest id of each hub's leaves
-    kept[leaf] = True
-    bundle = size > 1
-    leaf, hub, weight = leaf[bundle], hub[bundle], np.sqrt(size[bundle])
-    A[leaf, hub] = weight
-    A[hub, leaf] = weight
-    return np.flatnonzero(kept), int(len(degree) - kept.sum())
-
-
-def _component_roots(g: Graph) -> np.ndarray:
-    """Each node's connected component, named by its lowest node id.
-
-    Min-label hooking with pointer jumping, in numpy passes over the edges:
-    each round hooks, for every edge whose ends have different roots, the
-    larger root under the smaller (the smallest offer wins), then jumps
-    every node's pointer until it names a root, and drops the edges whose
-    ends now share one. A pointer never rises, and each round merges at
-    least one pair of roots; on the bter and CL graphs at n=1e4 and 1e5 it
-    took 3 or 4 rounds."""
-    root = np.arange(g.n)
-    u, v = np.divmod(g.keys, np.int64(max(g.n, 1)))
-    while len(u):
-        ru, rv = root[u], root[v]
-        np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
-        del ru, rv
-        while not np.array_equal(up := root[root], root):
-            root = up
-        apart = root[u] != root[v]
-        u, v = u[apart], v[apart]
-    return root
-
-
-def _dense_pairs(A, sizes, k: int) -> tuple[list, list]:
-    """The top min(k, s) eigenvalues of each diagonal block of the block
-    diagonal A, whose block sizes s are ``sizes`` in order (equal sizes
-    adjacent), largest first, and each pair's residual norm: lists of
-    arrays, block after block. One LAPACK eigh per batch of equal blocks,
-    at most _DENSE_BATCH matrix entries a batch."""
-    A = A.tocoo()  # entries in row order
-    vals, residuals = [], []
-    lo = 0
-    for s, count in zip(*np.unique(sizes, return_counts=True)):
-        s, count = int(s), int(count)
-        step = max(1, _DENSE_BATCH // (s * s))
-        for first in range(0, count, step):
-            blocks = min(step, count - first)
-            a, b = np.searchsorted(A.row, [lo, lo + blocks * s])
-            row, col = A.row[a:b] - lo, A.col[a:b] - lo
-            batch = np.zeros((blocks, s, s))
-            batch[row // s, row % s, col % s] = A.data[a:b]
-            w, V = np.linalg.eigh(batch)  # ascending
-            w, V = w[:, : -k - 1 : -1], V[:, :, : -k - 1 : -1]
-            vals.append(w.ravel())
-            residuals.append(np.linalg.norm(batch @ V - V * w[:, None, :], axis=1).ravel())
-            lo += blocks * s
-    return vals, residuals
-
-
-# ---------------------------------------------------------------------------
 # Report assembly
 # ---------------------------------------------------------------------------
 
@@ -501,7 +260,7 @@ def compute_report(
             triangles = wedges = None
     eigenvalues = residuals = None
     if "spectrum" in metrics:
-        spec = top_eigenvalues(g, k=min(top_k, g.n), tol=tol, seed=seed)
+        spec = _metrics.top_eigenvalues(g, k=min(top_k, g.n), tol=tol, seed=seed)
         eigenvalues, residuals = spec.eigenvalues, spec.residuals
     return MetricsReport(
         n_nodes=g.n,

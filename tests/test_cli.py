@@ -348,26 +348,6 @@ def test_analyze_spectrum_of_a_complete_graph_has_no_traceback(tmp_path):
     assert [float(v) for _, v, _ in rows] == pytest.approx([59.0] + [-1.0] * 24, abs=1e-9)
 
 
-def test_analyze_spectrum_arpack_error_exit_code(tmp_path, monkeypatch):
-    # an ARPACK error on a component too big for the dense fallback is a
-    # convergence failure (exit 4), not a traceback
-    import scipy.sparse.linalg
-    from scipy.sparse.linalg import ArpackError
-
-    from bter import metrics
-
-    def broken(*args, **kwargs):
-        raise ArpackError(3)
-
-    out = tmp_path / "g.txt"
-    assert run("generate", "--model", "er", "--n", 400, "--p", 0.02, "--seed", 2,
-               "--out", out) == EXIT_OK
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", broken)
-    monkeypatch.setattr(metrics, "_DENSE_FALLBACK_MAX", 100)
-    assert run("analyze", "--graph", out, "--metrics", "spectrum", "--top-k", 5,
-               "--out-dir", tmp_path / "rep") == EXIT_NO_CONVERGENCE
-
-
 def test_analyze_determinism_across_runs(k4_file, tmp_path):
     seq_out = tmp_path / "g.txt"
     assert run("generate", "--model", "bter", "--powerlaw", "300,2,17",
@@ -396,7 +376,7 @@ def test_analyze_reports_raw_and_nonisolated_counts(tmp_path):
 
 
 # sha256 of each output of `analyze --metrics degree,cc,triangles,spectrum
-# --top-k 10` on the `generate --powerlaw 2000,2,40 --seed 1` graphs as 0.8.0
+# --top-k 10` on the `generate --powerlaw 2000,2,40 --seed 1` graphs as 0.9.0
 # writes it; the spectrum's last digits move if the adjacency's entry order
 # does, so how the matrix is built must not move a byte
 _ANALYZE_SHA256 = {
@@ -406,7 +386,7 @@ _ANALYZE_SHA256 = {
         "cc.csv": "b8eede48249591cb41cc4cbc81e19a6f399a10fc489cc92913e1719fc86a8ace",
         "cc_summary.csv": "836fad4b3f402157594dd4f681d51f1b5a70d104f421a6cf14bd1f33f3cde6cd",
         "triangles.csv": "9682bbb474d8421a5c7deca0dd4a234e1cc279fe4a86916eb4e99635b3f162e8",
-        "spectrum.csv": "bb36f649ed23046cbe28937f916bcd2d1310c60fc70e6c752b24f6a61e383236",
+        "spectrum.csv": "d4d25fd41abe208668d6554440d5057b591e8de1351a0f5447c10161a7842381",
     },
     "cl": {
         "degree.csv": "a58c48821bf3a9349308f080b4edf7a46c2bcbd4f637c91459e618d369df6b86",
@@ -414,7 +394,7 @@ _ANALYZE_SHA256 = {
         "cc.csv": "ec0dc49f0b97e2462387f2cd7803e9d55872b817f8d728398b700d97e2984a31",
         "cc_summary.csv": "e4a548fb346b85f5dfba41b9e33bdf59c1f96d5247ae95db7f925a3eba0ce98c",
         "triangles.csv": "a255fb834edc5b60b68ceccb897a45f65e2d9a3984d5943c34b5fab412c8ef7f",
-        "spectrum.csv": "2f2c4f8305af1c89a3d3136ae1d3ed82465d6d754c9e2dd11ec54e3e58b8ad94",
+        "spectrum.csv": "612a6121b3e7cccfc181c819cffe6dc0f16493dccc03691e6e3503758972f136",
     },
 }
 
@@ -1039,11 +1019,20 @@ def test_malformed_inputs_are_input_errors(k4_file, tmp_path, capsys):
                     encoding="utf-8")
     degrees = tmp_path / "wide_degrees.txt"
     degrees.write_text("99999999999999999999\n", encoding="utf-8")
+    # each count fits in int64, but their total does not; nor does a degree total
+    counts = tmp_path / "wide_counts.csv"
+    counts.write_text("degree,count\n1,9223372036854775807\n1,1\n", encoding="utf-8")
+    total = tmp_path / "wide_total.csv"
+    total.write_text("degree,count\n4611686018427387904,2\n", encoding="utf-8")
     cases = [
         (("analyze", "--graph", wide), f"{wide}:2: expected two integer node ids"),
         (("audit", "--graph", k4_file, "--partition", part), f"{part}: bad partition row"),
         (("generate", "--model", "cl", "--seed", 1, "--degrees", degrees),
          "integer '99999999999999999999' is outside int64"),
+        (("generate", "--model", "cl", "--seed", 1, "--degrees", counts),
+         "n=9223372036854775808 nodes: edge keys u * n + v would overflow int64"),
+        (("generate", "--model", "cl", "--seed", 1, "--degrees", total),
+         "degree total is outside int64"),
     ]
     for n in (4000000000, 99999999999999999999):
         huge = tmp_path / f"nodes_{n}.txt"
@@ -1171,15 +1160,45 @@ def _bter_modules(modules: set[str]) -> set[str]:
 
 
 def test_scipy_is_loaded_only_for_the_spectrum(tmp_path):
-    graph = tmp_path / "g.txt"
-    assert run("generate", "--model", "er", "--n", 400, "--p", 0.02, "--seed", 2,
+    # the spectrum multiplies through scipy.sparse only on a component of
+    # more than spectrum._SCIPY_ENTRIES stored entries, and no command loads
+    # scipy.sparse.linalg
+    graph, dense = tmp_path / "g.txt", tmp_path / "er.txt"
+    assert run("generate", "--model", "bter", "--powerlaw", "10000,2,100", "--seed", 1,
                "--out", graph) == EXIT_OK
-    assert _scipy_after("--version") == (EXIT_OK, False)
-    assert _scipy_after("analyze", "--graph", graph, "--metrics", "degree,cc,triangles",
-                        "--out-dir", tmp_path / "a") == (EXIT_OK, False)
-    assert _scipy_after("analyze", "--graph", graph, "--metrics", "spectrum",
-                        "--top-k", 2, "--tol", "1e-300",
-                        "--out-dir", tmp_path / "s") == (EXIT_NO_CONVERGENCE, True)
+    assert run("generate", "--model", "er", "--n", 3000, "--p", 0.02, "--seed", 1,
+               "--out", dense) == EXIT_OK  # one component of ~180k entries
+    for argv, code in [
+        (("--version",), EXIT_OK),
+        (("analyze", "--graph", graph, "--metrics", "degree,cc,triangles",
+          "--out-dir", tmp_path / "a"), EXIT_OK),
+        (("analyze", "--graph", graph, "--metrics", "spectrum", "--top-k", 25,
+          "--out-dir", tmp_path / "s"), EXIT_OK),
+        (("analyze", "--graph", graph, "--metrics", "spectrum", "--top-k", 2,
+          "--tol", "1e-300", "--out-dir", tmp_path / "f"), EXIT_NO_CONVERGENCE),
+    ]:
+        assert _scipy_after(*argv) == (code, False)
+    code, modules = _modules_after("analyze", "--graph", dense, "--metrics", "spectrum",
+                                   "--out-dir", tmp_path / "d")
+    assert code == EXIT_OK
+    assert "scipy.sparse" in modules and "scipy.sparse.linalg" not in modules
+
+
+def test_the_spectrum_module_is_loaded_only_for_the_spectrum(tmp_path):
+    graph = tmp_path / "g.txt"
+    assert run("generate", "--model", "bter", "--powerlaw", "300,2,20", "--seed", 1,
+               "--out", graph) == EXIT_OK
+    for argv in (
+        ("analyze", "--graph", graph, "--metrics", "degree,cc,triangles",
+         "--out-dir", tmp_path / "a"),
+        ("audit", "--graph", graph, "--partition", f"{graph}.partition.csv",
+         "--predict", "1e4,2", "--out-dir", tmp_path / "d"),
+    ):
+        code, modules = _modules_after(*argv)
+        assert code == EXIT_OK and "bter.spectrum" not in modules
+    code, modules = _modules_after("analyze", "--graph", graph, "--metrics", "spectrum",
+                                   "--out-dir", tmp_path / "s")
+    assert code == EXIT_OK and "bter.spectrum" in modules
 
 
 def test_version_and_compare_over_reports_run_without_numpy(k4_file, tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import brute_force_triangles, dense_adjacency, sparse_triangles
-from bter import metrics
+from bter import metrics, spectrum
 from bter.degrees import synthesize_powerlaw
 from bter.generate import GenerationConfig, generate_bter, generate_cl, generate_er
 from bter.graph import build_graph
@@ -488,7 +488,7 @@ def test_component_roots_name_each_component_by_its_lowest_node():
         [_connected(int(rng.integers(2, 60)), int(rng.integers(0, 30)), rng) for _ in range(30)],
     ):
         g = _union(parts, rng)
-        root = metrics._component_roots(g)
+        root = spectrum._component_roots(g)
         _, label = connected_components(g.adjacency_csr(), directed=False)
         lowest = {}
         for node, lab in enumerate(label.tolist()):
@@ -501,7 +501,7 @@ def test_spectrum_of_component_unions_matches_dense():
     # and just above the dense bound, and two ARPACK-sized components, in
     # random unions; each solve path must agree with the whole dense matrix
     rng = np.random.default_rng(17)
-    edge = metrics._DENSE_MAX
+    edge = spectrum._DENSE_MAX
     for trial in range(4):
         parts = [(1, []) for _ in range(int(rng.integers(0, 30)))]
         parts += [_clique(2) for _ in range(int(rng.integers(0, 20)))]
@@ -575,26 +575,55 @@ def test_spectrum_repeats_within_one_process_on_a_small_component(tmp_path):
     _assert_matches_dense(sub, runs[0], 10, 1e-8)
 
 
-def test_spectrum_arpack_error_falls_back_to_dense_or_raises(monkeypatch):
-    import scipy.sparse.linalg
-    from scipy.sparse.linalg import ArpackError
+def _hypercube(d):
+    n = 1 << d
+    return n, [(u, u ^ (1 << b)) for u in range(n) for b in range(d) if u < u ^ (1 << b)]
 
-    def broken(*args, **kwargs):
-        raise ArpackError(3)
 
-    g = _union([_connected(300, 400, np.random.default_rng(4)), _clique(3)],
-               np.random.default_rng(4))
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", broken)
-    spec = top_eigenvalues(g, k=5, tol=1e-9)
-    assert spec.iterations == 0
-    _assert_matches_dense(g, spec, 5, 1e-9)
-    monkeypatch.setattr(metrics, "_DENSE_FALLBACK_MAX", 299)
-    with pytest.raises(SpectrumConvergenceError, match="stopped early on 1 component") as err:
-        top_eigenvalues(g, k=5, tol=1e-9)
-    partial = err.value.partial
-    assert partial.k == 5
-    assert partial.eigenvalues.tolist() == pytest.approx([2.0, -1.0, -1.0])  # the K3's
-    assert (partial.residuals <= 1e-9).all()
+def _bipartite(a, b):
+    return a + b, [(u, v) for u in range(a) for v in range(a, a + b)]
+
+
+@pytest.mark.parametrize("name, part", [
+    ("K200", _clique(200)),
+    ("K100,100", _bipartite(100, 100)),
+    ("Q8", _hypercube(8)),
+    ("Q9", _hypercube(9)),
+])
+def test_lanczos_finds_repeated_eigenvalues_of_one_component(name, part):
+    # each is one component solved by Lanczos, with eigenvalues of high
+    # multiplicity in its top 25: the Krylov space from one start vector
+    # holds one vector of each eigenspace, so the basis breaks down (K200
+    # at its second vector) and must go on from fresh vectors
+    n, edges = part
+    g = build_graph(edges, n=n)[0]
+    spec = top_eigenvalues(g, k=25, tol=1e-9)
+    assert spec.iterations > 0
+    _assert_matches_dense(g, spec, 25, 1e-9)
+
+
+def test_lanczos_repeats_its_iterations_and_bytes_for_a_seed():
+    seq = synthesize_powerlaw(2000, 2.0, 45)
+    g = generate_cl(seq, 3)
+    runs = [top_eigenvalues(g, k=25, seed=7) for _ in range(3)]
+    assert runs[0].iterations > 0
+    for spec in runs[1:]:
+        assert spec.iterations == runs[0].iterations
+        assert spec.eigenvalues.tobytes() == runs[0].eigenvalues.tobytes()
+        assert spec.residuals.tobytes() == runs[0].residuals.tobytes()
+
+
+def test_spectrum_products_agree_above_and_below_the_scipy_crossover(monkeypatch):
+    # the bincount product and scipy's CSR product sum each row's entries
+    # in the same order, so the solves agree
+    seq = synthesize_powerlaw(3000, 2.0, 55)
+    g = generate_cl(seq, 2)
+    below = top_eigenvalues(g, k=25, tol=1e-9)
+    monkeypatch.setattr(spectrum, "_SCIPY_ENTRIES", 0)
+    above = top_eigenvalues(g, k=25, tol=1e-9)
+    assert above.iterations == below.iterations > 0
+    np.testing.assert_allclose(above.eigenvalues, below.eigenvalues, rtol=1e-12, atol=0)
+    _assert_matches_dense(g, above, 25, 1e-9)
 
 
 def _bundled(core, extra, bundles, rng):
@@ -623,7 +652,7 @@ def test_spectrum_of_leaf_bundles_on_an_arpack_sized_core():
     rng = np.random.default_rng(8)
     bundles = rng.integers(2, 20, size=300) * (rng.random(300) < 0.15)
     g = _union([_bundled(300, 450, bundles.tolist(), rng), _clique(2), (5, [])], rng)
-    assert metrics._merge_leaves(g.adjacency_csr())[1] > 0
+    assert spectrum._merge_leaves(g)[1] > 0
     for k in (1, 6, 25):
         spec = top_eigenvalues(g, k=k, tol=1e-9)
         _assert_matches_dense(g, spec, k, 1e-9)
@@ -638,10 +667,9 @@ def test_spectrum_keeps_k2_components_and_single_leaves():
     parts += [_bundled(c, c * c, [1] * c, rng) for c in (3, 5, 8)]
     parts.append(_bundled(250, 300, [1] * 250, rng))  # ARPACK-sized
     g = _union(parts, rng)
-    A = g.adjacency_csr()
-    kept, zeros = metrics._merge_leaves(A)
+    kept, zeros, weight = spectrum._merge_leaves(g)
     assert zeros == 0 and kept.tolist() == list(range(g.n))
-    assert (A != g.adjacency_csr()).nnz == 0
+    assert (weight == 1).all()
     for k in (1, 5, 25):
         _assert_matches_dense(g, top_eigenvalues(g, k=k, tol=1e-9), k, 1e-9)
 
@@ -683,7 +711,7 @@ def test_spectrum_repeats_within_one_process_when_the_quotient_goes_dense():
     # 126: the component is solved densely, with the same bits on each call
     rng = np.random.default_rng(11)
     g = _union([_bundled(120, 200, [20] * 6, rng)], rng)
-    assert g.n > max(metrics._DENSE_MAX, 4 * 25 + 2)
+    assert g.n > max(spectrum._DENSE_MAX, 4 * 25 + 2)
     runs = [top_eigenvalues(g, k=25) for _ in range(4)]
     for spec in runs[1:]:
         assert spec.eigenvalues.tobytes() == runs[0].eigenvalues.tobytes()
