@@ -164,11 +164,9 @@ class Graph:
 
     def adjacency_csr(self) -> "sp.csr_matrix":
         """Adjacency matrix as a scipy CSR matrix (0/1, float64, sorted
-        indices), new on each call: spectrum.adjacency_arrays of the edges,
-        with float64 data made once the build's keys are freed."""
+        indices), new on each call: adjacency_arrays of the edges, with
+        float64 data made once the build's keys are freed."""
         import scipy.sparse as sp
-
-        from .spectrum import adjacency_arrays
 
         indptr, indices = adjacency_arrays(self.n, self.edge_chunks(), len(self.keys))
         return sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(self.n, self.n))
@@ -273,6 +271,37 @@ def check_keyable(n: int) -> None:
     # the largest key, (n - 2) * n + n - 1, fits in int64 while n * (n - 1) <= 2**63
     if int(n) * (int(n) - 1) > 1 << 63:
         raise ValueError(f"n={n} nodes: edge keys u * n + v would overflow int64")
+
+
+def adjacency_arrays(
+    n: int, pairs: Iterable[tuple[np.ndarray, np.ndarray]], m: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row starts and column indices of the symmetric 0/1 adjacency matrix
+    on nodes 0..n-1 of the m edges that pairs yields, as int64 (u, v)
+    columns with u < v, chunk by chunk. The entries are the keys
+    ``u * n + v`` and their turned copies ``v * n + u``, sorted together:
+    row u's are u's neighbours in id order, the indices those keys mod n
+    (int32 where ids and entries fit), and the row starts the running sum
+    of the degrees, counted in the pass that makes the keys. The build
+    peaks at about 24 B an edge: the 2m directed keys (16 B an edge) beside
+    the int32 indices (8 B an edge)."""
+    width = np.int64(max(n, 1))
+    indptr = np.zeros(n + 1, dtype=np.int64)  # scipy narrows it to int32 where that fits
+    directed = np.empty(2 * m, dtype=np.int64)
+    at = 0
+    for u, v in pairs:
+        np.add.at(indptr[1:], u, 1)
+        np.add.at(indptr[1:], v, 1)
+        for a, b in ((u, v), (v, u)):
+            key = directed[at : at + len(a)]
+            np.multiply(a, width, out=key)
+            key += b
+            at += len(a)
+    np.cumsum(indptr, out=indptr)
+    directed.sort()
+    indices = np.empty(2 * m, dtype=np.int32 if max(n, 2 * m) < 1 << 31 else np.int64)
+    np.remainder(directed, width, out=indices, casting="unsafe")  # cast in the ufunc's buffers
+    return indptr, indices
 
 
 def loop_free_keys(u: np.ndarray, v: np.ndarray, n: int) -> tuple[np.ndarray, int]:

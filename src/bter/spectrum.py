@@ -12,12 +12,12 @@ more than _SCIPY_ENTRIES stored entries multiplies through
 """
 
 import math
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from . import metrics
-from .graph import Graph
+from .graph import Graph, adjacency_arrays
 
 _SPECTRUM_STREAM = 9
 
@@ -61,11 +61,11 @@ _DENSE_MAX = 160
 _DENSE_BATCH = 1 << 18
 # A component with more stored entries than this multiplies through
 # scipy.sparse's CSR product; a smaller one by np.bincount, which saves
-# scipy.sparse's ~140 ms import. A product took 142 against 64 us at 32k
-# entries, 4.95 against 1.08 ms at 389k; whole `analyze --metrics spectrum`
-# runs on CL graphs whose giant has 64k, 136k and 210k entries took 0.56,
-# 1.01 and 1.99 s by bincount against 0.57, 0.81 and 1.28 s by scipy.
-_SCIPY_ENTRIES = 1 << 16
+# scipy.sparse's ~140 ms import. A product took 110 against 49 us at 30k
+# entries, 2.29 against 0.77 ms at 395k; whole `analyze --metrics spectrum`
+# runs on CL graphs whose giant has 64k, 135k and 209k entries took 0.60,
+# 1.05 and 1.50 s by bincount against 0.82, 1.11 and 1.33 s by scipy.
+_SCIPY_ENTRIES = 1 << 17
 # ARPACK's tol=0: LAPACK's dlamch("E"), and the floor eps**(2/3) on the
 # scale a Ritz value's error bound is measured against.
 _EPS = 2.0**-53
@@ -133,7 +133,8 @@ def top_eigenvalues(
     # after another, each row's columns ascending
     label = np.empty(n, dtype=np.int64)
     label[order] = np.arange(len(order))
-    indptr, indices = adjacency_arrays(len(order), _kept_pairs(g, order, label), g.edge_count - zeros)
+    pairs = _kept_pairs(g, order, label)
+    indptr, indices = adjacency_arrays(len(order), pairs, g.edge_count - zeros)
     del label
     dense = sizes <= max(_DENSE_MAX, 4 * k + 2, 40)  # and 2 * ncv, ncv = max(2k + 1, 20)
     lo = int(sizes[dense].sum())
@@ -150,13 +151,8 @@ def top_eigenvalues(
         cols = indices[a:b]
         cols -= lo  # in place: the component's own columns
         product = _product(indptr[lo : lo + s + 1] - a, cols, weight[lo : lo + s])
-
-        def matvec(x, product=product):
-            nonlocal iterations
-            iterations += 1
-            return product(x)
-
-        w, X, done = _lanczos(matvec, k, v0[order[lo : lo + s]], stream, max_dim)
+        w, X, done, steps = _lanczos(product, k, v0[order[lo : lo + s]], stream, max_dim)
+        iterations += steps
         short += not done
         vals.append(w)
         residuals.append(np.array([np.linalg.norm(product(x) - t * x) for t, x in zip(w, X)]))
@@ -231,37 +227,6 @@ def _merge_leaves(g: Graph) -> tuple[np.ndarray, int, np.ndarray]:
     return kept, g.n - len(kept), weight[kept]
 
 
-def adjacency_arrays(
-    n: int, pairs: Iterable[tuple[np.ndarray, np.ndarray]], m: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Row starts and column indices of the symmetric 0/1 adjacency matrix
-    on nodes 0..n-1 of the m edges that pairs yields, as int64 (u, v)
-    columns with u < v, chunk by chunk. The entries are the keys
-    ``u * n + v`` and their turned copies ``v * n + u``, sorted together:
-    row u's are u's neighbours in id order, the indices those keys mod n
-    (int32 where ids and entries fit), and the row starts the running sum
-    of the degrees, counted in the pass that makes the keys. The build
-    peaks at about 24 B an edge: the 2m directed keys (16 B an edge) beside
-    the int32 indices (8 B an edge)."""
-    width = np.int64(max(n, 1))
-    indptr = np.zeros(n + 1, dtype=np.int64)  # scipy narrows it to int32 where that fits
-    directed = np.empty(2 * m, dtype=np.int64)
-    at = 0
-    for u, v in pairs:
-        np.add.at(indptr[1:], u, 1)
-        np.add.at(indptr[1:], v, 1)
-        for a, b in ((u, v), (v, u)):
-            key = directed[at : at + len(a)]
-            np.multiply(a, width, out=key)
-            key += b
-            at += len(a)
-    np.cumsum(indptr, out=indptr)
-    directed.sort()
-    indices = np.empty(2 * m, dtype=np.int32 if max(n, 2 * m) < 1 << 31 else np.int64)
-    np.remainder(directed, width, out=indices, casting="unsafe")  # cast in the ufunc's buffers
-    return indptr, indices
-
-
 def _kept_pairs(g: Graph, order: np.ndarray, label: np.ndarray):
     """g's edges between kept nodes, a Graph.edge_chunks chunk at a time, as
     their ends' positions in order (label, read at order only). Within a
@@ -288,6 +253,8 @@ def _product(indptr, cols, weight):
 
         del rows
         return sp.csr_matrix((data, cols, indptr), shape=(s, s)).dot
+    # take and bincount copy any other index type to intp on every call
+    rows, cols = rows.astype(np.intp), cols.astype(np.intp)
     buf = np.empty(len(cols))
 
     def product(x):
@@ -313,15 +280,17 @@ def _lanczos(matvec, k: int, v0: np.ndarray, stream, max_dim: int):
     + (ncv - k) // 2 Ritz vectors, coupled to the residual vector by an
     arrow, and extends the basis from there; at most max_dim bases are
     built. Returns the Ritz values, largest first, their unit Ritz vectors
-    as the rows of a view of the basis, and whether all k converged; if
-    not, only the converged pairs."""
+    as the rows of a view of the basis, whether all k converged (if not,
+    only the converged pairs are returned), and the matvecs applied."""
     s = len(v0)
     m = max(2 * k + 1, 20)
     V = np.empty((m + 1, s))
     T = np.zeros((m, m))  # the projected matrix
     V[0] = v0 / np.linalg.norm(v0)
     p = 0  # Ritz vectors kept by the last restart
+    steps = 0
     for restart in range(max_dim):
+        steps += m - p
         for j in range(p, m):
             basis = V[: j + 1]
             r = matvec(V[j])
@@ -353,11 +322,11 @@ def _lanczos(matvec, k: int, v0: np.ndarray, stream, max_dim: int):
         converged = bound[:k] <= _EPS * np.maximum(_EPS23, np.abs(theta[:k]))
         if converged.all():
             _rotate(V, S[:, :k])
-            return theta[:k], V[:k], True
+            return theta[:k], V[:k], True, steps
         if restart + 1 == max_dim:
             keep = np.flatnonzero(converged)
             _rotate(V, S[:, keep])
-            return theta[keep], V[: len(keep)], False
+            return theta[keep], V[: len(keep)], False, steps
         p = k + (m - k) // 2
         _rotate(V, S[:, :p])
         V[p] = V[m]

@@ -419,7 +419,7 @@ def test_spectrum_nonconvergence_carries_partials():
 
 
 def test_spectrum_restart_budget_exhausted_carries_converged_partials():
-    # one ARPACK restart cannot converge all three pairs; the ones it did
+    # one Lanczos basis cannot converge all three pairs; the ones it did
     # converge come back in the partial report, each within tol
     g = generate_er(200, 0.05, 1)
     with pytest.raises(SpectrumConvergenceError) as err:
@@ -498,7 +498,7 @@ def test_component_roots_name_each_component_by_its_lowest_node():
 
 def test_spectrum_of_component_unions_matches_dense():
     # isolated nodes, K2s, small dense blocks, components just below, at
-    # and just above the dense bound, and two ARPACK-sized components, in
+    # and just above the dense bound, and two Lanczos-sized components, in
     # random unions; each solve path must agree with the whole dense matrix
     rng = np.random.default_rng(17)
     edge = spectrum._DENSE_MAX
@@ -665,7 +665,7 @@ def test_spectrum_keeps_k2_components_and_single_leaves():
     rng = np.random.default_rng(9)
     parts = [_clique(2) for _ in range(30)]
     parts += [_bundled(c, c * c, [1] * c, rng) for c in (3, 5, 8)]
-    parts.append(_bundled(250, 300, [1] * 250, rng))  # ARPACK-sized
+    parts.append(_bundled(250, 300, [1] * 250, rng))  # Lanczos-sized
     g = _union(parts, rng)
     kept, zeros, weight = spectrum._merge_leaves(g)
     assert zeros == 0 and kept.tolist() == list(range(g.n))
