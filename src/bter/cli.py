@@ -115,8 +115,8 @@ def _read_config_file(path: Path) -> dict[str, str]:
     values: dict[str, str] = {}
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise InputError(f"cannot read config file: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read config file {path}: {exc}") from exc
     for i, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -313,7 +313,7 @@ def cmd_generate(args, argv: list[str]) -> int:
         outputs.append(trace_path)
 
         part_path = out.with_name(out.name + ".partition.csv")
-        _cli.write_partition_csv(trace.partition, degrees, part_path)
+        _cli.write_partition_csv(trace.partition, part_path)
         outputs.append(part_path)
 
     manifest = _manifest("generate", argv, config_echo, inputs)
@@ -476,7 +476,12 @@ def _report_from_dir(path: Path) -> MetricsReport:
     degree = rows("degree.csv", 2)
     cc = rows("cc.csv", 3)
     cc_summary = rows("cc_summary.csv", 1)
+    if (cc is None) != (cc_summary is None):  # a cc view is both files
+        raise InputError(f"{path / ('cc.csv' if cc is None else 'cc_summary.csv')}: missing")
     triangles = rows("triangles.csv", 3)
+    for name, found in (("cc_summary.csv", cc_summary), ("triangles.csv", triangles)):
+        if found == []:
+            raise InputError(f"{path / name}: no data row")
     spectrum = rows("spectrum.csv", 3)
     eigenvalues = residuals = None
     if spectrum:
@@ -488,9 +493,9 @@ def _report_from_dir(path: Path) -> MetricsReport:
         n_nodes=int(fields["nodes"]),
         n_edges=int(fields["edges"]),
         degree_hist={int(d): int(c) for d, c in degree} if degree is not None else None,
-        triangles=int(triangles[0][0]) if triangles else None,
-        wedges=int(triangles[0][1]) if triangles else None,
-        global_c=float(cc_summary[0][0]) if cc_summary else None,
+        triangles=int(triangles[0][0]) if triangles is not None else None,
+        wedges=int(triangles[0][1]) if triangles is not None else None,
+        global_c=float(cc_summary[0][0]) if cc_summary is not None else None,
         by_degree_cc=(
             {int(d): (float(mean), int(cnt)) for d, mean, cnt in cc}
             if cc is not None
@@ -723,7 +728,7 @@ def cmd_replay(args, argv: list[str]) -> int:
         raise InputError(f"no such manifest: {manifest_path}")
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError
         raise InputError(f"{manifest_path}: not a JSON manifest: {exc}") from exc
     if not isinstance(manifest, dict):
         raise InputError(f"{manifest_path}: a manifest is a JSON object")
@@ -735,6 +740,14 @@ def cmd_replay(args, argv: list[str]) -> int:
     command = manifest.get("command")
     if command not in _OUT_DESTS:
         raise InputError(f"manifest command {command!r} cannot be replayed")
+    # checked before the re-run: each output is a file under the replay
+    # directory, mapped to its hash
+    outputs = manifest.get("outputs")
+    paths = [Path(rel) for rel in outputs] if isinstance(outputs, dict) else []
+    if not paths or any(p.is_absolute() or ".." in p.parts or not p.parts for p in paths) or any(
+        not isinstance(digest, str) for digest in outputs.values()
+    ):
+        raise InputError(f"{manifest_path}: manifest outputs must map relative paths to hashes")
     # the parser finds the output in any spelling it accepts (--out=X, --ou X)
     try:
         recorded = build_parser().parse_args(recorded_argv)
@@ -759,7 +772,7 @@ def cmd_replay(args, argv: list[str]) -> int:
 
         base = new_out.parent if dest == "out" else new_out
         mismatches = []
-        for rel, expected in sorted(manifest.get("outputs", {}).items()):
+        for rel, expected in sorted(outputs.items()):
             produced = base / rel
             if not produced.is_file():
                 mismatches.append((rel, "missing"))
@@ -769,7 +782,7 @@ def cmd_replay(args, argv: list[str]) -> int:
             for rel, why in mismatches:
                 print(f"replay: {rel}: {why}")
             return 1
-    print(f"replay: {len(manifest.get('outputs', {}))} outputs byte-identical")
+    print(f"replay: {len(outputs)} outputs byte-identical")
     return EXIT_OK
 
 

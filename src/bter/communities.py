@@ -103,21 +103,6 @@ def partition_communities(seq: DegreeSequence) -> tuple[np.ndarray, np.ndarray]:
     return block_start, block_size
 
 
-def _excess(degrees: np.ndarray, supply: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Excess of a run of nodes of these target degrees, the Chung-Lu weight
-    left after block wiring: counts[0] nodes before any block, then
-    counts[k + 1] members of a block that supplies each supply[k] of its
-    degree. Members get d_i - supply, clamped at 0; nodes before the first
-    block get 1 if their degree is 1 and 0 otherwise. Each block's supply
-    is repeated over its members (0 before the first block), and the excess
-    computed in place: one array the length of the run."""
-    e = np.repeat(np.append(0.0, supply), counts)
-    np.subtract(degrees, e, out=e)
-    np.maximum(0.0, e, out=e)
-    e[: counts[0]] = degrees[: counts[0]] == 1
-    return e
-
-
 class CommunityPartition(NamedTuple):
     """Full preprocessing result for one degree sequence: per-block arrays
     and the sequence's own degree array. Block k is the contiguous node
@@ -144,15 +129,18 @@ class CommunityPartition(NamedTuple):
 
     @property
     def excess(self) -> np.ndarray:
-        """node -> excess degree (see _excess); an n-long array built on
-        each access, which the caller owns."""
+        """node -> excess degree: d_i less its block's supply rho_k * (size_k - 1),
+        clamped at 0 (the degree-1 nodes before the first block keep their 1);
+        an n-long array built on each access, which the caller owns."""
         first = int(self.block_start[0]) if self.block_count else self.degrees.size
-        supply = self.rho * (self.block_size - 1)
-        return _excess(self.degrees, supply, np.append(first, self.block_size))
+        e = np.repeat(np.append(0.0, self.rho * (self.block_size - 1)),
+                      np.append(first, self.block_size))
+        np.subtract(self.degrees, e, out=e)
+        return np.maximum(0.0, e, out=e)
 
 
 def preprocess(seq: DegreeSequence, f: ConnectivityFormula) -> CommunityPartition:
-    """Partition, assign rho_k per block, and compute excess degrees.
+    """Partition, and assign rho_k per block.
 
     A short final block (fewer than bar_d + 1 nodes, because the sequence
     ran out) gets rho = 0, so its members carry their full degree as excess.
@@ -174,39 +162,30 @@ _PARTITION_HEADER = "node,block,bar_d,rho,excess"
 _PARTITION_CHUNK = 1 << 14
 
 
-def write_partition_csv(part: CommunityPartition, seq: DegreeSequence, path) -> None:
+def write_partition_csv(part: CommunityPartition, path) -> None:
     """Dump "node,block,bar_d,rho,excess" rows (block -1 for unassigned).
 
     The rows go out _PARTITION_CHUNK at a time, each chunk's columns built
-    for it alone, so the writer holds no full-length column. A chunk's
-    block columns repeat the values of the few blocks it meets, each as
-    often as it has nodes there, and its excess column repeats their supply.
+    for it alone, so the writer holds no full-length column. A chunk's block
+    ids are a running sum over the block starts inside it; they index the
+    per-block values, whose last entry, 0, is block -1's.
     """
-    n = seq.n
-    prefix = int(part.block_start[0]) if part.block_count else n  # nodes before any block
-    cuts = np.arange(0, n + _PARTITION_CHUNK, _PARTITION_CHUNK).clip(max=n)
-    holds = np.searchsorted(part.block_start, cuts, side="right") - 1  # -1: no block yet
+    n = part.degrees.size
+    bar_d = np.append(part.bar_d, 0)
+    rho = np.append(part.rho, 0.0)
+    supply = np.append(part.rho * (part.block_size - 1), 0.0)
     with open(path, "wb") as fh:
         fh.write(_PARTITION_HEADER.encode() + b"\n")
-        for i in range(len(cuts) - 1):
-            lo, hi = cuts[i], cuts[i + 1]
-            # the chunk meets blocks a..b-1 (block b-1 may start at hi, and
-            # meet it in no node), after its unassigned nodes if it has any,
-            # which take block a - 1 = -1 and bar_d and rho 0
-            a, b = max(holds[i], 0), holds[i + 1] + 1
-            start = part.block_start[a:b]
-            size = part.block_size[a:b]
-            counts = np.append(
-                max(min(prefix, hi) - lo, 0),
-                np.minimum(start + size, hi) - np.maximum(start, lo),
-            )
-            columns = (
-                np.arange(lo, hi),
-                np.repeat(np.arange(a - 1, b), counts),
-                np.repeat(np.append(0, part.bar_d[a:b]), counts),
-                np.repeat(np.append(0.0, part.rho[a:b]), counts),
-                _excess(part.degrees[lo:hi], part.rho[a:b] * (size - 1), counts),
-            )
+        for lo in range(0, n, _PARTITION_CHUNK):
+            hi = min(lo + _PARTITION_CHUNK, n)
+            # block a holds node lo and block b node hi - 1 (-1: no block yet)
+            a, b = np.searchsorted(part.block_start, (lo, hi - 1), side="right") - 1
+            block = np.zeros(hi - lo, dtype=np.int64)
+            block[0] = a
+            block[part.block_start[a + 1 : b + 1] - lo] = 1
+            np.cumsum(block, out=block)
+            excess = np.maximum(0.0, part.degrees[lo:hi] - supply[block])
+            columns = (np.arange(lo, hi), block, bar_d[block], rho[block], excess)
             write_rows(fh, "%d,%d,%d,%.12g,%.12g\n", columns)
 
 

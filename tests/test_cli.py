@@ -824,20 +824,39 @@ def test_replay_finds_the_output_in_any_spelling(k4_file, tmp_path, command, spe
     assert run("replay", "--manifest", manifest) == EXIT_OK
 
 
+_ER_RUN = {
+    "command": "generate",
+    "argv": ["generate", "--model", "er", "--n", "10", "--p", "0.5", "--seed", "1",
+             "--out", "g.txt"],
+}
+
+
 @pytest.mark.parametrize(
     "manifest",
     [
         ["generate"],
         {"command": "generate", "argv": ["generate", "--seed", 1]},
         {"command": "generate", "argv": "generate --model er"},
+        _ER_RUN,
+        {**_ER_RUN, "outputs": []},
+        {**_ER_RUN, "outputs": "g.txt"},
+        {**_ER_RUN, "outputs": {}},
+        {**_ER_RUN, "outputs": {"../../../etc/hostname": "0" * 64}},
+        {**_ER_RUN, "outputs": {"/etc/hostname": "0" * 64}},
+        {**_ER_RUN, "outputs": {"": "0" * 64}},
+        {**_ER_RUN, "outputs": {"g.txt": 1}},
     ],
-    ids=["array", "int in argv", "string argv"],
+    ids=["array", "int in argv", "string argv", "no outputs", "outputs array",
+         "outputs string", "empty outputs", "parent output", "absolute output",
+         "empty output path", "int hash"],
 )
 def test_replay_rejects_a_malformed_manifest(tmp_path, capsys, manifest):
     path = tmp_path / "m.json"
     path.write_text(json.dumps(manifest), encoding="utf-8")
     assert run("replay", "--manifest", path) == EXIT_INPUT
-    assert capsys.readouterr().err.startswith("error: ")
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""  # refused before anything was re-run
 
 
 def test_threads_flag_is_gone(tmp_path):
@@ -1057,6 +1076,35 @@ def test_malformed_inputs_are_input_errors(k4_file, tmp_path, capsys):
                "--out", tmp_path / "c.csv") == EXIT_INPUT
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "generate --model cl --seed 1 --powerlaw 100,2,10 --config {bad} --out {out}/g.txt",
+        "generate --model cl --seed 1 --degrees {bad} --out {out}/g.txt",
+        "generate --model cl --seed 1 --from-graph {bad} --out {out}/g.txt",
+        "analyze --graph {bad} --out-dir {out}",
+        "audit --graph {bad} --out-dir {out}",
+        "audit --graph {k4} --partition {bad} --out-dir {out}",
+        "compare --graph-a {bad} --graph-b {k4} --out {out}/c.csv",
+        "compare --report-a {rep} --graph-b {k4} --out {out}/c.csv",
+        "replay --manifest {bad}",
+    ],
+    ids=["config", "degrees", "from-graph", "analyze graph", "audit graph", "partition",
+         "compare graph", "report", "manifest"],
+)
+def test_input_that_is_not_utf8_is_an_input_error(k4_file, tmp_path, capsys, argv):
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"\xff\n")
+    rep = tmp_path / "rep"
+    rep.mkdir()
+    (rep / "summary.csv").write_bytes(b"field,value\nnodes,4\n\xff\n")
+    out = tmp_path / "out"
+    paths = {"bad": bad, "k4": k4_file, "rep": rep, "out": out}
+    assert run(*(word.format(**paths) for word in argv.split())) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_unusable_output_path_is_an_input_error(k4_file, tmp_path, capsys):
     blocker = tmp_path / "file"  # a file where a directory must be made
     blocker.write_text("", encoding="utf-8")
@@ -1071,12 +1119,19 @@ def test_unusable_output_path_is_an_input_error(k4_file, tmp_path, capsys):
     [
         ("summary.csv", "field,value\nedges,6\n"),  # no nodes row
         ("triangles.csv", "triangles,wedges,global_c\n4\n"),  # a one-field row
+        ("triangles.csv", "triangles,wedges,global_c\n"),  # no data row
+        ("cc_summary.csv", "global_c\n"),  # no data row
+        ("cc.csv", None),  # half a cc view: cc_summary.csv alone
+        ("cc_summary.csv", None),  # half a cc view: cc.csv alone
     ],
 )
 def test_malformed_report_is_an_input_error(k4_file, tmp_path, capsys, name, text):
     rep = tmp_path / "rep"
     assert run("analyze", "--graph", k4_file, "--out-dir", rep) == EXIT_OK
-    (rep / name).write_text(text, encoding="utf-8")
+    if text is None:
+        (rep / name).unlink()
+    else:
+        (rep / name).write_text(text, encoding="utf-8")
     capsys.readouterr()
     assert run("compare", "--report-a", rep, "--report-b", rep,
                "--out", tmp_path / "c.csv") == EXIT_INPUT

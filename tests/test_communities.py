@@ -118,31 +118,34 @@ def test_excess_cases():
     assert np.allclose(preprocess(seq_of(*([10] * 11)), at_rho_1).excess, 0.0)
 
 
-def _excess(degrees, supply, counts):
-    return bter.communities._excess(
-        np.array(degrees, dtype=np.int64), np.array(supply, dtype=np.float64), np.array(counts)
+def partition_of(degrees, block_start, block_size, rho):
+    """A partition of these blocks, bar_d read off the degrees."""
+    degrees = np.array(degrees, dtype=np.int64)
+    block_start = np.array(block_start, dtype=np.int64)
+    return CommunityPartition(
+        block_start, np.array(block_size, dtype=np.int64), degrees[block_start],
+        np.array(rho, dtype=np.float64), degrees,
     )
 
 
 def test_excess_hand_value():
     # one block of 4 nodes that supplies 0.9457 * 3 of each degree
-    e = _excess([5, 5, 5, 5], [0.9457 * 3], [0, 4])
+    e = partition_of([5, 5, 5, 5], [0], [4], [0.9457]).excess
     assert e[0] == pytest.approx(5 - 0.9457 * 3, rel=1e-12)
     assert e[0] == pytest.approx(2.163, abs=5e-4)
 
 
 def test_excess_clamped_at_zero():
     # a block of 3 at rho 1 supplies 2 of each degree: node 0 needs only 2
-    assert _excess([2, 9, 9], [2.0], [0, 3])[0] == 0.0
+    assert partition_of([2, 9, 9], [0], [3], [1.0]).excess[0] == 0.0
 
 
 def test_excess_keeps_prefix_values_before_the_first_block():
-    # nodes before the first block keep the degree-1 rule: 1 for degree 1
-    # and 0 for any other degree, here the degree-2 node 2
-    degrees = [1, 1, 2, 3, 3, 3, 3]
-    e = _excess(degrees, [0.5, 1.0], [3, 2, 2])
-    assert e.tolist() == [1.0, 1.0, 0.0, 2.5, 2.5, 2.0, 2.0]
-    assert _excess(degrees, [], [7]).tolist() == [1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+    # the nodes before the first block are of degree 1, and keep it
+    degrees = [1, 1, 1, 2, 2, 2, 3, 3, 3, 3]
+    e = partition_of(degrees, [3, 6], [3, 4], [0.25, 0.5]).excess
+    assert e.tolist() == [1.0] * 3 + [1.5] * 7
+    assert partition_of([1, 1, 1], [], [], []).excess.tolist() == [1.0, 1.0, 1.0]
 
 
 def test_partition_holds_per_block_arrays_and_the_degrees():
@@ -257,7 +260,7 @@ _PARTITION_SHA256 = {
 def test_partition_csv_bytes_pinned(tmp_path, f, n, d_max):
     seq = synthesize_powerlaw(n, 2.0, d_max)
     path = tmp_path / "part.csv"
-    write_partition_csv(preprocess(seq, f), seq, path)
+    write_partition_csv(preprocess(seq, f), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == _PARTITION_SHA256[f, n, d_max]
 
 
@@ -282,7 +285,7 @@ def test_partition_csv_round_trip(tmp_path):
     seq = synthesize_powerlaw(200, 2.0, 14)
     part = preprocess(seq, ConnectivityFormula())
     path = tmp_path / "part.csv"
-    write_partition_csv(part, seq, path)
+    write_partition_csv(part, path)
     assert np.array_equal(read_partition_csv(path), part.assignment)
 
 
@@ -385,7 +388,7 @@ def test_write_partition_csv_matches_row_writer(tmp_path, monkeypatch, chunk):
         monkeypatch.setattr(bter.communities, "_PARTITION_CHUNK", chunk)
     for seq in (synthesize_powerlaw(3000, 2.0, 60), seq_of(1, 1), seq_of(1, 3, 3, 3)):
         part = preprocess(seq, ConnectivityFormula(rho=0.9, eta=0.7))
-        write_partition_csv(part, seq, tmp_path / "new.csv")
+        write_partition_csv(part, tmp_path / "new.csv")
         write_partition_csv_by_row(part, seq, tmp_path / "old.csv")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
@@ -403,7 +406,7 @@ def test_partition_csv_derives_the_excess_per_chunk(tmp_path, monkeypatch, chunk
     expected = part.excess
     assert expected[:3].tolist() == [1.0] * 3 and expected[10:].tolist() == [6.0] * 2
     monkeypatch.setattr(bter.communities, "_PARTITION_CHUNK", chunk)
-    write_partition_csv(part, seq, tmp_path / "new.csv")
+    write_partition_csv(part, tmp_path / "new.csv")
     rows = (tmp_path / "new.csv").read_text().splitlines()[1:]
     assert [row.rsplit(",", 1)[1] for row in rows] == [f"{x:.12g}" for x in expected]
     write_partition_csv_by_row(part, seq, tmp_path / "old.csv")
@@ -420,7 +423,7 @@ def test_write_partition_csv_memory_is_a_chunk(tmp_path):
     tracemalloc.start()
     try:
         live = tracemalloc.get_traced_memory()[0]
-        write_partition_csv(part, seq, tmp_path / "part.csv")
+        write_partition_csv(part, tmp_path / "part.csv")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -434,7 +437,7 @@ def test_write_partition_csv_matches_row_writer_at_scale(tmp_path):
     # columns built once
     seq = synthesize_powerlaw(150_000, 2.0, 1000)
     part = preprocess(seq, ConnectivityFormula(rho=0.9, eta=0.7))
-    write_partition_csv(part, seq, tmp_path / "new.csv")
+    write_partition_csv(part, tmp_path / "new.csv")
     built = SimpleNamespace(
         bar_d=part.bar_d, rho=part.rho, assignment=part.assignment, excess=part.excess
     )
